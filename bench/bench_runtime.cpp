@@ -8,11 +8,12 @@
 //
 // Production-scale additions: full-netlist propagation cost at 1..N
 // threads (level-parallel engine), and a 64-noise-scenario sweep run
-// the naive way (sequential loop of engine runs) vs. batched
-// (ScenarioBatch: one levelized pass, scenario×vertex fan-out, shared
+// the naive way (a sequential loop of serial engine runs — the
+// baseline every speedup here is stated against) vs. one
+// StaEngine::sweep (corner baseline + per-point cone deltas, shared
 // Γeff memo).  After the google-benchmark tables, a summary section
-// prints the measured speedups and verifies looped and batched sweeps
-// produce identical timing results.
+// prints the measured speedups and verifies looped and swept results
+// are identical.
 
 #include <benchmark/benchmark.h>
 
@@ -37,7 +38,6 @@
 #include "interconnect/coupled.hpp"
 #include "netlist/generators.hpp"
 #include "noise/scenario.hpp"
-#include "sta/batch.hpp"
 #include "sta/edits.hpp"
 #include "sta/engine.hpp"
 #include "sta/hiergraph.hpp"
@@ -277,7 +277,7 @@ BENCHMARK(kernel_combine_scalar)->Unit(benchmark::kMicrosecond);
 BENCHMARK(kernel_combine_batched)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
-// Full-netlist propagation: level-parallel engine + batched scenarios
+// Full-netlist propagation: level-parallel engine + scenario sweeps
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -343,7 +343,7 @@ void sta_run(benchmark::State& state) {
 
 /// Naive scenario sweep: sequential loop of single-threaded runs.
 /// Annotations are cleared between scenarios so every looped run
-/// evaluates exactly one scenario — the same workload the batch does.
+/// evaluates exactly one scenario — the same workload the sweep does.
 void sta_sweep_looped(benchmark::State& state) {
   const auto& f = sta_fixture();
   const auto scenarios = f.scenarios(static_cast<int>(state.range(0)));
@@ -364,41 +364,17 @@ void sta_sweep_looped(benchmark::State& state) {
   }
 }
 
-/// Batched sweep: ScenarioBatch, one pass, shared Γeff memo (default
-/// partition-sharded scheduling).  Construction and scenario loading
-/// happen outside the timed loop; run() itself clears the memo, so
-/// every iteration is a cold sweep.
-void sta_sweep_batched(benchmark::State& state) {
+/// One sweep over all scenarios: a corner baseline plus one cone delta
+/// per scenario, shared Γeff memo.  Scenario loading happens outside
+/// the timed loop; every sweep builds a fresh memo, so every iteration
+/// is a cold sweep.
+void sta_sweep(benchmark::State& state) {
   const auto& f = sta_fixture();
-  const auto scenarios = f.scenarios(static_cast<int>(state.range(0)));
-  st::StaEngine sta(f.netlist, f.lib);
-  f.constrain(sta);
-  st::BatchOptions opt;
-  opt.threads = static_cast<int>(state.range(1));
-  st::ScenarioBatch batch(sta, opt);
-  for (const auto& sc : scenarios) batch.add(sc);
-  for (auto _ : state) {
-    batch.run();
-    double acc = 0.0;
-    for (size_t i = 0; i < batch.size(); ++i) acc += batch.worst_slack(i);
-    benchmark::DoNotOptimize(acc);
-  }
-}
-
-/// Scheduling A/B: the same sweep under (point × partition) coarse
-/// tasks (sharded) vs the legacy per-level (point × vertex) fan-out.
-/// Runs with delta OFF — this benchmark measures full-propagation
-/// scheduling, which baseline+delta would mask.
-void sta_sweep_scheduled(benchmark::State& state, bool shard) {
-  const auto& f = sta_fixture();
-  const auto scenarios = f.scenarios(static_cast<int>(state.range(0)));
   st::StaEngine sta(f.netlist, f.lib);
   f.constrain(sta);
   st::SweepSpec spec;
-  spec.scenarios = scenarios;
+  spec.scenarios = f.scenarios(static_cast<int>(state.range(0)));
   spec.threads = static_cast<int>(state.range(1));
-  spec.shard = shard;
-  spec.delta = false;
   for (auto _ : state) {
     auto result = sta.sweep(spec);
     double acc = 0.0;
@@ -407,19 +383,11 @@ void sta_sweep_scheduled(benchmark::State& state, bool shard) {
   }
 }
 
-void sta_sweep_sharded(benchmark::State& state) {
-  sta_sweep_scheduled(state, true);
-}
-
-void sta_sweep_levels(benchmark::State& state) {
-  sta_sweep_scheduled(state, false);
-}
-
 // ---------------------------------------------------------------------------
 // Sparse-scenario sweep on a ~10k-vertex netlist: the baseline+delta
 // workload — 64 scenarios, each annotating ≤ 2 nets, so every cone
-// covers a tiny slice of the graph and full re-propagation wastes
-// almost the whole walk.
+// covers a tiny slice of the graph and a looped full evaluation
+// wastes almost the whole walk.
 // ---------------------------------------------------------------------------
 
 struct SparseFixture {
@@ -524,7 +492,7 @@ const SparseFixture& sparse_fixture() {
 // lane grouper packs 16 full 4-wide blocks — the workload the SoA
 // walker exists for.  (Sparse tiny-cone sweeps are baseline-copy
 // dominated and gain little from lanes; that regime is measured by the
-// sparse A/B above.)
+// sparse sweep above.)
 // ---------------------------------------------------------------------------
 
 struct DenseLaneFixture {
@@ -595,30 +563,20 @@ const DenseLaneFixture& dense_lane_fixture() {
   return f;
 }
 
-/// One sparse sweep per iteration, delta on/off.
-void sta_sweep_sparse(benchmark::State& state, bool delta) {
+/// One sparse sweep per iteration.
+void sta_sweep_sparse(benchmark::State& state) {
   const auto& f = sparse_fixture();
-  const auto scenarios = f.scenarios(static_cast<int>(state.range(0)));
   st::StaEngine sta(f.netlist, f.lib);
   f.constrain(sta);
   st::SweepSpec spec;
-  spec.scenarios = scenarios;
+  spec.scenarios = f.scenarios(static_cast<int>(state.range(0)));
   spec.threads = static_cast<int>(state.range(1));
-  spec.delta = delta;
   for (auto _ : state) {
     auto result = sta.sweep(spec);
     double acc = 0.0;
     for (size_t i = 0; i < result.size(); ++i) acc += result.worst_slack(i);
     benchmark::DoNotOptimize(acc);
   }
-}
-
-void sta_sweep_sparse_delta(benchmark::State& state) {
-  sta_sweep_sparse(state, true);
-}
-
-void sta_sweep_sparse_full(benchmark::State& state) {
-  sta_sweep_sparse(state, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -711,33 +669,14 @@ BENCHMARK(sta_sweep_looped)
     ->ArgName("scenarios")
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(sta_sweep_batched)
+BENCHMARK(sta_sweep)
     ->Args({64, 1})
     ->Args({64, 2})
     ->Args({64, 4})
     ->ArgNames({"scenarios", "threads"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK(sta_sweep_sharded)
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({64, 4})
-    ->ArgNames({"scenarios", "threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(sta_sweep_levels)
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({64, 4})
-    ->ArgNames({"scenarios", "threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(sta_sweep_sparse_delta)
-    ->Args({64, 4})
-    ->ArgNames({"scenarios", "threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(sta_sweep_sparse_full)
+BENCHMARK(sta_sweep_sparse)
     ->Args({64, 4})
     ->ArgNames({"scenarios", "threads"})
     ->Unit(benchmark::kMillisecond)
@@ -762,11 +701,31 @@ double wall_seconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Worst slack of every scenario by looped serial evaluate() — no
+/// pool, no Γeff memo: the strongest simple baseline every sweep
+/// speedup is stated against, and the oracle sweep results must match
+/// bitwise.  `method` null uses the engine's.
+std::vector<double> looped_serial_slacks(
+    st::StaEngine& sta, const std::vector<st::NoiseScenario>& scenarios,
+    const waveletic::core::EquivalentWaveformMethod* method = nullptr) {
+  sta.prepare();
+  st::StaEngine::EvalContext ctx;
+  ctx.method = method != nullptr ? method : &sta.noise_method();
+  st::TimingState state;
+  std::vector<double> out;
+  out.reserve(scenarios.size());
+  for (const auto& sc : scenarios) {
+    const auto table = sta.compile_edge_annotations(&sc);
+    ctx.edge_noise = table.data();
+    sta.evaluate(state, ctx);
+    out.push_back(sta.worst_slack_in(state));
+  }
+  return out;
+}
+
 struct SweepFigures {
   double scenarios_per_sec = 0.0;
   double speedup_vs_looped = 0.0;
-  double sharded_scenarios_per_sec = 0.0;
-  double levels_scenarios_per_sec = 0.0;
   double lane_scenarios_per_sec = 0.0;
   double lane_speedup_vs_scalar = 0.0;
   bool bitwise = false;
@@ -794,65 +753,29 @@ SweepFigures report_sweep_speedups() {
     }
   });
 
-  // Batched at 1 thread (cache + single-pass effect) and at the
+  // One sweep at 1 thread (baseline + cone deltas + memo) and at the
   // hardware thread count (adds the parallel fan-out).
   waveletic::sta::GammaCache::Stats statsN{};
-  auto run_batched = [&](int threads, std::vector<double>& slack,
-                         waveletic::sta::GammaCache::Stats& stats) {
-    st::StaEngine sta(f.netlist, f.lib);
-    f.constrain(sta);
-    st::BatchOptions opt;
-    opt.threads = threads;
-    st::ScenarioBatch batch(sta, opt);
-    for (const auto& sc : scenarios) batch.add(sc);
-    const double t = wall_seconds([&] { batch.run(); });
-    for (size_t i = 0; i < batch.size(); ++i) {
-      slack.push_back(batch.worst_slack(i));
-    }
-    stats = batch.cache_stats();
-    return t;
-  };
-  std::vector<double> batched1_slack, batchedN_slack;
-  waveletic::sta::GammaCache::Stats stats1{};
-  const double t_batched1 = run_batched(1, batched1_slack, stats1);
-  const double t_batchedN =
-      run_batched(static_cast<int>(hw), batchedN_slack, statsN);
-
-  // Scheduling A/B on the same workload: (point × partition) coarse
-  // tasks vs the legacy per-level fan-out.  Run with ≥ 4 workers — at
-  // 1 thread both schedules degenerate to the same serial loop, the
-  // difference being measured is barrier overhead vs dependency-
-  // ordered tasks, which only exists with workers.  Best-of-5
-  // interleaved — single wall samples of a ~3 ms sweep are noisier
-  // than the few-percent difference being measured.
-  const size_t ab_threads = std::max<size_t>(hw, 4);
-  std::vector<double> sharded_slack, levels_slack;
-  double t_sharded = std::numeric_limits<double>::infinity();
-  double t_levels = std::numeric_limits<double>::infinity();
-  {
+  auto run_sweep = [&](int threads, std::vector<double>& slack,
+                       waveletic::sta::GammaCache::Stats& stats) {
     st::StaEngine sta(f.netlist, f.lib);
     f.constrain(sta);
     st::SweepSpec spec;
     spec.scenarios = scenarios;
-    spec.threads = static_cast<int>(ab_threads);
-    spec.delta = false;  // the A/B measures full-propagation scheduling
-    auto one = [&](bool shard, std::vector<double>& slack) {
-      spec.shard = shard;
-      st::SweepResult result;
-      const double t = wall_seconds([&] { result = sta.sweep(spec); });
-      if (slack.empty()) {
-        for (size_t i = 0; i < result.size(); ++i) {
-          slack.push_back(result.worst_slack(i));
-        }
-      }
-      return t;
-    };
-    // Interleaved reps so clock/cache drift hits both variants equally.
-    for (int rep = 0; rep < 5; ++rep) {
-      t_levels = std::min(t_levels, one(false, levels_slack));
-      t_sharded = std::min(t_sharded, one(true, sharded_slack));
+    spec.threads = threads;
+    st::SweepResult result;
+    const double t = wall_seconds([&] { result = sta.sweep(spec); });
+    for (size_t i = 0; i < result.size(); ++i) {
+      slack.push_back(result.worst_slack(i));
     }
-  }
+    stats = result.cache_stats();
+    return t;
+  };
+  std::vector<double> swept1_slack, sweptN_slack;
+  waveletic::sta::GammaCache::Stats stats1{};
+  const double t_sweep1 = run_sweep(1, swept1_slack, stats1);
+  const double t_sweepN =
+      run_sweep(static_cast<int>(hw), sweptN_slack, statsN);
 
   // Endpoint-only result storage at sweep scale: 10k points (50
   // distinct bumps cycled — the Γeff memo absorbs the repeats), chunked
@@ -897,13 +820,13 @@ SweepFigures report_sweep_speedups() {
     }
   }
 
-  // Sparse-scenario baseline+delta A/B on the ~10k-vertex random DAG:
-  // 64 scenarios, ≤ 2 annotated nets each, so full re-propagation
-  // walks the whole graph per point while delta touches only the tiny
-  // cones.  Best-of-3 interleaved; per-point worst slacks must match
-  // bitwise and prune=safe must keep the exact worst point.
+  // Sparse-scenario sweep on the ~10k-vertex random DAG: 64 scenarios,
+  // ≤ 2 annotated nets each, so looped serial evaluate() walks the
+  // whole graph per point while the sweep touches only the tiny cones.
+  // Best-of-3 interleaved; per-point worst slacks must match the looped
+  // oracle bitwise and prune=safe must keep the exact worst point.
   const int kSparse = 64;
-  double t_sparse_full = std::numeric_limits<double>::infinity();
+  double t_sparse_looped = std::numeric_limits<double>::infinity();
   double t_sparse_delta = std::numeric_limits<double>::infinity();
   double t_sparse_pruned = std::numeric_limits<double>::infinity();
   size_t sparse_vertices = 0;
@@ -918,32 +841,31 @@ SweepFigures report_sweep_speedups() {
     st::SweepSpec spec;
     spec.scenarios = sparse_scens;
     spec.threads = static_cast<int>(hw);
-    st::SweepResult r_full, r_delta, r_pruned;
+    std::vector<double> looped;
+    st::SweepResult r_delta, r_pruned;
     for (int rep = 0; rep < 3; ++rep) {
-      spec.delta = false;
+      t_sparse_looped = std::min(t_sparse_looped, wall_seconds([&] {
+        looped = looped_serial_slacks(sta, sparse_scens);
+      }));
       spec.prune = st::PruneMode::kOff;
-      t_sparse_full = std::min(
-          t_sparse_full, wall_seconds([&] { r_full = sta.sweep(spec); }));
-      spec.delta = true;
       t_sparse_delta = std::min(
           t_sparse_delta, wall_seconds([&] { r_delta = sta.sweep(spec); }));
       spec.prune = st::PruneMode::kSafe;
       t_sparse_pruned = std::min(
           t_sparse_pruned, wall_seconds([&] { r_pruned = sta.sweep(spec); }));
-      spec.prune = st::PruneMode::kOff;
     }
-    for (size_t p = 0; p < r_full.size(); ++p) {
-      sparse_identical =
-          sparse_identical && r_full.worst_slack(p) == r_delta.worst_slack(p);
+    for (size_t p = 0; p < r_delta.size(); ++p) {
+      sparse_identical = sparse_identical && looped[p] == r_delta.worst_slack(p);
     }
-    const auto wp_full = r_full.worst_point();
+    const auto wp_delta = r_delta.worst_point();
     const auto wp_pruned = r_pruned.worst_point();
-    sparse_identical = sparse_identical && wp_full.point == wp_pruned.point &&
-                       wp_full.slack == wp_pruned.slack;
+    sparse_identical = sparse_identical &&
+                       wp_delta.point == wp_pruned.point &&
+                       wp_delta.slack == wp_pruned.slack;
     sparse_stats = r_pruned.prune_stats();
     if (!sparse_identical) std::printf("SPARSE DELTA MISMATCH — BUG\n");
   }
-  const double sparse_delta_speedup = t_sparse_full / t_sparse_delta;
+  const double sparse_delta_speedup = t_sparse_looped / t_sparse_delta;
   const double sparse_pruned_fraction =
       static_cast<double>(sparse_stats.pruned) /
       static_cast<double>(std::max<size_t>(sparse_stats.points, 1));
@@ -1070,10 +992,10 @@ SweepFigures report_sweep_speedups() {
 
   // SIMD lane A/B on the dense 64-scenario delta sweep (the dense-cone
   // random-DAG fixture: 4 victims × 16 variants, every cone ≥ 10% of
-  // the ~900-vertex graph).  lanes=1 pins the scalar per-point path,
-  // lanes=0 auto-selects the widest compiled width (4 on AVX2 builds,
-  // where the two runs must match bitwise per point — the lane
-  // determinism contract).  Best-of-5 interleaved.  Measured under two
+  // the ~900-vertex graph).  wave::LaneWidthGuard(1) pins the scalar
+  // per-point path; unpinned, the sweep takes the widest available
+  // width (4 on AVX2 builds, where the two runs must match bitwise per
+  // point — the lane determinism contract).  Best-of-5 interleaved.  Measured under two
   // noise methods: P1 (propagation-bound — the graph walk the lane
   // layer vectorizes) is the headline; SGDP (the default) also runs
   // its scalar per-lane Newton Γeff fits, which bound its lane gain
@@ -1097,39 +1019,33 @@ SweepFigures report_sweep_speedups() {
     st::SweepSpec spec;
     spec.scenarios = dense_scenarios;
     spec.threads = static_cast<int>(hw);
-    spec.delta = true;
     st::SweepResult r_scalar, r_wide, r_sgdp_scalar, r_sgdp_wide;
+    const auto scalar_sweep = [&](st::SweepResult& out) {
+      wv::LaneWidthGuard scalar(1);
+      return wall_seconds([&] { out = sta.sweep(spec); });
+    };
     for (int rep = 0; rep < 5; ++rep) {
       spec.method = &p1;
-      spec.lanes = 1;
-      t_lane_scalar = std::min(
-          t_lane_scalar, wall_seconds([&] { r_scalar = sta.sweep(spec); }));
-      spec.lanes = 0;
+      t_lane_scalar = std::min(t_lane_scalar, scalar_sweep(r_scalar));
       t_lane_wide = std::min(
           t_lane_wide, wall_seconds([&] { r_wide = sta.sweep(spec); }));
       spec.method = nullptr;  // engine default (SGDP)
-      spec.lanes = 1;
       t_lane_sgdp_scalar =
-          std::min(t_lane_sgdp_scalar,
-                   wall_seconds([&] { r_sgdp_scalar = sta.sweep(spec); }));
-      spec.lanes = 0;
+          std::min(t_lane_sgdp_scalar, scalar_sweep(r_sgdp_scalar));
       t_lane_sgdp_wide =
           std::min(t_lane_sgdp_wide,
                    wall_seconds([&] { r_sgdp_wide = sta.sweep(spec); }));
     }
-    // Delta cross-check on this fixture: full re-propagation must agree
+    // Cross-check on this fixture: looped serial evaluate() must agree
     // exactly with the baseline+delta path the lane A/B runs on.
-    spec.method = &p1;
-    spec.delta = false;
-    spec.lanes = 1;
-    const auto r_full = sta.sweep(spec);
+    const auto looped = looped_serial_slacks(sta, dense_scenarios, &p1);
     for (size_t p = 0; p < r_scalar.size(); ++p) {
       lane_identical = lane_identical &&
                        std::bit_cast<uint64_t>(r_scalar.worst_slack(p)) ==
                            std::bit_cast<uint64_t>(r_wide.worst_slack(p)) &&
                        std::bit_cast<uint64_t>(r_sgdp_scalar.worst_slack(p)) ==
                            std::bit_cast<uint64_t>(r_sgdp_wide.worst_slack(p)) &&
-                       r_scalar.worst_slack(p) == r_full.worst_slack(p);
+                       r_scalar.worst_slack(p) == looped[p];
     }
     if (!lane_identical) std::printf("LANE SWEEP MISMATCH — BUG\n");
   }
@@ -1139,10 +1055,8 @@ SweepFigures report_sweep_speedups() {
   bool identical = endpoint_matches_full && sparse_identical &&
                    gen_identical && compound_identical && lane_identical;
   for (int i = 0; i < kScenarios; ++i) {
-    identical = identical && looped_slack[i] == batched1_slack[i] &&
-                looped_slack[i] == batchedN_slack[i] &&
-                looped_slack[i] == sharded_slack[i] &&
-                looped_slack[i] == levels_slack[i];
+    identical = identical && looped_slack[i] == swept1_slack[i] &&
+                looped_slack[i] == sweptN_slack[i];
   }
 
   // Single-run thread scaling.
@@ -1159,19 +1073,11 @@ SweepFigures report_sweep_speedups() {
               "hardware threads) --\n",
               kScenarios, hw);
   std::printf("looped sweep, 1 thread:          %8.1f ms\n", t_looped * 1e3);
-  std::printf("batched sweep, 1 thread:         %8.1f ms  (%.2fx vs looped)\n",
-              t_batched1 * 1e3, t_looped / t_batched1);
-  std::printf("batched sweep, %2zu threads:       %8.1f ms  (%.2fx vs "
+  std::printf("sweep, 1 thread:                 %8.1f ms  (%.2fx vs looped)\n",
+              t_sweep1 * 1e3, t_looped / t_sweep1);
+  std::printf("sweep, %2zu threads:               %8.1f ms  (%.2fx vs "
               "looped)\n",
-              hw, t_batchedN * 1e3, t_looped / t_batchedN);
-  std::printf("per-level fan-out, %2zu threads:   %8.1f ms  (%.1f "
-              "scenarios/sec)\n",
-              ab_threads, t_levels * 1e3, kScenarios / t_levels);
-  std::printf("partition-sharded, %2zu threads:   %8.1f ms  (%.1f "
-              "scenarios/sec, %.2fx vs per-level)%s\n",
-              ab_threads, t_sharded * 1e3, kScenarios / t_sharded,
-              t_levels / t_sharded,
-              t_sharded <= t_levels ? "" : "  [slower than per-level]");
+              hw, t_sweepN * 1e3, t_looped / t_sweepN);
   std::printf("single run 1 thread -> %zu threads: %.2f ms -> %.2f ms "
               "(%.2fx)\n",
               hw, t_run1 * 1e3, t_runN * 1e3, t_run1 / t_runN);
@@ -1179,11 +1085,11 @@ SweepFigures report_sweep_speedups() {
               t_endpoint * 1e3, kEndpointPoints / t_endpoint);
   std::printf("sparse sweep (%zu vertices, %d scenarios, <=2 nets each):\n",
               sparse_vertices, kSparse);
-  std::printf("  full re-propagation:           %8.1f ms  (%.1f "
+  std::printf("  looped serial evaluate():      %8.1f ms  (%.1f "
               "scenarios/sec)\n",
-              t_sparse_full * 1e3, kSparse / t_sparse_full);
+              t_sparse_looped * 1e3, kSparse / t_sparse_looped);
   std::printf("  baseline + delta:              %8.1f ms  (%.1f "
-              "scenarios/sec, %.2fx vs full)%s\n",
+              "scenarios/sec, %.2fx vs looped)%s\n",
               t_sparse_delta * 1e3, kSparse / t_sparse_delta,
               sparse_delta_speedup,
               sparse_delta_speedup >= 2.0 ? "" : "  [below 2x target]");
@@ -1223,16 +1129,16 @@ SweepFigures report_sweep_speedups() {
   std::printf("lane-parallel delta sweep (dense-cone fixture: %zu vertices, "
               "%d scenarios on 4 cones, width %d):\n",
               lane_vertices, kLaneScenarios, lane_width);
-  std::printf("  P1    lanes=1 (scalar oracle): %8.1f ms  (%.1f "
+  std::printf("  P1    width 1 (scalar):        %8.1f ms  (%.1f "
               "scenarios/sec)\n",
               t_lane_scalar * 1e3, kLaneScenarios / t_lane_scalar);
-  std::printf("  P1    lanes=auto:              %8.1f ms  (%.1f "
+  std::printf("  P1    width auto:              %8.1f ms  (%.1f "
               "scenarios/sec, %.2fx vs scalar)%s\n",
               t_lane_wide * 1e3, kLaneScenarios / t_lane_wide, lane_speedup,
               lane_width < 4 || lane_speedup >= 1.5
                   ? ""
                   : "  [below 1.5x target]");
-  std::printf("  SGDP  lanes=1 -> lanes=auto:   %8.1f ms -> %.1f ms  (%.2fx; "
+  std::printf("  SGDP  width 1 -> width auto:   %8.1f ms -> %.1f ms  (%.2fx; "
               "scalar Geff fits bound this near ~1.3x)\n",
               t_lane_sgdp_scalar * 1e3, t_lane_sgdp_wide * 1e3,
               lane_sgdp_speedup);
@@ -1243,8 +1149,8 @@ SweepFigures report_sweep_speedups() {
                   static_cast<double>(endpoint_bytes),
               full_bytes >= 10 * endpoint_bytes ? "" : "  [below 10x target]",
               endpoint_worst);
-  std::printf("timing results identical across looped/batched/sharded/"
-              "per-level: %s\n",
+  std::printf("timing results identical across looped serial evaluate() "
+              "and sweeps: %s\n",
               identical ? "yes" : "NO — BUG");
 
   // Machine-readable summary for CI trend tracking.
@@ -1260,13 +1166,10 @@ SweepFigures report_sweep_speedups() {
                  "  \"scenarios\": %d,\n"
                  "  \"threads\": %zu,\n"
                  "  \"looped_ms\": %.3f,\n"
-                 "  \"batched_1t_ms\": %.3f,\n"
-                 "  \"batched_ms\": %.3f,\n"
+                 "  \"sweep_1t_ms\": %.3f,\n"
+                 "  \"sweep_ms\": %.3f,\n"
                  "  \"scenarios_per_sec\": %.1f,\n"
                  "  \"speedup_vs_looped\": %.2f,\n"
-                 "  \"sharded_scenarios_per_sec\": %.1f,\n"
-                 "  \"levelfanout_scenarios_per_sec\": %.1f,\n"
-                 "  \"sharding_speedup_vs_levels\": %.3f,\n"
                  "  \"endpoint_points\": %d,\n"
                  "  \"endpoint_points_per_sec\": %.1f,\n"
                  "  \"endpoint_bytes_per_point\": %zu,\n"
@@ -1274,7 +1177,7 @@ SweepFigures report_sweep_speedups() {
                  "  \"endpoint_memory_reduction\": %.1f,\n"
                  "  \"sparse_vertices\": %zu,\n"
                  "  \"sparse_scenarios\": %d,\n"
-                 "  \"sparse_full_scenarios_per_sec\": %.1f,\n"
+                 "  \"sparse_looped_scenarios_per_sec\": %.1f,\n"
                  "  \"sparse_delta_scenarios_per_sec\": %.1f,\n"
                  "  \"sparse_delta_speedup\": %.2f,\n"
                  "  \"sparse_pruned_scenarios_per_sec\": %.1f,\n"
@@ -1323,15 +1226,14 @@ SweepFigures report_sweep_speedups() {
                  "  \"cache_hit_rate\": %.4f,\n"
                  "  \"bitwise_identical\": %s\n"
                  "}\n",
-                 kScenarios, hw, t_looped * 1e3, t_batched1 * 1e3,
-                 t_batchedN * 1e3, kScenarios / t_batchedN,
-                 t_looped / t_batchedN, kScenarios / t_sharded,
-                 kScenarios / t_levels, t_levels / t_sharded,
+                 kScenarios, hw, t_looped * 1e3, t_sweep1 * 1e3,
+                 t_sweepN * 1e3, kScenarios / t_sweepN,
+                 t_looped / t_sweepN,
                  kEndpointPoints, kEndpointPoints / t_endpoint,
                  endpoint_bytes, full_bytes,
                  static_cast<double>(full_bytes) /
                      static_cast<double>(endpoint_bytes),
-                 sparse_vertices, kSparse, kSparse / t_sparse_full,
+                 sparse_vertices, kSparse, kSparse / t_sparse_looped,
                  kSparse / t_sparse_delta, sparse_delta_speedup,
                  kSparse / t_sparse_pruned, sparse_stats.evaluated,
                  sparse_stats.pruned, sparse_pruned_fraction,
@@ -1377,10 +1279,8 @@ SweepFigures report_sweep_speedups() {
     std::printf("wrote %s\n", json_path);
   }
   SweepFigures figures;
-  figures.scenarios_per_sec = kScenarios / t_batchedN;
-  figures.speedup_vs_looped = t_looped / t_batchedN;
-  figures.sharded_scenarios_per_sec = kScenarios / t_sharded;
-  figures.levels_scenarios_per_sec = kScenarios / t_levels;
+  figures.scenarios_per_sec = kScenarios / t_sweepN;
+  figures.speedup_vs_looped = t_looped / t_sweepN;
   figures.lane_scenarios_per_sec = kLaneScenarios / t_lane_wide;
   figures.lane_speedup_vs_scalar = lane_speedup;
   figures.bitwise = identical;
@@ -1389,8 +1289,9 @@ SweepFigures report_sweep_speedups() {
 
 // ---------------------------------------------------------------------------
 // Kernel summary: measured ns/sample of batched vs scalar sampling,
-// heap allocations per Γeff fit and per full propagation (legacy vs
-// workspace paths), emitted as BENCH_kernels.json for CI tracking.
+// heap allocations per Γeff fit (legacy vs workspace) and per full
+// propagation (warmed workspace), emitted as BENCH_kernels.json for CI
+// tracking.
 // ---------------------------------------------------------------------------
 
 void report_kernel_summary(const SweepFigures& sweep) {
@@ -1629,16 +1530,14 @@ void report_kernel_summary(const SweepFigures& sweep) {
   ctx.edge_noise = table.data();
   ctx.method = &sta.noise_method();
   st::TimingState state;
-  auto allocs_per_propagate = [&](wv::Workspace* ws, int n) {
-    ctx.workspace = ws;
-    sta.evaluate(state, ctx);  // warm slabs + state capacity
-    const uint64_t before = heap_allocations();
-    for (int i = 0; i < n; ++i) sta.evaluate(state, ctx);
-    return static_cast<double>(heap_allocations() - before) / n;
-  };
   wv::Workspace prop_ws;
-  const double prop_allocs_legacy = allocs_per_propagate(nullptr, 20);
-  const double prop_allocs_ws = allocs_per_propagate(&prop_ws, 20);
+  ctx.workspace = &prop_ws;
+  sta.evaluate(state, ctx);  // warm slabs + state capacity
+  const uint64_t prop_before = heap_allocations();
+  constexpr int kPropagations = 20;
+  for (int i = 0; i < kPropagations; ++i) sta.evaluate(state, ctx);
+  const double prop_allocs_ws =
+      static_cast<double>(heap_allocations() - prop_before) / kPropagations;
 
   std::printf("\n-- waveform-kernel summary (%zu-point grid over %zu-sample "
               "waveform) --\n",
@@ -1663,8 +1562,8 @@ void report_kernel_summary(const SweepFigures& sweep) {
               lane_crossings_w1_ns / lane_crossings_w4_ns);
   std::printf("allocations per SGDP fit:   legacy %6.1f  workspace %6.1f\n",
               fit_allocs_legacy, fit_allocs_ws);
-  std::printf("allocations per propagate:  legacy %6.1f  workspace %6.1f%s\n",
-              prop_allocs_legacy, prop_allocs_ws,
+  std::printf("allocations per propagate:  workspace %6.1f%s\n",
+              prop_allocs_ws,
               prop_allocs_ws == 0.0 ? "  (zero hot-path allocations)"
                                     : "  [expected 0 — BUG]");
   if (sink == 12345.6789) std::printf("%f\n", sink);  // defeat DCE
@@ -1695,12 +1594,9 @@ void report_kernel_summary(const SweepFigures& sweep) {
                  "  \"lane_kernels_bitwise_identical\": %s,\n"
                  "  \"fit_allocs_legacy\": %.1f,\n"
                  "  \"fit_allocs_workspace\": %.1f,\n"
-                 "  \"propagate_allocs_legacy\": %.1f,\n"
                  "  \"propagate_allocs_workspace\": %.1f,\n"
                  "  \"sweep_scenarios_per_sec\": %.1f,\n"
                  "  \"sweep_speedup_vs_looped\": %.2f,\n"
-                 "  \"sweep_sharded_scenarios_per_sec\": %.1f,\n"
-                 "  \"sweep_levelfanout_scenarios_per_sec\": %.1f,\n"
                  "  \"sweep_lane_scenarios_per_sec\": %.1f,\n"
                  "  \"sweep_lane_speedup_vs_scalar\": %.2f,\n"
                  "  \"bitwise_identical\": %s\n"
@@ -1716,10 +1612,8 @@ void report_kernel_summary(const SweepFigures& sweep) {
                  lane_crossings_w1_ns, lane_crossings_w4_ns,
                  lane_crossings_w1_ns / lane_crossings_w4_ns,
                  lane_bitwise ? "true" : "false", fit_allocs_legacy,
-                 fit_allocs_ws, prop_allocs_legacy, prop_allocs_ws,
+                 fit_allocs_ws, prop_allocs_ws,
                  sweep.scenarios_per_sec, sweep.speedup_vs_looped,
-                 sweep.sharded_scenarios_per_sec,
-                 sweep.levels_scenarios_per_sec,
                  sweep.lane_scenarios_per_sec,
                  sweep.lane_speedup_vs_scalar,
                  (sweep.bitwise && lane_bitwise) ? "true" : "false");

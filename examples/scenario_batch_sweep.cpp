@@ -5,8 +5,8 @@
 //   2. build a multi-chain netlist and run clean STA,
 //   3. build a grid of noise scenarios (aggressor alignment × strength
 //      on two victim nets),
-//   4. sweep all of them in ONE levelized pass with ScenarioBatch
-//      (scenario×vertex thread fan-out + shared Γeff memo),
+//   4. sweep all of them with StaEngine::sweep (one clean baseline,
+//      one cone delta per scenario, shared Γeff memo),
 //   5. print the slack surface and the Γeff cache statistics.
 //
 //   $ ./scenario_batch_sweep
@@ -17,8 +17,8 @@
 
 #include "charlib/characterize.hpp"
 #include "netlist/verilog.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
+#include "sta/sweep.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cl = waveletic::charlib;
@@ -60,51 +60,48 @@ endmodule
   const auto& vb = sta.timing(sta.pin("ub2/A"), st::RiseFall::kFall);
 
   // Scenario grid: 8 alignments × 4 strengths × 2 victim nets = 64.
-  st::BatchOptions opt;
-  opt.threads = 0;  // hardware concurrency
-  st::ScenarioBatch batch(sta, opt);
+  st::SweepSpec spec;
+  spec.threads = 0;  // hardware concurrency
   const double alignments[] = {-60e-12, -40e-12, -20e-12, 0.0,
                                20e-12,  40e-12,  60e-12,  80e-12};
   const double strengths[] = {0.15, 0.30, 0.45, 0.60};
   for (const double align : alignments) {
     for (const double strength : strengths) {
-      batch.add(st::make_aggressor_scenario("na1", va.arrival, va.slew,
-                                            lib.nom_voltage,
-                                            wv::Polarity::kFalling, align,
-                                            strength));
-      batch.add(st::make_aggressor_scenario("nb1", vb.arrival, vb.slew,
-                                            lib.nom_voltage,
-                                            wv::Polarity::kFalling, align,
-                                            strength));
+      spec.scenarios.push_back(st::make_aggressor_scenario(
+          "na1", va.arrival, va.slew, lib.nom_voltage,
+          wv::Polarity::kFalling, align, strength));
+      spec.scenarios.push_back(st::make_aggressor_scenario(
+          "nb1", vb.arrival, vb.slew, lib.nom_voltage,
+          wv::Polarity::kFalling, align, strength));
     }
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  batch.run();
+  const auto result = sta.sweep(spec);
   const auto t1 = std::chrono::steady_clock::now();
 
-  std::printf("\n-- %zu-scenario batched sweep (%zu threads) --\n",
-              batch.size(), wu::ThreadPool::hardware_threads());
+  std::printf("\n-- %zu-scenario sweep (%zu threads) --\n",
+              result.size(), wu::ThreadPool::hardware_threads());
   std::printf("%-36s %12s\n", "scenario", "slack [ps]");
   double worst = 1e99;
   size_t worst_i = 0;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const double slack = batch.worst_slack(i);
+  for (size_t i = 0; i < result.size(); ++i) {
+    const double slack = result.worst_slack(i);
     if (slack < worst) {
       worst = slack;
       worst_i = i;
     }
-    if (i < 6 || i + 3 >= batch.size()) {  // head + tail of the table
-      std::printf("%-36s %12.1f\n", batch.scenario(i).name.c_str(),
+    if (i < 6 || i + 3 >= result.size()) {  // head + tail of the table
+      std::printf("%-36s %12.1f\n", result.scenario_name(i).c_str(),
                   slack * 1e12);
     } else if (i == 6) {
       std::printf("  ...\n");
     }
   }
   std::printf("worst scenario: %s (slack %.1f ps)\n",
-              batch.scenario(worst_i).name.c_str(), worst * 1e12);
+              result.scenario_name(worst_i).c_str(), worst * 1e12);
 
-  const auto stats = batch.cache_stats();
+  const auto stats = result.cache_stats();
   const double ms = std::chrono::duration<double>(t1 - t0).count() * 1e3;
   std::printf("sweep wall time: %.1f ms; Γeff memo: %llu hits, %llu misses\n",
               ms, static_cast<unsigned long long>(stats.hits),

@@ -94,7 +94,7 @@ struct Fit {
 /// Reentrancy contract: fit() is const and must be safe to call
 /// concurrently from many threads on one instance — implementations
 /// keep all working state on the stack (every built-in technique
-/// does).  The levelized STA engine and ScenarioBatch rely on this to
+/// does).  The levelized STA engine and its sweeps rely on this to
 /// evaluate noise scenarios in parallel through a single method
 /// object.  A caller that wants per-thread instances anyway (e.g. to
 /// tolerate a future stateful technique) can clone().

@@ -395,7 +395,7 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
       g.endpoint_ports.push_back(static_cast<int32_t>(p));
     }
   }
-  // Partition cover for coarse-task sharding: cell arcs always bind
+  // Partition cover (cone metadata and block carving): cell arcs bind
   // their endpoints; arcs of low-fanout nets are the cut candidates
   // (cheap boundaries between cones).  Pure function of the graph.
   const PartitionOptions popt;
@@ -412,12 +412,6 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
   }
   g.partitions =
       PartitionSet::build(g.vertex_names.size(), g.vertex_level, pedges, popt);
-  // Eagerly build the default-threshold schedule so the common
-  // run()/sweep() path never takes the lazy-build lock contended.
-  g.shard_schedules.emplace(
-      kDefaultWidePartitionThreshold,
-      PartitionSchedule::build(g.partitions, g.vertex_level,
-                               kDefaultWidePartitionThreshold));
   return graph;
 }
 
@@ -456,23 +450,6 @@ void StaEngine::levelize(Graph& g) {
     g.levels[static_cast<size_t>(level[v])].push_back(static_cast<int>(v));
   }
   g.vertex_level = std::move(level);
-}
-
-const PartitionSchedule& StaEngine::shard_schedule(
-    size_t wide_threshold) const {
-  // Map nodes are address-stable, so the reference stays valid after
-  // the lock drops; the lock only guards the lazy build against
-  // concurrent const evaluations (shared across forks of this graph).
-  std::lock_guard<std::mutex> lock(graph_->shard_schedules_mutex);
-  auto it = graph_->shard_schedules.find(wide_threshold);
-  if (it == graph_->shard_schedules.end()) {
-    it = graph_->shard_schedules
-             .emplace(wide_threshold,
-                      PartitionSchedule::build(partitions_, vertex_level_,
-                                               wide_threshold))
-             .first;
-  }
-  return it->second;
 }
 
 void StaEngine::compute_loads() {
@@ -553,7 +530,11 @@ void StaEngine::set_input(PortId port, RiseFall rf, double arrival,
   const auto& p = ports_[static_cast<size_t>(check(port))];
   util::require(p.direction == netlist::PortDirection::kInput,
                 "set_input: ", p.name, " is not an input port");
-  util::require(slew > 0.0, "set_input: non-positive slew");
+  util::require(std::isfinite(arrival), "set_input: non-finite arrival (",
+                arrival, ") on port ", p.name);
+  util::require(std::isfinite(slew) && slew > 0.0,
+                "set_input: slew must be finite and > 0, got ", slew,
+                " on port ", p.name);
   auto& c = input_constraints_[p.vertex][static_cast<size_t>(rf)];
   c.arrival = arrival;
   c.slew = slew;
@@ -571,6 +552,9 @@ void StaEngine::set_output_load(PortId port, double cap) {
   util::require(ports_[i].direction == netlist::PortDirection::kOutput,
                 "set_output_load: ", ports_[i].name,
                 " is not an output port");
+  util::require(std::isfinite(cap) && cap >= 0.0,
+                "set_output_load: load cap must be finite and >= 0, got ", cap,
+                " on port ", ports_[i].name);
   output_loads_[i] = cap;
   analyzed_ = false;
 }
@@ -583,6 +567,8 @@ void StaEngine::set_required(PortId port, double time) {
   const auto& p = ports_[static_cast<size_t>(check(port))];
   util::require(p.direction == netlist::PortDirection::kOutput,
                 "set_required: ", p.name, " is not an output port");
+  util::require(std::isfinite(time), "set_required: non-finite required time (",
+                time, ") on port ", p.name);
   required_[p.vertex] = time;
   analyzed_ = false;
 }
@@ -592,7 +578,14 @@ void StaEngine::set_required(const std::string& port, double time) {
 }
 
 void StaEngine::set_net_parasitics(NetId net, double cap, double delay) {
-  net_parasitics_[static_cast<size_t>(check(net))] = {cap, delay};
+  const auto i = static_cast<size_t>(check(net));
+  util::require(std::isfinite(cap) && cap >= 0.0,
+                "set_net_parasitics: parasitic cap must be finite and >= 0, "
+                "got ", cap, " on net ", netlist_->nets()[i]);
+  util::require(std::isfinite(delay) && delay >= 0.0,
+                "set_net_parasitics: wire delay must be finite and >= 0, got ",
+                delay, " on net ", netlist_->nets()[i]);
+  net_parasitics_[i] = {cap, delay};
   analyzed_ = false;
 }
 
@@ -830,29 +823,23 @@ void StaEngine::noisy_fit(const NetEdge& e, size_t edge_index,
     mi.out_polarity = out_pol;
     mi.vdd = vdd;
     mi.workspace = ctx.workspace;
-    // The noiseless pair is synthesized into the worker's arena
-    // when one is available (zero heap traffic); the legacy path
-    // materializes owning Waveforms.  Same formulas either way.
+    // The noiseless pair is synthesized into the worker's arena (zero
+    // heap traffic once its slabs are warm).
+    util::require(ctx.workspace != nullptr,
+                  "noisy_fit: EvalContext::workspace is null (evaluate() and "
+                  "evaluate_delta() supply one; direct forward_vertex() "
+                  "callers must)");
     constexpr size_t kCleanSamples = 192;
-    std::optional<wave::Workspace::Scope> ws_scope;
-    wave::Waveform clean_in_owned, clean_out_owned;
-    if (ctx.workspace != nullptr) {
-      auto& ws = *ctx.workspace;
-      ws_scope.emplace(ws);
-      const auto t_in = ws.alloc(kCleanSamples);
-      const auto v_in = ws.alloc(kCleanSamples);
-      clean_ramp.denormalized_into(pol, t_in, v_in);
-      mi.noiseless_in_view = wave::WaveView(t_in, v_in);
-      const auto t_out = ws.alloc(kCleanSamples);
-      const auto v_out = ws.alloc(kCleanSamples);
-      out_ramp.denormalized_into(out_pol, t_out, v_out);
-      mi.noiseless_out_view = wave::WaveView(t_out, v_out);
-    } else {
-      clean_in_owned = clean_ramp.denormalized(pol, kCleanSamples);
-      clean_out_owned = out_ramp.denormalized(out_pol, kCleanSamples);
-      mi.noiseless_in = &clean_in_owned;
-      mi.noiseless_out = &clean_out_owned;
-    }
+    auto& ws = *ctx.workspace;
+    const auto ws_scope = ws.scope();
+    const auto t_in = ws.alloc(kCleanSamples);
+    const auto v_in = ws.alloc(kCleanSamples);
+    clean_ramp.denormalized_into(pol, t_in, v_in);
+    mi.noiseless_in_view = wave::WaveView(t_in, v_in);
+    const auto t_out = ws.alloc(kCleanSamples);
+    const auto v_out = ws.alloc(kCleanSamples);
+    out_ramp.denormalized_into(out_pol, t_out, v_out);
+    mi.noiseless_out_view = wave::WaveView(t_out, v_out);
     const auto fit = ctx.method->fit(mi);
     arrival = fit.ramp.t50();
     slew = fit.ramp.slew();
@@ -917,29 +904,53 @@ void StaEngine::backward_vertex(int v, TimingState& state) const {
   }
 }
 
+util::ThreadPool& StaEngine::worker_pool(int threads) {
+  const size_t want = threads <= 0 ? util::ThreadPool::hardware_threads()
+                                   : static_cast<size_t>(threads);
+  if (pool_ == nullptr || pool_->size() != want) {
+    pool_ = std::make_unique<util::ThreadPool>(static_cast<int>(want));
+  }
+  // One scratch arena per worker, retained across calls: the first
+  // call warms the slabs, every later propagation is allocation-free.
+  if (workspaces_.size() < want) workspaces_.resize(want);
+  return *pool_;
+}
+
+std::span<wave::Workspace> StaEngine::worker_arenas(
+    const util::ThreadPool* pool, std::span<wave::Workspace> supplied,
+    std::vector<wave::Workspace>& local, const char* caller) {
+  const size_t workers = pool != nullptr ? pool->size() : 1;
+  if (supplied.empty()) {
+    local.resize(workers);
+    return local;
+  }
+  util::require(supplied.size() >= workers, caller,
+                ": need one workspace per pool worker (", supplied.size(),
+                " < ", workers, ")");
+  return supplied;
+}
+
 void StaEngine::evaluate(TimingState& state, const EvalContext& ctx,
                          util::ThreadPool* pool,
                          std::span<wave::Workspace> worker_workspaces) const {
   util::require(ctx.method != nullptr, "evaluate: null noise method");
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(worker_workspaces.empty() ||
-                    worker_workspaces.size() >= pool_workers,
-                "evaluate: need one workspace per pool worker (",
-                worker_workspaces.size(), " < ", pool_workers, ")");
-  // Serial fallbacks run as "worker 0".
-  EvalContext serial_ctx = ctx;
-  if (!worker_workspaces.empty()) {
-    serial_ctx.workspace = &worker_workspaces[0];
+  const bool threaded = pool != nullptr && pool->size() > 1;
+  if (worker_workspaces.empty() && !threaded && ctx.workspace != nullptr) {
+    worker_workspaces = {ctx.workspace, 1};
   }
+  std::vector<wave::Workspace> local;
+  const auto arenas =
+      worker_arenas(threaded ? pool : nullptr, worker_workspaces, local,
+                    "evaluate");
+  // Serial levels run as "worker 0".
+  EvalContext serial_ctx = ctx;
+  serial_ctx.workspace = &arenas[0];
   init_state(state);
   for (const auto& level : levels_) {
-    if (pool != nullptr && pool->size() > 1 && level.size() > 1) {
+    if (threaded && level.size() > 1) {
       pool->parallel_for(level.size(), [&](size_t worker, size_t i) {
         EvalContext task_ctx = ctx;
-        if (!worker_workspaces.empty()) {
-          task_ctx.workspace = &worker_workspaces[worker];
-        }
+        task_ctx.workspace = &arenas[worker];
         forward_vertex(level[i], state, task_ctx);
       });
     } else {
@@ -948,127 +959,11 @@ void StaEngine::evaluate(TimingState& state, const EvalContext& ctx,
   }
   for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
     const auto& level = *it;
-    if (pool != nullptr && pool->size() > 1 && level.size() > 1) {
+    if (threaded && level.size() > 1) {
       pool->parallel_for(level.size(),
                          [&](size_t i) { backward_vertex(level[i], state); });
     } else {
       for (const int v : level) backward_vertex(v, state);
-    }
-  }
-}
-
-void StaEngine::evaluate_points(std::span<TimingState> states,
-                                std::span<const EvalContext> contexts,
-                                util::ThreadPool* pool,
-                                std::span<wave::Workspace> worker_workspaces,
-                                bool shard, size_t wide_threshold) const {
-  util::require(states.size() == contexts.size(),
-                "evaluate_points: ", states.size(), " states vs ",
-                contexts.size(), " contexts");
-  const size_t n_points = states.size();
-  if (n_points == 0) return;
-  for (const auto& ctx : contexts) {
-    util::require(ctx.method != nullptr, "evaluate_points: null noise method");
-  }
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(worker_workspaces.empty() ||
-                    worker_workspaces.size() >= pool_workers,
-                "evaluate_points: need one workspace per pool worker (",
-                worker_workspaces.size(), " < ", pool_workers, ")");
-  for (size_t p = 0; p < n_points; ++p) init_state(states[p]);
-
-  const bool threaded = pool != nullptr && pool->size() > 1;
-
-  if (!shard) {
-    // Legacy per-level (point × vertex) fan-out: a barrier per level.
-    for (const auto& level : levels_) {
-      const size_t m = level.size();
-      auto body = [&](size_t worker, size_t idx) {
-        const size_t p = idx / m;
-        const int v = level[idx % m];
-        EvalContext task_ctx = contexts[p];
-        if (!worker_workspaces.empty()) {
-          task_ctx.workspace = &worker_workspaces[worker];
-        }
-        forward_vertex(v, states[p], task_ctx);
-      };
-      if (threaded) {
-        pool->parallel_for(m * n_points, body);
-      } else {
-        for (size_t i = 0; i < m * n_points; ++i) body(0, i);
-      }
-    }
-    for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-      const auto& level = *it;
-      const size_t m = level.size();
-      auto body = [&](size_t idx) {
-        backward_vertex(level[idx % m], states[idx / m]);
-      };
-      if (threaded) {
-        pool->parallel_for(m * n_points, body);
-      } else {
-        for (size_t i = 0; i < m * n_points; ++i) body(i);
-      }
-    }
-    return;
-  }
-
-  // Partition-sharded: one coarse task per (point, partition chunk),
-  // dependency-ordered — no level barriers, no per-point barriers.  A
-  // point can be finishing its cone while another is still at the
-  // inputs; narrow shards no longer starve the pool.
-  const PartitionSchedule& sched = shard_schedule(wide_threshold);
-  const auto& order = sched.order();
-  const auto& tasks = sched.tasks();
-  const size_t n_tasks = tasks.size();
-  auto forward_task = [&](size_t worker, size_t task) {
-    const size_t p = task / n_tasks;
-    const ShardTask& t = tasks[task % n_tasks];
-    EvalContext task_ctx = contexts[p];
-    if (!worker_workspaces.empty()) {
-      task_ctx.workspace = &worker_workspaces[worker];
-    }
-    for (uint32_t i = t.begin; i < t.end; ++i) {
-      forward_vertex(order[i], states[p], task_ctx);
-    }
-  };
-  auto backward_task = [&](size_t, size_t task) {
-    const size_t p = task / n_tasks;
-    const ShardTask& t = tasks[task % n_tasks];
-    for (uint32_t i = t.end; i > t.begin; --i) {
-      backward_vertex(order[i - 1], states[p]);
-    }
-  };
-  if (threaded) {
-    pool->run_graph({sched.indegree(), sched.successors(), n_points},
-                    forward_task);
-    pool->run_graph({sched.rev_indegree(), sched.rev_successors(), n_points},
-                    backward_task);
-  } else {
-    // Serial: the precomputed topological task order forwards, its
-    // reverse backwards (both valid; order never changes results).
-    // One context per point, hoisted out of the task loop.
-    const auto& so = sched.serial_order();
-    for (size_t p = 0; p < n_points; ++p) {
-      EvalContext point_ctx = contexts[p];
-      if (!worker_workspaces.empty()) {
-        point_ctx.workspace = &worker_workspaces[0];
-      }
-      for (const uint32_t t : so) {
-        const ShardTask& task = tasks[t];
-        for (uint32_t i = task.begin; i < task.end; ++i) {
-          forward_vertex(order[i], states[p], point_ctx);
-        }
-      }
-    }
-    for (size_t p = 0; p < n_points; ++p) {
-      for (auto it = so.rbegin(); it != so.rend(); ++it) {
-        const ShardTask& task = tasks[*it];
-        for (uint32_t i = task.end; i > task.begin; --i) {
-          backward_vertex(order[i - 1], states[p]);
-        }
-      }
     }
   }
 }
@@ -1319,13 +1214,16 @@ void StaEngine::evaluate_delta(TimingState& state,
   util::require(plan.num_vertices == vertex_names_.size(),
                 "evaluate_delta: plan was computed for ", plan.num_vertices,
                 " vertices, engine has ", vertex_names_.size());
+  wave::Workspace local;
+  EvalContext fit_ctx = ctx;
+  if (fit_ctx.workspace == nullptr) fit_ctx.workspace = &local;
   state = baseline;
   // Every dirty vertex is reset to its initial constraints BEFORE any
   // is folded: relax() is a max, so folding on top of the stale
   // baseline value would be wrong whenever the scenario speeds an
   // arrival up (and would corrupt critical_pred links either way).
   for (const int v : plan.forward) reset_vertex(state, v);
-  for (const int v : plan.forward) forward_vertex(v, state, ctx);
+  for (const int v : plan.forward) forward_vertex(v, state, fit_ctx);
   for (const int v : plan.backward) reset_required(state, v);
   for (const int v : plan.backward) backward_vertex(v, state);
 }
@@ -1343,26 +1241,16 @@ void StaEngine::evaluate_points_delta(
                 " baselines vs ", plans.size(), " plans");
   const size_t n_points = states.size();
   if (n_points == 0) return;
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(worker_workspaces.empty() ||
-                    worker_workspaces.size() >= pool_workers,
-                "evaluate_points_delta: need one workspace per pool worker (",
-                worker_workspaces.size(), " < ", pool_workers, ")");
+  std::vector<wave::Workspace> local;
+  const auto arenas = worker_arenas(pool, worker_workspaces, local,
+                                    "evaluate_points_delta");
   auto body = [&](size_t worker, size_t p) {
     EvalContext task_ctx = contexts[p];
-    if (!worker_workspaces.empty()) {
-      task_ctx.workspace = &worker_workspaces[worker];
-    }
+    task_ctx.workspace = &arenas[worker];
     evaluate_delta(states[p], *baselines[p], *plans[p], task_ctx);
   };
-  if (pool != nullptr && pool->size() > 1 && n_points > 1) {
-    // One dependency-free task per point, tiled over the trivial
-    // single-task DAG: the shared ready stack of run_graph dynamically
-    // load-balances the unbalanced dirty worklists.
-    static const uint32_t kZeroIndegree[1] = {0};
-    static const std::vector<uint32_t> kNoSuccessors[1] = {{}};
-    pool->run_graph({kZeroIndegree, kNoSuccessors, n_points}, body);
+  if (pool != nullptr) {
+    pool->parallel_for_dynamic(n_points, body);
   } else {
     for (size_t p = 0; p < n_points; ++p) body(0, p);
   }
@@ -1377,24 +1265,8 @@ void StaEngine::run() {
   ctx.corner_key = corner_ ? corner_->key() : 0;
   ctx.method = noise_method_.get();
   ctx.cache = nullptr;
-  const int want = threads_ <= 0
-                       ? static_cast<int>(util::ThreadPool::hardware_threads())
-                       : threads_;
-  if (want > 1 && (pool_ == nullptr ||
-                   pool_->size() != static_cast<size_t>(want))) {
-    pool_ = std::make_unique<util::ThreadPool>(want);
-  }
-  // One scratch arena per pool worker, retained across runs: the first
-  // run warms the slabs, every later run propagates allocation-free.
-  const size_t want_ws = want > 1 ? static_cast<size_t>(want) : 1;
-  if (workspaces_.size() < want_ws) {
-    workspaces_.resize(want_ws);
-  }
-  // Even the single run() point schedules (point × partition) coarse
-  // tasks: independent cones propagate concurrently with no level
-  // barriers (bitwise identical to the per-level path).
-  evaluate_points({&state_, 1}, {&ctx, 1},
-                  want > 1 ? pool_.get() : nullptr, workspaces_);
+  util::ThreadPool& pool = worker_pool(threads_);
+  evaluate(state_, ctx, &pool, {workspaces_.data(), pool.size()});
   analyzed_ = true;
 }
 

@@ -27,7 +27,11 @@
 /// fixed order, which makes results bitwise-identical at any thread
 /// count.  The timing state lives in a separate TimingState object, so
 /// a prepared engine can evaluate many (noise scenario × corner) points
-/// concurrently through the const, reentrant evaluate() path (see
+/// concurrently through the const, reentrant evaluation path.  There
+/// is one full-graph routine, evaluate() (level-parallel when given a
+/// pool), used by run(), sweep baselines and service rebuilds, and one
+/// delta routine, evaluate_delta() (plus its SIMD lane-block form),
+/// which derives every sweep point from its corner baseline (see
 /// sweep.hpp).
 ///
 /// Handle-based API: names are resolved ONCE to PinId / NetId / PortId
@@ -44,7 +48,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -229,9 +232,10 @@ class StaEngine {
   void run();
 
   /// Sweeps the cross product of spec.corners × spec.scenarios over
-  /// this engine in ONE levelized pass (defined in sweep.cpp; include
-  /// sweep.hpp for SweepSpec/SweepResult).  run() and ScenarioBatch are
-  /// the 1×1 and 1×N specializations of this surface.
+  /// this engine: one evaluate() baseline per corner, then every point
+  /// as a delta against it (defined in sweep.cpp; include sweep.hpp for
+  /// SweepSpec/SweepResult).  Runs on the engine's own worker pool,
+  /// sized by spec.threads.
   [[nodiscard]] SweepResult sweep(const SweepSpec& spec);
 
   /// Streams a lazily generated scenario space (feasibility-filtered
@@ -272,8 +276,9 @@ class StaEngine {
   // -- reentrant point-evaluation path -------------------------------------
   // A prepared engine is immutable during evaluation, so many sweep
   // points can be evaluated concurrently over the same graph, each with
-  // its own TimingState.  run() is implemented on top of this path;
-  // sweep() drives it for corners × scenarios in one levelized pass.
+  // its own TimingState.  run() is evaluate() on the engine's own state;
+  // sweep() drives evaluate() for its corner baselines and the delta
+  // path for its points.
 
   /// Inputs of one evaluation.  `edge_noise` is a compiled per-net-edge
   /// annotation pointer array (compile_edge_annotations(); null = no
@@ -286,8 +291,10 @@ class StaEngine {
   /// evaluation — Γeff fits draw their sampling buffers from it, so a
   /// warmed workspace makes the propagation hot path allocation-free.
   /// MUST be owned by exactly one worker (run()/sweep() keep one per
-  /// ThreadPool worker and patch it per task); null selects the legacy
-  /// allocating path.  Results are bitwise identical either way.
+  /// ThreadPool worker and patch it per task).  Null makes evaluate()
+  /// and evaluate_delta() supply a call-local arena; a caller driving
+  /// forward_vertex() directly must set it.  Results are bitwise
+  /// independent of which arena a fit draws from.
   struct EvalContext {
     const NoiseAnnotation* const* edge_noise = nullptr;
     const Corner* corner = nullptr;
@@ -321,20 +328,14 @@ class StaEngine {
 
   /// The partition cover of the timing graph, computed once at
   /// construction: the graph cut at low-fanout net boundaries
-  /// (union-find over the edge list) into independent shards with a
+  /// (union-find over the edge list) into groups with a
   /// partition-level dependency DAG and a frontier-interface vertex
-  /// set.  Partitioning is a pure function of the graph — it never
-  /// affects results, only scheduling.
+  /// set.  A pure function of the graph that never affects results:
+  /// it feeds DeltaPlan::partitions, the dirty-partition statistics
+  /// and partition_instances() block carving.
   [[nodiscard]] const PartitionSet& partitions() const noexcept {
     return partitions_;
   }
-  /// The per-point shard schedule for a given wide-partition threshold
-  /// (partitions wider than it fall back to per-level chunk tasks).
-  /// The default threshold's schedule is built at construction;
-  /// other thresholds are built lazily, cached per threshold, under a
-  /// lock — safe from concurrent const evaluations.
-  [[nodiscard]] const PartitionSchedule& shard_schedule(
-      size_t wide_threshold = kDefaultWidePartitionThreshold) const;
 
   /// Resets `state` and applies the input/required constraints.
   void init_state(TimingState& state) const;
@@ -344,31 +345,20 @@ class StaEngine {
   /// Propagates required times backwards through the outgoing edges of
   /// `v`.  Requires every higher-level vertex of `state` to be final.
   void backward_vertex(int v, TimingState& state) const;
-  /// Full forward + backward sweep of one point into `state`,
-  /// level-parallel when `pool` is given.  prepare() must have run.
-  /// When `worker_workspaces` is non-empty (it must then hold at least
-  /// pool->size() arenas, or 1 without a pool), every task runs with
-  /// ctx.workspace pointed at its worker's arena; empty leaves
-  /// ctx.workspace untouched (legacy path).
+  /// Full forward + backward sweep of one point into `state`: the one
+  /// full-graph routine (run(), sweep baselines, service rebuilds) and
+  /// the test oracle every other path is checked against.
+  /// Level-parallel when `pool` is given; every vertex folds its
+  /// in-edges in a fixed order after all of its predecessors, so the
+  /// result is bitwise identical at any thread count.  prepare() must
+  /// have run.  When `worker_workspaces` is non-empty (it must then
+  /// hold at least pool->size() arenas, or 1 without a pool), every
+  /// task runs with ctx.workspace pointed at its worker's arena; empty
+  /// uses ctx.workspace on a serial run and call-local arenas
+  /// otherwise.
   void evaluate(TimingState& state, const EvalContext& ctx,
                 util::ThreadPool* pool = nullptr,
                 std::span<wave::Workspace> worker_workspaces = {}) const;
-
-  /// Evaluates many points concurrently over the same prepared graph.
-  /// contexts[p] describes point p and states[p] receives its result
-  /// (init_state is applied here).  With `shard` set, (point ×
-  /// partition) coarse tasks run dependency-ordered on the pool
-  /// (ThreadPool::run_graph) with per-level chunking only inside
-  /// partitions wider than `wide_threshold`; without it, the legacy
-  /// per-level (point × vertex) fan-out runs instead.  Both paths are
-  /// bitwise identical to each other and to serial evaluate() loops:
-  /// every vertex folds its in-edges exactly once, in the same fixed
-  /// order, after all of its predecessors.
-  void evaluate_points(
-      std::span<TimingState> states, std::span<const EvalContext> contexts,
-      util::ThreadPool* pool = nullptr,
-      std::span<wave::Workspace> worker_workspaces = {}, bool shard = true,
-      size_t wide_threshold = kDefaultWidePartitionThreshold) const;
 
   // -- baseline + delta propagation ----------------------------------------
   // The paper's central observation: a noise bump perturbs timing only
@@ -495,17 +485,19 @@ class StaEngine {
   /// plan's backward set.  Bitwise identical to evaluate() with the
   /// same context: clean vertices keep baseline values, which full
   /// propagation would reproduce, and dirty vertices fold the same
-  /// fixed-order in-edges against them.
+  /// fixed-order in-edges against them.  A null ctx.workspace gets a
+  /// call-local arena.
   void evaluate_delta(TimingState& state, const TimingState& baseline,
                       const DeltaPlan& plan, const EvalContext& ctx) const;
 
   /// Evaluates many scenario points as deltas against per-point corner
   /// baselines: point p copies *baselines[p] and re-propagates
-  /// *plans[p] under contexts[p].  Points are independent, so they run
-  /// as one flat task DAG on the pool (ThreadPool::run_graph): the
-  /// dirty worklists are unbalanced, and the shared ready stack
-  /// load-balances them across workers.  Results are bitwise identical
-  /// to evaluate_points() with the same contexts at any thread count.
+  /// *plans[p] under contexts[p].  Points are independent and their
+  /// dirty worklists unbalanced, so they run dynamically scheduled on
+  /// the pool (ThreadPool::parallel_for_dynamic).  Every point runs
+  /// with its worker's arena from `worker_workspaces` (call-local
+  /// arenas when empty).  Results are bitwise identical to evaluate()
+  /// with the same contexts at any thread count.
   void evaluate_points_delta(
       std::span<TimingState> states, std::span<const EvalContext> contexts,
       std::span<const TimingState* const> baselines,
@@ -569,7 +561,7 @@ class StaEngine {
       util::ThreadPool* pool = nullptr,
       std::span<wave::Workspace> worker_workspaces = {}) const;
 
-  /// Result accessors against an external state (sweep/batch results).
+  /// Result accessors against an external state (sweep/service results).
   [[nodiscard]] const PinTiming& timing_in(const TimingState& state,
                                            PinId pin, RiseFall rf) const;
   [[nodiscard]] const PinTiming& timing_in(const TimingState& state,
@@ -663,10 +655,6 @@ class StaEngine {
     std::vector<int> vertex_level;
     std::vector<int32_t> endpoint_ports;
     PartitionSet partitions;
-    /// Lazily built shard schedules keyed by wide-partition threshold;
-    /// mutable behind the mutex so const forks share the cache.
-    mutable std::map<size_t, PartitionSchedule> shard_schedules;
-    mutable std::mutex shard_schedules_mutex;
   };
   /// Builds the structure layer (validate + vertices + edges + levels +
   /// partitions) — the expensive part of construction that forks skip.
@@ -685,6 +673,16 @@ class StaEngine {
   [[nodiscard]] util::Error unknown_vertex_error(
       const std::string& name) const;
   void compute_loads();
+  /// The engine's worker pool resized to `threads` (≤ 0 selects the
+  /// hardware concurrency), with workspaces_ grown to one arena per
+  /// worker.  run(), sweep() and the generated sweep share it.
+  util::ThreadPool& worker_pool(int threads);
+  /// The per-worker arenas of a pooled runner: `supplied` when
+  /// non-empty (it must hold one arena per worker of `pool`, or 1
+  /// without one), else `local` filled with call-local arenas.
+  [[nodiscard]] static std::span<wave::Workspace> worker_arenas(
+      const util::ThreadPool* pool, std::span<wave::Workspace> supplied,
+      std::vector<wave::Workspace>& local, const char* caller);
   /// Shared closure step of both delta_plan overloads: `dirty` holds
   /// the forward seeds, `back` extra backward-only seeds; both are
   /// closed (fanout / fanin) and turned into sorted worklists.
@@ -775,7 +773,7 @@ class StaEngine {
 
   TimingState state_;  ///< default state written by run()
   int threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::unique_ptr<util::ThreadPool> pool_;  ///< see worker_pool()
   /// Per-ThreadPool-worker scratch arenas reused across run()/sweep()
   /// calls; slabs warm up once and every later propagation is
   /// allocation-free.  workspaces_[w] belongs to pool worker w.

@@ -206,21 +206,16 @@ void StaEngine::evaluate_points_delta_lanes(
   util::require(wave::lane_width_available(lanes),
                 "evaluate_points_delta_lanes: lane width ", lanes,
                 " not available on this build/CPU");
-  const size_t n_points = states.size();
-  if (n_points == 0) return;
-  const size_t pool_workers =
-      pool != nullptr && pool->size() > 1 ? pool->size() : 1;
-  util::require(
-      worker_workspaces.empty() || worker_workspaces.size() >= pool_workers,
-      "evaluate_points_delta_lanes: need one workspace per pool worker (",
-      worker_workspaces.size(), " < ", pool_workers, ")");
+  if (states.empty()) return;
+  std::vector<wave::Workspace> local;
+  const auto arenas = worker_arenas(pool, worker_workspaces, local,
+                                    "evaluate_points_delta_lanes");
 
   const auto blocks = group_lane_blocks(contexts, baselines, plans, lanes);
-  std::vector<LaneScratch> scratch(pool_workers);
+  std::vector<LaneScratch> scratch(arenas.size());
   auto body = [&](size_t worker, size_t bi) {
     const LaneBlock& blk = blocks[bi];
-    wave::Workspace* ws =
-        worker_workspaces.empty() ? nullptr : &worker_workspaces[worker];
+    wave::Workspace* ws = &arenas[worker];
     if (lanes == 4 && blk.points.size() > 1) {
 #if defined(WAVELETIC_HAVE_AVX2)
       evaluate_delta_block<4>(blk, states, contexts, baselines, ws,
@@ -239,13 +234,11 @@ void StaEngine::evaluate_points_delta_lanes(
     // 3/4-padded lane walk and bitwise identical by contract.
     const uint32_t p = blk.points[0];
     EvalContext task_ctx = contexts[p];
-    if (ws != nullptr) task_ctx.workspace = ws;
+    task_ctx.workspace = ws;
     evaluate_delta(states[p], *baselines[p], *plans[p], task_ctx);
   };
-  if (pool != nullptr && pool->size() > 1 && blocks.size() > 1) {
-    static const uint32_t kZeroIndegree[1] = {0};
-    static const std::vector<uint32_t> kNoSuccessors[1] = {{}};
-    pool->run_graph({kZeroIndegree, kNoSuccessors, blocks.size()}, body);
+  if (pool != nullptr) {
+    pool->parallel_for_dynamic(blocks.size(), body);
   } else {
     for (size_t b = 0; b < blocks.size(); ++b) body(0, b);
   }

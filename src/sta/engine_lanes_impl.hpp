@@ -81,7 +81,7 @@ void StaEngine::evaluate_delta_block(
   for (int j = 0; j < W; ++j) {
     const size_t jj = std::min(static_cast<size_t>(j), n_real - 1);
     ctx[j] = contexts[block.points[jj]];
-    if (workspace != nullptr) ctx[j].workspace = workspace;
+    ctx[j].workspace = workspace;
   }
   // Corner scales are block-uniform (grouping keys on the corner).
   const double delay_scale =

@@ -5,7 +5,7 @@
 ///
 /// The equivalent-waveform fit at a noisy gate input is a pure function
 /// of (annotated noisy waveform, clean input ramp, receiving arc + load,
-/// technique).  Inside a scenario batch the same (net, input-ramp,
+/// technique).  Inside a scenario sweep the same (net, input-ramp,
 /// noise) triple recurs — multiple sinks on one net, scenarios sharing
 /// an aggressor configuration, repeated runs — so the engine memoizes
 /// the fitted (arrival, slew) per key.

@@ -245,105 +245,4 @@ PartitionSet PartitionSet::build(size_t num_vertices,
   return out;
 }
 
-PartitionSchedule PartitionSchedule::build(const PartitionSet& partitions,
-                                           std::span<const int> level,
-                                           size_t wide_threshold) {
-  util::require(wide_threshold >= 1,
-                "PartitionSchedule: wide_threshold must be >= 1");
-  PartitionSchedule out;
-  out.wide_threshold_ = wide_threshold;
-  out.order_.reserve(partitions.num_vertices());
-
-  // task_of_vertex: the chunk task folding each vertex.
-  std::vector<uint32_t> task_of_vertex(partitions.num_vertices(), 0);
-  // Intra-partition chaining: remember each partition's task groups per
-  // local level so consecutive levels can be chained all-to-all.
-  std::vector<std::pair<uint32_t, uint32_t>> intra_edges;
-
-  for (size_t k = 0; k < partitions.size(); ++k) {
-    const auto& verts = partitions.vertices(k);
-    if (partitions.width(k) <= wide_threshold) {
-      // Narrow: one end-to-end task in level order.
-      const auto begin = static_cast<uint32_t>(out.order_.size());
-      for (const int v : verts) {
-        task_of_vertex[static_cast<size_t>(v)] =
-            static_cast<uint32_t>(out.tasks_.size());
-        out.order_.push_back(v);
-      }
-      out.tasks_.push_back({static_cast<uint32_t>(k), begin,
-                            static_cast<uint32_t>(out.order_.size())});
-      continue;
-    }
-    // Wide: per-level fan-out fallback — split each local level into
-    // chunks of ≤ wide_threshold vertices and chain consecutive levels.
-    size_t i = 0;
-    std::vector<uint32_t> prev_level_tasks;
-    while (i < verts.size()) {
-      const int l = level[static_cast<size_t>(verts[i])];
-      size_t j = i;
-      while (j < verts.size() && level[static_cast<size_t>(verts[j])] == l) {
-        ++j;
-      }
-      std::vector<uint32_t> level_tasks;
-      for (size_t c = i; c < j; c += wide_threshold) {
-        const size_t ce = std::min(j, c + wide_threshold);
-        const auto begin = static_cast<uint32_t>(out.order_.size());
-        const auto task = static_cast<uint32_t>(out.tasks_.size());
-        for (size_t x = c; x < ce; ++x) {
-          task_of_vertex[static_cast<size_t>(verts[x])] = task;
-          out.order_.push_back(verts[x]);
-        }
-        out.tasks_.push_back({static_cast<uint32_t>(k), begin,
-                              static_cast<uint32_t>(out.order_.size())});
-        level_tasks.push_back(task);
-      }
-      for (const uint32_t a : prev_level_tasks) {
-        for (const uint32_t b : level_tasks) intra_edges.emplace_back(a, b);
-      }
-      prev_level_tasks = std::move(level_tasks);
-      i = j;
-    }
-  }
-
-  const size_t n_tasks = out.tasks_.size();
-  out.successors_.assign(n_tasks, {});
-  out.rev_successors_.assign(n_tasks, {});
-  auto add_edge = [&](uint32_t a, uint32_t b) {
-    push_unique_sorted(out.successors_[a], b);
-    push_unique_sorted(out.rev_successors_[b], a);
-  };
-  for (const auto& [a, b] : intra_edges) add_edge(a, b);
-  // Cross-partition edges at chunk granularity: the task folding the
-  // sink vertex waits for the task folding the source vertex.
-  for (const auto& [from, to] : partitions.cross_edges()) {
-    const uint32_t a = task_of_vertex[static_cast<size_t>(from)];
-    const uint32_t b = task_of_vertex[static_cast<size_t>(to)];
-    if (a != b) add_edge(a, b);
-  }
-  out.indegree_.assign(n_tasks, 0);
-  out.rev_indegree_.assign(n_tasks, 0);
-  for (size_t t = 0; t < n_tasks; ++t) {
-    for (const uint32_t s : out.successors_[t]) ++out.indegree_[s];
-    for (const uint32_t s : out.rev_successors_[t]) ++out.rev_indegree_[s];
-  }
-  // Serial topological order (Kahn, ascending-seeded LIFO).
-  std::vector<uint32_t> pending = out.indegree_;
-  std::vector<uint32_t> ready;
-  for (size_t t = n_tasks; t > 0; --t) {
-    if (pending[t - 1] == 0) ready.push_back(static_cast<uint32_t>(t - 1));
-  }
-  out.serial_order_.reserve(n_tasks);
-  while (!ready.empty()) {
-    const uint32_t t = ready.back();
-    ready.pop_back();
-    out.serial_order_.push_back(t);
-    for (const uint32_t s : out.successors_[t]) {
-      if (--pending[s] == 0) ready.push_back(s);
-    }
-  }
-  util::require(out.serial_order_.size() == n_tasks,
-                "PartitionSchedule: task dependency cycle");
-  return out;
-}
-
 }  // namespace waveletic::sta

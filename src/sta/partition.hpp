@@ -1,16 +1,14 @@
 #pragma once
 
 /// \file partition.hpp
-/// Netlist partitioning for coarse-grained sweep sharding.
+/// Netlist partitioning: the timing graph cut into coarse vertex
+/// groups at low-fanout net boundaries.
 ///
-/// The paper's noisy-waveform propagation is embarrassingly parallel
-/// across independent cones of logic, but per-level (point × vertex)
-/// fan-out starves the thread pool on narrow levels and serializes at
-/// every level barrier.  This file cuts the levelized timing graph at
-/// low-fanout net boundaries into *partitions* — groups of vertices a
-/// worker can propagate end-to-end as ONE task — and compiles them into
-/// a per-point task schedule the ThreadPool executes dependency-ordered
-/// (util::ThreadPool::run_graph), with no level barriers at all.
+/// The partition cover is pure metadata — it never affects timing
+/// results.  Consumers: StaEngine::DeltaPlan::partitions (the dirty
+/// cone intersected with partition membership), the sweep's
+/// PruneStats::dirty_partition_fraction, and partition_instances()
+/// (sta/macromodel.hpp), which carves hierarchical blocks from it.
 ///
 /// Construction (PartitionSet::build):
 ///  1. union-find over the edge list: every edge that is NOT a cut
@@ -26,20 +24,9 @@
 ///  3. partitions are numbered by their smallest vertex, each
 ///     partition's vertices are sorted by (topological level, vertex),
 ///     and the surviving cross-partition edges define a partition DAG
-///     plus the frontier-interface vertex set (the pruning-ready
-///     metadata: a scenario whose noisy nets touch no interface of a
-///     partition cannot change anything downstream of it).
-///
-/// Scheduling (PartitionSchedule::build): one task per (point,
-/// partition) — except partitions *wider* than a threshold (many
-/// vertices on one level), which fall back to per-level fan-out
-/// internally: their levels are split into chunk tasks chained
-/// level-to-level, reproducing the fine-grained schedule only where it
-/// pays.  Task execution order never changes results: every vertex is
-/// folded exactly once, after all of its predecessors, in the same
-/// fixed in-edge order as the unsharded path — so sharded propagation
-/// is bitwise identical to per-level fan-out and to serial runs (same
-/// Γeff cache keys, same fold orders).
+///     plus the frontier-interface vertex set (a scenario whose noisy
+///     nets touch no interface of a partition cannot change anything
+///     downstream of it).
 
 #include <cstddef>
 #include <cstdint>
@@ -49,11 +36,7 @@
 
 namespace waveletic::sta {
 
-/// Default width (max vertices of one partition on one topological
-/// level) above which a partition's schedule falls back to per-level
-/// chunk tasks instead of one serial end-to-end task.
-inline constexpr size_t kDefaultWidePartitionThreshold = 32;
-
+/// Knobs of PartitionSet::build.
 struct PartitionOptions {
   /// Net arcs whose net drives at most this many sinks are cut
   /// candidates (low-fanout boundaries); higher-fanout nets always stay
@@ -68,9 +51,9 @@ struct PartitionOptions {
 
 /// One directed timing-graph edge handed to the partitioner.
 struct PartitionEdge {
-  int from = -1;
-  int to = -1;
-  bool cut_candidate = false;
+  int from = -1;               ///< source vertex
+  int to = -1;                 ///< sink vertex
+  bool cut_candidate = false;  ///< low-fanout net arc: may be cut
 };
 
 /// The partition cover of a timing graph: disjoint vertex groups, a
@@ -91,6 +74,7 @@ class PartitionSet {
 
   /// Number of partitions.
   [[nodiscard]] size_t size() const noexcept { return parts_.size(); }
+  /// Number of vertices of the partitioned graph.
   [[nodiscard]] size_t num_vertices() const noexcept {
     return partition_of_.size();
   }
@@ -105,7 +89,7 @@ class PartitionSet {
     return parts_[k].vertices;
   }
   /// Max number of partition-`k` vertices sharing one topological
-  /// level (the "width" the per-level fallback threshold tests).
+  /// level.
   [[nodiscard]] size_t width(size_t k) const { return parts_[k].width; }
   /// Partitions that must complete before `k` may start (cross-edge
   /// sources), ascending, deduplicated.
@@ -124,6 +108,7 @@ class PartitionSet {
   [[nodiscard]] const std::vector<int>& interface_vertices() const noexcept {
     return interface_vertices_;
   }
+  /// True when vertex `v` is a frontier-interface vertex.
   [[nodiscard]] bool is_interface(int v) const {
     return is_interface_[static_cast<size_t>(v)];
   }
@@ -147,77 +132,6 @@ class PartitionSet {
   std::vector<int> interface_vertices_;
   std::vector<char> is_interface_;
   std::vector<std::pair<int, int>> cross_edges_;
-};
-
-/// One schedulable chunk of a partition: the vertices at
-/// [begin, end) of PartitionSchedule::order(), already in level order.
-struct ShardTask {
-  uint32_t partition = 0;
-  uint32_t begin = 0;
-  uint32_t end = 0;
-};
-
-/// The per-point task DAG compiled from a PartitionSet: narrow
-/// partitions become one end-to-end task; partitions wider than
-/// `wide_threshold` are split into per-level chunk tasks chained
-/// level-to-level (the per-level fan-out fallback, applied only where
-/// the partition is actually wide).  Cross-partition edges become
-/// task→task dependencies at chunk granularity.
-///
-/// The forward pass runs tasks under indegree()/successors(), each task
-/// folding its vertex range front-to-back; the backward pass runs the
-/// reversed DAG (rev_indegree()/rev_successors()), each task walking
-/// its range back-to-front.  A sweep of N points executes N independent
-/// copies of this DAG (ThreadPool::run_graph `tiles`).
-class PartitionSchedule {
- public:
-  PartitionSchedule() = default;
-
-  [[nodiscard]] static PartitionSchedule build(
-      const PartitionSet& partitions, std::span<const int> level,
-      size_t wide_threshold = kDefaultWidePartitionThreshold);
-
-  [[nodiscard]] const std::vector<ShardTask>& tasks() const noexcept {
-    return tasks_;
-  }
-  /// Concatenated per-task vertex runs (each run level-sorted).
-  [[nodiscard]] const std::vector<int>& order() const noexcept {
-    return order_;
-  }
-  [[nodiscard]] const std::vector<uint32_t>& indegree() const noexcept {
-    return indegree_;
-  }
-  [[nodiscard]] const std::vector<std::vector<uint32_t>>& successors()
-      const noexcept {
-    return successors_;
-  }
-  [[nodiscard]] const std::vector<uint32_t>& rev_indegree() const noexcept {
-    return rev_indegree_;
-  }
-  /// A deterministic topological order of the tasks, for pool-less
-  /// serial execution of the forward pass; iterating it backwards is a
-  /// valid order for the backward pass.  (Any valid order produces the
-  /// same results.)
-  [[nodiscard]] const std::vector<uint32_t>& serial_order() const noexcept {
-    return serial_order_;
-  }
-  [[nodiscard]] const std::vector<std::vector<uint32_t>>& rev_successors()
-      const noexcept {
-    return rev_successors_;
-  }
-  [[nodiscard]] size_t wide_threshold() const noexcept {
-    return wide_threshold_;
-  }
-
- private:
-  std::vector<ShardTask> tasks_;
-  std::vector<int> order_;
-  std::vector<uint32_t> indegree_;
-  std::vector<std::vector<uint32_t>> successors_;
-  std::vector<uint32_t> rev_indegree_;
-  std::vector<std::vector<uint32_t>> rev_successors_;
-  std::vector<uint32_t> serial_order_;
-  size_t wide_threshold_ = kDefaultWidePartitionThreshold;
 };
 
 }  // namespace waveletic::sta

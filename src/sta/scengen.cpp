@@ -747,45 +747,24 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
   CoupledBumpCache* bump_cache =
       gspec.bump_cache != nullptr ? gspec.bump_cache : &owned_bump_cache;
 
-  // The delta/prune paths need one clean baseline per corner.  They are
-  // computed ONCE per corner group here — re-windowing reads the same
-  // states instead of running its own evaluate(), and every chunk's
-  // sweep receives them through SweepSpec::corner_baselines instead of
-  // recomputing them per chunk.  Corner resolution mirrors
-  // sweep(SweepSpec); serial evaluate() is bitwise identical to the
-  // pooled baseline pass it replaces.
-  const bool needs_baselines =
-      gspec.delta || gspec.prune == PruneMode::kSafe;
+  // Every chunk's delta sweep needs one clean baseline per corner.
+  // They are computed ONCE per corner group here — re-windowing reads
+  // the same states instead of running its own evaluate(), and every
+  // chunk's sweep receives them through SweepSpec::corner_baselines
+  // instead of recomputing them per chunk.  Corner resolution mirrors
+  // sweep(SweepSpec).  The engine's worker pool serves the baselines
+  // and every chunk's sweep alike.
   std::vector<Corner> resolved_corners = gspec.corners;
   if (resolved_corners.empty()) {
     resolved_corners.push_back(corner_ ? *corner_ : Corner{});
   }
 
-  // One pool serves every chunk's sweep (building a pool per chunk
-  // would dominate small chunks).
-  const size_t want = gspec.threads <= 0
-                          ? util::ThreadPool::hardware_threads()
-                          : static_cast<size_t>(gspec.threads);
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = gspec.pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<util::ThreadPool>(static_cast<int>(want));
-    pool = owned_pool.get();
-  }
-
   SweepSpec proto;
   proto.corners = gspec.corners;
   proto.threads = gspec.threads;
-  proto.share_gamma_cache = gspec.share_gamma_cache;
   proto.method = gspec.method;
-  proto.pool = pool;
-  proto.shard = gspec.shard;
-  proto.wide_partition_threshold = gspec.wide_partition_threshold;
   proto.endpoint_only = true;  // the streaming mode's memory contract
-  proto.endpoint_chunk = gspec.endpoint_chunk;
-  proto.delta = gspec.delta;
   proto.prune = gspec.prune;
-  proto.lanes = gspec.lanes;
 
   // Aggregation state across chunks.  The survivor-weighted fraction /
   // gap sums reconstruct the means a single eager sweep would report.
@@ -827,32 +806,27 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
     std::optional<ScenarioSpace> rewindowed;
     SweepSpec group_proto = proto;
     std::vector<TimingState> baselines;
-    if (needs_baselines) {
-      prepare();
-      const auto base_table = compile_edge_annotations(nullptr);
-      const core::EquivalentWaveformMethod* method =
-          gspec.method != nullptr ? gspec.method : noise_method_.get();
-      const std::vector<Corner>& group_corners =
-          per_corner ? std::vector<Corner>{gspec.corners[g]}
-                     : resolved_corners;
-      baselines.resize(group_corners.size());
-      for (size_t c = 0; c < group_corners.size(); ++c) {
-        EvalContext ctx;
-        ctx.edge_noise = base_table.data();
-        ctx.corner = &group_corners[c];
-        ctx.corner_key = group_corners[c].key();
-        ctx.method = method;
-        evaluate(baselines[c], ctx);
-      }
-      group_proto.corner_baselines = &baselines;
+    prepare();
+    const auto base_table = compile_edge_annotations(nullptr);
+    const core::EquivalentWaveformMethod* method =
+        gspec.method != nullptr ? gspec.method : noise_method_.get();
+    const std::vector<Corner>& group_corners =
+        per_corner ? std::vector<Corner>{gspec.corners[g]} : resolved_corners;
+    util::ThreadPool& pool = worker_pool(gspec.threads);
+    baselines.resize(group_corners.size());
+    for (size_t c = 0; c < group_corners.size(); ++c) {
+      EvalContext ctx;
+      ctx.edge_noise = base_table.data();
+      ctx.corner = &group_corners[c];
+      ctx.corner_key = group_corners[c].key();
+      ctx.method = method;
+      evaluate(baselines[c], ctx, &pool, {workspaces_.data(), pool.size()});
     }
+    group_proto.corner_baselines = &baselines;
     if (per_corner) {
-      rewindowed =
-          needs_baselines
-              ? rewindow_scenario_space(
-                    static_cast<const StaEngine&>(*this), gspec.corners[g],
-                    gspec.space, baselines.front())
-              : rewindow_scenario_space(*this, gspec.corners[g], gspec.space);
+      rewindowed = rewindow_scenario_space(static_cast<const StaEngine&>(*this),
+                                           gspec.corners[g], gspec.space,
+                                           baselines.front());
       space = &*rewindowed;
       group_proto.corners = {gspec.corners[g]};
     }

@@ -543,40 +543,23 @@ struct GeneratedSweepSpec {
   /// Corner/derate axis; empty selects one point (engine corner or
   /// nominal), exactly as SweepSpec::corners.
   std::vector<Corner> corners;
-  /// Worker threads (≤ 0 selects the hardware concurrency).
+  /// Size of the engine's worker pool, shared by every chunk (≤ 0
+  /// selects the hardware concurrency).
   int threads = 0;
-  /// Share one Γeff memo across the points of each chunk.
-  bool share_gamma_cache = true;
   /// Technique override; null uses the engine's configured method.
   const core::EquivalentWaveformMethod* method = nullptr;
-  /// External pool reused across all chunks; null lets the sweep build
-  /// one (still shared across chunks).
-  util::ThreadPool* pool = nullptr;
-  /// Baseline + delta evaluation per chunk (SweepSpec::delta).
-  bool delta = true;
   /// Slack-bound pruning per chunk (SweepSpec::prune); the running
   /// worst slack is carried across chunks through
   /// SweepSpec::prune_seed_slack, so later chunks prune harder.
   PruneMode prune = PruneMode::kSafe;
-  /// Partition-sharded scheduling (SweepSpec::shard).
-  bool shard = true;
-  /// Wide-partition fallback threshold (SweepSpec counterpart).
-  size_t wide_partition_threshold = kDefaultWidePartitionThreshold;
   /// Feasible scenarios materialized per streamed chunk — the peak
   /// resident-scenario bound; 0 selects 512.
   size_t gen_chunk = 0;
-  /// Endpoint-only evaluation chunk inside each sweep
-  /// (SweepSpec::endpoint_chunk).
-  size_t endpoint_chunk = 0;
   /// Record a {candidate, corner, worst_slack} tuple per surviving
   /// point (see GeneratedSweepResult::points()).  Memory is bounded by
   /// the survivor count, not the space size; disable for pure funnel
   /// reports.
   bool keep_point_records = true;
-  /// SIMD lane width per chunk (SweepSpec::lanes): 0 auto (AVX2 → 4,
-  /// else scalar), 1 forces scalar, 4 forces four-wide lane blocks.
-  /// Bitwise identical either way.
-  int lanes = 0;
   /// Re-window the space per corner: with corners given, each corner
   /// re-derives the stage-1 windows from its OWN baseline
   /// (rewindow_scenario_space()) and streams its own generator pass, so

@@ -100,7 +100,10 @@ StaService::StaService(netlist::Netlist netlist,
     : library_(&library), config_(std::move(config)) {
   util::require(!config_.corners.empty(),
                 "StaService: ServiceConfig.corners must be non-empty");
-  if (config_.share_gamma_cache) cache_ = std::make_shared<GammaCache>();
+  // One Γeff memo shared by every snapshot and query: keys cover exact
+  // waveform/ramp/load bits + corner, so sharing is exact even across
+  // edits.
+  cache_ = std::make_shared<GammaCache>();
   if (config_.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.threads);
   }
@@ -339,7 +342,9 @@ void StaService::evaluate_snapshot(PreparedSnapshot& snap,
     eng.evaluate_points_delta(snap.baselines_, contexts, bases, plans,
                               pool_.get(), wss);
   } else {
-    eng.evaluate_points(snap.baselines_, contexts, pool_.get(), wss);
+    for (size_t c = 0; c < n_corners; ++c) {
+      eng.evaluate(snap.baselines_[c], contexts[c], pool_.get(), wss);
+    }
   }
 
   snap.worst_slacks_.resize(n_corners);

@@ -69,10 +69,6 @@ struct ServiceConfig {
   /// concurrency is caller-side: any number of threads may query
   /// simultaneously regardless of this setting.
   int threads = 1;
-  /// Share one Γeff memo cache across snapshots and queries (keys
-  /// cover exact waveform/ramp bits + corner, so sharing is safe even
-  /// across edits).
-  bool share_gamma_cache = true;
 };
 
 /// Counters of one service's lifetime (StaService::stats()).  Means are
@@ -240,7 +236,7 @@ class StaService {
 
   const liberty::Library* library_;
   ServiceConfig config_;
-  std::shared_ptr<GammaCache> cache_;  ///< shared Γeff memo (optional)
+  std::shared_ptr<GammaCache> cache_;  ///< shared Γeff memo
 
   /// Writer-path resources, used only under writer_mutex_.
   std::unique_ptr<util::ThreadPool> pool_;

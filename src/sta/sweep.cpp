@@ -337,16 +337,6 @@ std::vector<PathStep> TimingView::critical_path() const {
 SweepResult StaEngine::sweep(const SweepSpec& spec) {
   prepare();
 
-  // Resolve the lane-width knob up front so a bad value fails fast.
-  util::require(spec.lanes == 0 || spec.lanes == 1 || spec.lanes == 4,
-                "sweep: lanes must be 0 (auto), 1, or 4, got ", spec.lanes);
-  if (spec.lanes > 1) {
-    util::require(wave::lane_width_available(spec.lanes),
-                  "sweep: lane width ", spec.lanes,
-                  " not available on this build/CPU");
-  }
-  const int lanes = spec.lanes != 0 ? spec.lanes : wave::active_lane_width();
-
   SweepResult r;
   r.engine_ = this;
   r.engine_liveness_ = liveness();
@@ -382,7 +372,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     tables[s] = compile_edge_annotations(scenarios[s]);
   }
 
-  if (spec.share_gamma_cache) r.cache_ = std::make_unique<GammaCache>();
+  r.cache_ = std::make_unique<GammaCache>();
   const core::EquivalentWaveformMethod* method =
       spec.method != nullptr ? spec.method : noise_method_.get();
 
@@ -399,25 +389,13 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     }
   }
 
-  const size_t want = spec.threads <= 0
-                          ? util::ThreadPool::hardware_threads()
-                          : static_cast<size_t>(spec.threads);
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = spec.pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<util::ThreadPool>(static_cast<int>(want));
-    pool = owned_pool.get();
-  }
-
-  // One scratch arena per pool worker: Γeff fits draw their sampling
-  // buffers from the running worker's arena, so after the slabs warm up
-  // the whole sweep propagates without touching the heap.  Arenas are
-  // pure scratch — results are bitwise independent of which worker
-  // evaluates which shard.
-  if (workspaces_.size() < pool->size()) {
-    workspaces_.resize(pool->size());
-  }
-  std::span<wave::Workspace> wss(workspaces_.data(), pool->size());
+  // The engine's own pool, with one scratch arena per worker: Γeff fits
+  // draw their sampling buffers from the running worker's arena, so
+  // after the slabs warm up the whole sweep propagates without touching
+  // the heap.  Arenas are pure scratch — results are bitwise
+  // independent of which worker evaluates which point.
+  util::ThreadPool& pool = worker_pool(spec.threads);
+  const std::span<wave::Workspace> wss(workspaces_.data(), pool.size());
 
   // Endpoint axis metadata (both modes).
   r.endpoint_names_.reserve(endpoint_ports_.size());
@@ -448,40 +426,8 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     }
   };
 
-  if (!spec.delta && !prune) {
-    // Legacy full-graph-per-point paths (SweepSpec::delta == false).
-    r.prune_stats_.evaluated = n_points;
-    if (!spec.endpoint_only) {
-      // Full mode: every point keeps its TimingState, all evaluated in
-      // one pass of (point × partition) coarse tasks.
-      r.states_.assign(n_points, TimingState{});
-      r.status_.assign(n_points, SweepResult::PointStatus::kFull);
-      evaluate_points(r.states_, contexts, pool, wss, spec.shard,
-                      spec.wide_partition_threshold);
-      return r;
-    }
-    // Endpoint-only mode: evaluate points in bounded chunks, summarize
-    // each state, then reuse the states for the next chunk.
-    r.status_.assign(n_points, SweepResult::PointStatus::kSummary);
-    r.worst_slacks_.resize(n_points);
-    r.critical_.resize(n_points);
-    r.endpoint_arrivals_.resize(n_points * n_endpoints * 2);
-    const size_t chunk = spec.endpoint_chunk != 0
-                             ? spec.endpoint_chunk
-                             : std::max<size_t>(4 * pool->size(), 64);
-    std::vector<TimingState> states(std::min(chunk, n_points));
-    for (size_t base = 0; base < n_points; base += chunk) {
-      const size_t n = std::min(chunk, n_points - base);
-      evaluate_points(std::span<TimingState>(states.data(), n),
-                      std::span<const EvalContext>(contexts.data() + base, n),
-                      pool, wss, spec.shard, spec.wide_partition_threshold);
-      for (size_t i = 0; i < n; ++i) summarize(base + i, states[i]);
-    }
-    return r;
-  }
-
   // -------------------------------------------------------------------------
-  // Baseline + delta evaluation (and/or slack-bound pruning).
+  // Baseline + delta evaluation (and optional slack-bound pruning).
   //
   // One nominal TimingState per corner under the engine-level
   // annotation table; every scenario point is then derived from its
@@ -507,16 +453,15 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   } else {
     const auto base_table = compile_edge_annotations(nullptr);
     owned_baselines.resize(n_corners);
-    std::vector<EvalContext> base_ctx(n_corners);
     for (size_t c = 0; c < n_corners; ++c) {
-      base_ctx[c].edge_noise = base_table.data();
-      base_ctx[c].corner = &r.corners_[c];
-      base_ctx[c].corner_key = r.corners_[c].key();
-      base_ctx[c].method = method;
-      base_ctx[c].cache = r.cache_.get();
+      EvalContext ctx;
+      ctx.edge_noise = base_table.data();
+      ctx.corner = &r.corners_[c];
+      ctx.corner_key = r.corners_[c].key();
+      ctx.method = method;
+      ctx.cache = r.cache_.get();
+      evaluate(owned_baselines[c], ctx, &pool, wss);
     }
-    evaluate_points(owned_baselines, base_ctx, pool, wss, spec.shard,
-                    spec.wide_partition_threshold);
   }
   const std::vector<TimingState>& baselines =
       spec.corner_baselines != nullptr ? *spec.corner_baselines
@@ -721,13 +666,9 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   // Wave size: everything at once in full mode, the endpoint chunk in
   // endpoint-only mode — but small waves under pruning, so the
   // worst-seen slack tightens between waves and the tail can early-out.
-  size_t chunk = spec.endpoint_only
-                     ? (spec.endpoint_chunk != 0
-                            ? spec.endpoint_chunk
-                            : std::max<size_t>(4 * pool->size(), 64))
-                     : n_points;
-  if (prune) chunk = std::min(chunk, std::max<size_t>(2 * pool->size(), 8));
-  chunk = std::max<size_t>(chunk, 1);
+  size_t chunk = spec.endpoint_only ? std::max<size_t>(4 * pool.size(), 64)
+                                    : n_points;
+  if (prune) chunk = std::min(chunk, std::max<size_t>(2 * pool.size(), 8));
 
   std::vector<TimingState> wave_buf;
   std::vector<EvalContext> wave_ctx;
@@ -761,18 +702,15 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       wave_base[i] = &baselines[p / n_scenarios];
       wave_plans[i] = &plans[plan_of[p % n_scenarios]];
     }
-    if (spec.delta && lanes > 1) {
+    const std::span<TimingState> wave_states(wave_buf.data(), n);
+    if (wave::active_lane_width() == 4) {
       // Lane-parallel: compatible points of the wave share one SoA
       // graph walk.  Bitwise identical to the scalar branch below.
-      evaluate_points_delta_lanes(std::span<TimingState>(wave_buf.data(), n),
-                                  wave_ctx, wave_base, wave_plans, lanes,
-                                  pool, wss);
-    } else if (spec.delta) {
-      evaluate_points_delta(std::span<TimingState>(wave_buf.data(), n),
-                            wave_ctx, wave_base, wave_plans, pool, wss);
+      evaluate_points_delta_lanes(wave_states, wave_ctx, wave_base,
+                                  wave_plans, 4, &pool, wss);
     } else {
-      evaluate_points(std::span<TimingState>(wave_buf.data(), n), wave_ctx,
-                      pool, wss, spec.shard, spec.wide_partition_threshold);
+      evaluate_points_delta(wave_states, wave_ctx, wave_base, wave_plans,
+                            &pool, wss);
     }
     for (size_t i = 0; i < n; ++i) {
       const size_t p = wave_points[i];

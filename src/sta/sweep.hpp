@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file sweep.hpp
-/// The unified sweep surface: one levelized pass over the cross product
-/// of noise scenarios × corner (derate) settings.
+/// The unified sweep surface: the cross product of noise scenarios ×
+/// corner (derate) settings over one prepared engine.
 ///
 /// A crosstalk sign-off sweeps many noise scenarios — aggressor
 /// alignments, strengths, switching-window corners — and modern flows
@@ -10,47 +10,43 @@
 /// point as its own engine run repeats the levelized walk N×M times.
 /// StaEngine::sweep(SweepSpec) instead prepares the engine once,
 /// compiles every scenario's annotations into dense per-net-edge
-/// pointer tables, and evaluates all points in ONE pass.  Scheduling is
-/// partition-sharded by default: the timing graph is cut at low-fanout
-/// net boundaries into independent partitions (sta/partition.hpp) and
-/// every (point, partition) shard runs as one coarse dependency-ordered
-/// task on the thread pool — no level barriers, no per-point barriers;
-/// partitions wider than `wide_partition_threshold` fall back to
-/// per-level chunk tasks internally.  `shard = false` selects the
-/// legacy per-level (point × vertex-of-level) fan-out.  All points
-/// share a thread-safe Γeff memo (GammaCache) keyed on exact inputs +
-/// the corner key, so fits recur at most once per distinct (net edge,
-/// ramp, annotation, corner).
+/// pointer tables, and evaluates every point through ONE path:
 ///
-/// Evaluation is *baseline + delta* by default (SweepSpec::delta): one
-/// nominal TimingState per corner, then each scenario point
-/// re-propagates only the transitive fanout cone of its annotated nets
-/// against that baseline — the paper's observation that a noise bump
-/// perturbs timing only through the victim's cone, turned into the
-/// sweep hot path.  Untouched partitions are skipped entirely, and the
-/// unbalanced per-point dirty worklists are load-balanced over
-/// ThreadPool::run_graph.  On top of it, SweepSpec::prune ==
-/// PruneMode::kSafe orders points most-critical-first by a conservative
-/// slack lower bound (worst baseline slack inside the cone minus a
-/// push-out bound from the annotation magnitudes) and early-outs points
-/// that provably cannot set the sweep's worst slack — FRAME-style
-/// screening before exact analysis.
+///  1. one clean baseline per corner — StaEngine::evaluate(), the
+///     level-parallel full-graph routine (or SweepSpec::corner_baselines
+///     when the caller already holds them);
+///  2. every scenario point as a *delta* against its corner baseline —
+///     re-propagating only the transitive fanout cone of its annotated
+///     nets, the paper's observation that a noise bump perturbs timing
+///     only through the victim's cone.  Compatible points share one
+///     SIMD lane-block walk when wave::active_lane_width() == 4;
+///     otherwise each runs scalar evaluate_delta().  Points are
+///     dynamically scheduled over the engine's worker pool
+///     (ThreadPool::parallel_for_dynamic), since dirty cones are
+///     unbalanced.
+///
+/// All points share a thread-safe Γeff memo (GammaCache) keyed on exact
+/// inputs + the corner key, so fits recur at most once per distinct
+/// (net edge, ramp, annotation, corner).  On top of the delta path,
+/// SweepSpec::prune == PruneMode::kSafe orders points most-critical-
+/// first by a conservative slack lower bound (worst baseline slack
+/// inside the cone minus a push-out bound from the annotation
+/// magnitudes) and early-outs points that provably cannot set the
+/// sweep's worst slack — FRAME-style screening before exact analysis.
 ///
 /// Determinism: points write disjoint TimingStates, each vertex folds
 /// its in-edges in a fixed order after all of its predecessors, and
-/// cache hits return bitwise what the fit would produce — so sweep
-/// results are bitwise identical between sharded and per-level
-/// schedules, between baseline+delta and full per-point propagation,
-/// and to looped single-thread runs, at any thread count.
+/// cache hits return bitwise what the fit would produce — so every
+/// point is bitwise identical to a serial evaluate() of its (corner,
+/// scenario), at any thread count and lane width.  Serial evaluate()
+/// is the test oracle (tests/sta_test_util.hpp).
 ///
 /// Result storage: the default keeps a full TimingState per point.  For
 /// sweep-scale point counts (10k+), `endpoint_only = true` keeps only
 /// {worst slack, critical endpoint, arrival at endpoints} per point —
 /// ~vertex_count× less memory — and evaluates points in bounded-size
-/// chunks so transient state stays small too.
-///
-/// ScenarioBatch (batch.hpp) is a compatibility shim over this surface:
-/// a sweep of one nominal corner × N scenarios.
+/// chunks (max(4 × threads, 64) points) so transient state stays small
+/// too.
 
 #include <cstdint>
 #include <limits>
@@ -63,9 +59,6 @@
 
 namespace waveletic::noise {
 struct CaseWaveforms;
-}
-namespace waveletic::util {
-class ThreadPool;
 }
 
 namespace waveletic::sta {
@@ -157,7 +150,7 @@ struct PruneStats {
   /// Points whose bound proved they cannot set the worst slack; not
   /// propagated, per-point accessors throw.
   size_t pruned = 0;
-  /// Mean |fanout cone| / vertices over the scenario axis (delta mode).
+  /// Mean |fanout cone| / vertices over the scenario axis.
   double dirty_vertex_fraction = 0.0;
   /// Mean touched partitions / total partitions over the scenario axis.
   double dirty_partition_fraction = 0.0;
@@ -184,40 +177,17 @@ struct SweepSpec {
   /// Noise-scenario axis; empty selects one clean scenario (the
   /// engine-level annotations still apply).
   std::vector<NoiseScenario> scenarios;
-  /// Worker threads for the (point × vertex) fan-out; ≤ 0 selects the
-  /// hardware concurrency.
+  /// Size of the engine's worker pool for this sweep; ≤ 0 selects the
+  /// hardware concurrency.  Results are bitwise identical at any count.
   int threads = 0;
-  /// Share one Γeff memo across all points (recommended; results are
-  /// bitwise-identical either way — corner keys keep entries distinct).
-  bool share_gamma_cache = true;
   /// Technique override; null uses the engine's configured method.
   const core::EquivalentWaveformMethod* method = nullptr;
-  /// External pool to reuse across sweeps; null lets sweep() build one.
-  util::ThreadPool* pool = nullptr;
-  /// Partition-sharded scheduling: (point × partition) coarse tasks,
-  /// dependency-ordered, no level barriers.  false selects the legacy
-  /// per-level fan-out.  Results are bitwise identical either way.
-  bool shard = true;
-  /// Partitions wider than this (max vertices on one topological
-  /// level) fall back to per-level chunk tasks internally.
-  size_t wide_partition_threshold = kDefaultWidePartitionThreshold;
   /// Keep only {worst slack, critical endpoint, endpoint arrivals} per
   /// point instead of a full TimingState — ~vertex_count× less result
   /// memory for 10k+-point sweeps.  Full-state accessors (state(),
   /// view(), timing(), critical_path()) then throw.
   bool endpoint_only = false;
-  /// Points evaluated per chunk in endpoint-only mode (bounds transient
-  /// TimingState memory); 0 selects max(4 × threads, 64).
-  size_t endpoint_chunk = 0;
-  /// Baseline + delta evaluation: one nominal TimingState per corner,
-  /// then every scenario point re-propagates only the transitive fanout
-  /// cone of its annotated nets against that baseline (clean vertices
-  /// read baseline values; untouched partitions are skipped entirely).
-  /// Bitwise identical to full per-point propagation — `false` selects
-  /// the legacy full-graph-per-point path (A/B and bench comparisons).
-  bool delta = true;
-  /// Scenario pruning (see PruneMode).  Works with either `delta`
-  /// setting — the corner baselines it needs are computed either way.
+  /// Scenario pruning (see PruneMode).
   PruneMode prune = PruneMode::kOff;
   /// Seed for the pruning pass's running worst slack [s].  Default +inf
   /// reproduces the self-contained behaviour; a streaming caller (the
@@ -232,24 +202,14 @@ struct SweepSpec {
   /// critical" (and may prune everything).  Ignored when prune ==
   /// PruneMode::kOff.
   double prune_seed_slack = std::numeric_limits<double>::infinity();
-  /// SIMD lane width for delta evaluation: 0 auto-selects (AVX2 → 4,
-  /// else scalar), 1 forces the scalar per-point path (the bitwise
-  /// oracle), 4 forces four-wide lane blocks and throws when the
-  /// build/CPU lacks AVX2.  Compatible points (same corner, same or
-  /// merged dirty cone) share one graph walk with their values in
-  /// adjacent SIMD lanes; results are bitwise identical at every
-  /// width.  Ignored when `delta` is false (the full-graph path has no
-  /// lane grouping).
-  int lanes = 0;
-  /// External per-corner clean baselines for the delta/prune path: one
-  /// TimingState per resolved corner (same order as `corners`), each the
-  /// clean evaluate() of THIS engine under that corner with the same
-  /// method and engine-level annotations this sweep uses.  The sweep
-  /// then skips its own baseline pass — the streaming generated sweep
-  /// computes baselines once per corner group and hands them to every
-  /// chunk.  Null (default) computes baselines internally.  Size or
-  /// vertex-count mismatches throw util::Error.  Ignored on the legacy
-  /// path (delta == false and prune == kOff), which uses no baselines.
+  /// External per-corner clean baselines: one TimingState per resolved
+  /// corner (same order as `corners`), each the clean evaluate() of
+  /// THIS engine under that corner with the same method and
+  /// engine-level annotations this sweep uses.  The sweep then skips
+  /// its own baseline pass — the streaming generated sweep computes
+  /// baselines once per corner group and hands them to every chunk.
+  /// Null (default) computes baselines internally.  Size or
+  /// vertex-count mismatches throw util::Error.
   const std::vector<TimingState>* corner_baselines = nullptr;
 };
 
@@ -415,8 +375,7 @@ class SweepResult {
   [[nodiscard]] double worst_slack_bound(size_t point) const;
   /// Baseline + delta / pruning counters of the sweep.  Always
   /// populated: with pruning off, evaluated == points and the bound
-  /// fields are zero; on the legacy path (delta AND prune both off) the
-  /// dirty fractions are zero because no cone plans were computed.
+  /// fields are zero.
   [[nodiscard]] const PruneStats& prune_stats() const noexcept {
     return prune_stats_;
   }
@@ -430,7 +389,7 @@ class SweepResult {
   /// Name of the scenario at ordinal `i` of the scenario axis.
   [[nodiscard]] const std::string& scenario_name(size_t i) const;
 
-  /// Γeff memo statistics of the sweep (zeros when sharing was off).
+  /// Γeff memo statistics of the sweep.
   [[nodiscard]] GammaCache::Stats cache_stats() const noexcept;
 
  private:
@@ -481,7 +440,7 @@ class SweepResult {
   PruneMode prune_ = PruneMode::kOff;
   std::vector<double> bounds_;  ///< per point; prune == kSafe only
   PruneStats prune_stats_;
-  std::unique_ptr<GammaCache> cache_;  ///< null when sharing was off
+  std::unique_ptr<GammaCache> cache_;  ///< the sweep's shared Γeff memo
 };
 
 }  // namespace waveletic::sta

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace waveletic::util {
 
 size_t ThreadPool::hardware_threads() noexcept {
@@ -32,8 +30,8 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::run_chunk(size_t worker_index, const Job& job) noexcept {
-  if (job.graph_run != nullptr) {
-    graph_worker(worker_index, *job.graph_run);
+  if (job.dynamic_run != nullptr) {
+    dynamic_worker(worker_index, *job.dynamic_run);
     return;
   }
   // Static contiguous partition of [0, n) into size_ chunks.
@@ -96,95 +94,39 @@ void ThreadPool::parallel_for(
   dispatch(Job{nullptr, &body, n});
 }
 
-void ThreadPool::graph_worker(size_t worker_index, GraphRun& run) noexcept {
-  const TaskGraph& g = *run.graph;
-  const size_t tile_size = g.tile_size();
-  const size_t total = g.total();
-  std::unique_lock<std::mutex> lock(run.mutex);
-  for (;;) {
-    if (run.completed == total) return;
-    if (run.ready.empty()) {
-      // Remaining tasks are blocked on tasks other workers are
-      // executing; wait for a completion to unlock some.  If nothing is
-      // in flight either, the graph has a dependency cycle — bail out
-      // and let run_graph report completed < total.
-      if (run.in_flight == 0) {
-        run.cv.notify_all();
-        return;
-      }
-      run.cv.wait(lock, [&] {
-        return run.completed == total || !run.ready.empty() ||
-               run.in_flight == 0;
-      });
-      continue;
-    }
-    const uint32_t task = run.ready.back();
-    run.ready.pop_back();
-    ++run.in_flight;
-    lock.unlock();
-    if (!run.cancelled.load(std::memory_order_relaxed)) {
-      try {
-        (*run.body)(worker_index, task);
-      } catch (...) {
-        run.cancelled.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> elock(mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-    }
-    lock.lock();
-    ++run.completed;
-    --run.in_flight;
-    const size_t tile_base = (task / tile_size) * tile_size;
-    size_t unlocked = 0;
-    for (const uint32_t succ : g.successors[task % tile_size]) {
-      if (--run.pending[tile_base + succ] == 0) {
-        run.ready.push_back(static_cast<uint32_t>(tile_base + succ));
-        ++unlocked;
-      }
-    }
-    if (run.completed == total) {
-      run.cv.notify_all();
-    } else if (unlocked > 1) {
-      run.cv.notify_all();
-    } else if (unlocked == 1) {
-      run.cv.notify_one();
+void ThreadPool::dynamic_worker(size_t worker_index,
+                                DynamicRun& run) noexcept {
+  while (!run.cancelled.load()) {
+    const size_t i = run.next.fetch_add(1);
+    if (i >= run.n) return;
+    try {
+      (*run.body)(worker_index, i);
+    } catch (...) {
+      run.cancelled.store(true);
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!first_error_) first_error_ = std::current_exception();
     }
   }
 }
 
-void ThreadPool::run_graph(const TaskGraph& graph,
-                           const std::function<void(size_t, size_t)>& body) {
-  const size_t total = graph.total();
-  if (total == 0) return;
-  GraphRun run;
-  run.graph = &graph;
+void ThreadPool::parallel_for_dynamic(
+    size_t n, const std::function<void(size_t, size_t)>& body) {
+  if (n == 0) return;
+  DynamicRun run;
   run.body = &body;
-  run.pending.resize(total);
-  const size_t tile_size = graph.tile_size();
-  for (size_t tile = 0; tile < graph.tiles; ++tile) {
-    for (size_t t = 0; t < tile_size; ++t) {
-      run.pending[tile * tile_size + t] = graph.indegree[t];
-      if (graph.indegree[t] == 0) {
-        run.ready.push_back(static_cast<uint32_t>(tile * tile_size + t));
-      }
-    }
-  }
-  require(!run.ready.empty(), "run_graph: no root tasks (dependency cycle)");
-  if (size_ == 1) {
-    // Inline execution on the calling thread, same cancel semantics.
-    graph_worker(0, run);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (first_error_) {
-      auto err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
-    }
-  } else {
+  run.n = n;
+  if (size_ > 1 && n > 1) {
     dispatch(Job{nullptr, nullptr, 0, &run});
+    return;
   }
-  require(run.completed == total,
-          "run_graph: task graph stalled with ", total - run.completed,
-          " tasks blocked (dependency cycle)");
+  // Inline execution on the calling thread, same cancel semantics.
+  dynamic_worker(0, run);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (first_error_) {
+    auto err = first_error_;
+    first_error_ = nullptr;
+    std::rethrow_exception(err);
+  }
 }
 
 void ThreadPool::dispatch(const Job& job) {

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// Small fixed-size thread pool with a blocking parallel_for and a
-/// dependency-ordered run_graph for unbalanced task DAGs.
+/// Small fixed-size thread pool with a statically partitioned
+/// parallel_for and a dynamically scheduled parallel_for_dynamic.
 ///
 /// parallel_for is deliberately work-stealing-free: it splits [0, n)
 /// into `size()` contiguous chunks, one per worker, and blocks until
@@ -12,14 +12,13 @@
 /// thread count (tasks write disjoint state; ordering within a task is
 /// fixed).
 ///
-/// run_graph executes a task DAG (tasks become ready when their
-/// dependencies complete; every worker pulls from one shared ready
-/// stack).  The *schedule* here is timing-dependent — which is fine for
-/// callers whose tasks write disjoint state and read only completed
-/// dependencies: every task sees the same inputs regardless of
-/// interleaving, so results stay bitwise-deterministic even though the
-/// execution order is not.  This is what the partition-sharded STA
-/// sweep uses for its unbalanced (point × partition) shards.
+/// parallel_for_dynamic hands indices out one at a time from a shared
+/// counter, so unbalanced tasks (the per-point dirty cones of a delta
+/// sweep, lane blocks of different cone sizes) keep every worker busy.
+/// Which worker runs which index is timing-dependent — fine for
+/// callers whose tasks write disjoint state and read only shared
+/// immutable inputs: every task sees the same inputs regardless of
+/// interleaving, so results stay bitwise-deterministic.
 ///
 /// A pool of size 1 runs everything inline on the calling thread and
 /// spawns no workers at all.
@@ -31,21 +30,24 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
 namespace waveletic::util {
 
+/// Fixed-size pool of `size()` workers, the calling thread being
+/// worker 0 (see the file comment for the two loop flavours).
 class ThreadPool {
  public:
   /// `threads` ≤ 0 selects hardware_threads().  Size is clamped to ≥ 1.
   explicit ThreadPool(int threads = 0);
+  /// Joins every helper thread.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Number of workers, the calling thread included.
   [[nodiscard]] size_t size() const noexcept { return size_; }
 
   /// Runs body(i) for every i in [0, n); returns when all calls have
@@ -62,63 +64,38 @@ class ThreadPool {
   void parallel_for(size_t n,
                     const std::function<void(size_t, size_t)>& body);
 
-  /// A task DAG: `tiles` independent copies of one dependency
-  /// structure.  Task ids are tile * tile_size + local; dependencies
-  /// never cross tiles.  The spans must outlive the run_graph call.
-  struct TaskGraph {
-    /// Per local task: number of unfinished dependencies at start.
-    std::span<const uint32_t> indegree;
-    /// Per local task: local ids unlocked when it completes.
-    std::span<const std::vector<uint32_t>> successors;
-    /// Number of independent copies (e.g. sweep points).
-    size_t tiles = 1;
-
-    [[nodiscard]] size_t tile_size() const noexcept {
-      return indegree.size();
-    }
-    [[nodiscard]] size_t total() const noexcept {
-      return indegree.size() * tiles;
-    }
-  };
-
-  /// Runs body(worker, task) for every task of `graph`, each after all
-  /// of its dependencies have completed; returns when all tasks have
-  /// run.  Workers (the caller is worker 0) pull ready tasks from a
-  /// shared stack, so unbalanced shards keep every thread busy.  The
-  /// first exception cancels the not-yet-started remainder (their
-  /// bodies are skipped) and is rethrown on the calling thread.
-  /// Throws if the graph never drains (a dependency cycle).
-  /// Reentrant calls from inside a body are not supported.
-  void run_graph(const TaskGraph& graph,
-                 const std::function<void(size_t, size_t)>& body);
+  /// Runs body(worker, i) for every i in [0, n) exactly once; returns
+  /// when all calls have finished.  Workers (the caller is worker 0)
+  /// claim indices one at a time from a shared counter, so unbalanced
+  /// tasks keep every thread busy.  The first exception cancels the
+  /// not-yet-claimed remainder (their bodies are skipped) and is
+  /// rethrown on the calling thread.  Reentrant calls from inside a
+  /// body are not supported.
+  void parallel_for_dynamic(size_t n,
+                            const std::function<void(size_t, size_t)>& body);
 
   /// std::thread::hardware_concurrency with a sane floor of 1.
   [[nodiscard]] static size_t hardware_threads() noexcept;
 
  private:
-  /// Shared state of one run_graph execution.
-  struct GraphRun {
-    const TaskGraph* graph = nullptr;
+  /// Shared state of one parallel_for_dynamic execution.
+  struct DynamicRun {
     const std::function<void(size_t, size_t)>* body = nullptr;
-    std::vector<uint32_t> pending;  ///< remaining deps per task
-    std::vector<uint32_t> ready;    ///< LIFO stack of runnable tasks
-    size_t completed = 0;
-    size_t in_flight = 0;           ///< tasks popped but not completed
+    size_t n = 0;
+    std::atomic<size_t> next{0};  ///< next unclaimed index
     std::atomic<bool> cancelled{false};
-    std::mutex mutex;
-    std::condition_variable cv;
   };
 
   struct Job {
     const std::function<void(size_t)>* body = nullptr;
     const std::function<void(size_t, size_t)>* body_worker = nullptr;
     size_t n = 0;
-    GraphRun* graph_run = nullptr;
+    DynamicRun* dynamic_run = nullptr;
   };
 
   void worker_loop(size_t worker_index);
   void run_chunk(size_t worker_index, const Job& job) noexcept;
-  void graph_worker(size_t worker_index, GraphRun& run) noexcept;
+  void dynamic_worker(size_t worker_index, DynamicRun& run) noexcept;
   void dispatch(const Job& job);
 
   size_t size_ = 1;

@@ -3,10 +3,11 @@
 /// \file sta_test_util.hpp
 /// Shared STA test scaffolding: the once-per-process VCL013 library,
 /// netlist constraint helpers, aggressor scenario builders, random
-/// engine fixtures, and the bitwise TimingState comparator with
-/// first-divergence diagnostics.  test_sta_parallel, test_sta_sweep,
-/// test_sta_partition and test_kernels all build on this instead of
-/// copy-pasting their own builders.
+/// engine fixtures, the bitwise TimingState comparator with
+/// first-divergence diagnostics, and the one sweep oracle
+/// (sweep_matches_serial): every sweep path is checked point by point
+/// against a serial StaEngine::evaluate() of that point.  The STA
+/// suites build on this instead of copy-pasting their own builders.
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,80 @@ inline ::testing::AssertionResult states_bitwise_equal(
   return ::testing::AssertionFailure()
          << first << "; " << divergent << " divergent field(s) total over "
          << a.size() << " vertices";
+}
+
+/// Serial evaluate() of one (corner, scenario) point over a prepared
+/// engine — no pool, no Γeff cache: the reference every sweep point
+/// must reproduce bitwise.  `scenario` null evaluates the clean point
+/// (engine-level annotations only); `method` null uses the engine's.
+inline sta::TimingState serial_point(
+    const sta::StaEngine& sta, const sta::Corner& corner,
+    const sta::NoiseScenario* scenario,
+    const core::EquivalentWaveformMethod* method = nullptr) {
+  const auto table = sta.compile_edge_annotations(scenario);
+  sta::StaEngine::EvalContext ctx;
+  ctx.edge_noise = table.data();
+  ctx.corner = &corner;
+  ctx.corner_key = corner.key();
+  ctx.method = method != nullptr ? method : &sta.noise_method();
+  sta::TimingState state;
+  sta.evaluate(state, ctx);
+  return state;
+}
+
+/// The sweep oracle: checks every evaluated point of `result` — the
+/// sweep of `spec` on `sta` — against serial_point() of that point's
+/// (corner, scenario), bitwise.  Full-state results compare whole
+/// TimingStates; every result compares the endpoint-level answers
+/// (worst slack, critical endpoint, endpoint arrivals).  Pruned points
+/// are skipped: no timing was computed for them.
+inline ::testing::AssertionResult sweep_matches_serial(
+    const sta::StaEngine& sta, const sta::SweepSpec& spec,
+    const sta::SweepResult& result) {
+  auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  for (size_t c = 0; c < result.num_corners(); ++c) {
+    for (size_t s = 0; s < result.num_scenarios(); ++s) {
+      const size_t p = result.point(c, s);
+      if (result.pruned(p)) continue;
+      const sta::NoiseScenario* scenario =
+          spec.scenarios.empty() ? nullptr : &spec.scenarios[s];
+      const auto ref = serial_point(sta, result.corner(c), scenario,
+                                    spec.method);
+      auto fail = [&] {
+        return ::testing::AssertionFailure()
+               << "point " << p << " (corner " << c << ", scenario "
+               << result.scenario_name(s) << "): ";
+      };
+      if (!result.endpoint_only()) {
+        const auto same = states_bitwise_equal(ref, result.state(p), &sta);
+        if (!same) return fail() << same.message();
+      }
+      if (bits(result.worst_slack(p)) != bits(sta.worst_slack_in(ref))) {
+        return fail() << "worst slack " << result.worst_slack(p) << " vs "
+                      << sta.worst_slack_in(ref);
+      }
+      const auto ce = result.critical_endpoint(p);
+      const auto we = sta.worst_endpoint_in(ref);
+      if (ce.endpoint != we.endpoint || ce.rf != we.rf ||
+          bits(ce.slack) != bits(we.slack)) {
+        return fail() << "critical endpoint " << ce.endpoint << " vs "
+                      << we.endpoint;
+      }
+      for (size_t e = 0; e < result.num_endpoints(); ++e) {
+        const auto pin = sta.pin(result.endpoint_name(e));
+        for (const auto rf : {sta::RiseFall::kRise, sta::RiseFall::kFall}) {
+          const double got = result.endpoint_arrival(p, e, rf);
+          const double want = sta.timing_in(ref, pin, rf).arrival;
+          if (bits(got) != bits(want)) {
+            return fail() << "arrival at " << result.endpoint_name(e) << " ("
+                          << sta::to_string(rf) << ") " << got << " vs "
+                          << want;
+          }
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 }  // namespace waveletic::statest

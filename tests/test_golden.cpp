@@ -164,20 +164,12 @@ Record compute(const lb::Library& lib, const nl::Netlist& net) {
     }
   }
 
-  // Sharded and per-level schedules must agree bitwise; record the
-  // sharded one.
+  // The threaded sweep must agree with serial evaluate() bitwise;
+  // record the sweep.
   st::StaEngine sta(net, lib);
   constrain(sta);
-  spec.shard = true;
   const auto result = sta.sweep(spec);
-  spec.shard = false;
-  spec.threads = 1;
-  const auto oracle = sta.sweep(spec);
-  for (size_t p = 0; p < result.size(); ++p) {
-    EXPECT_TRUE(tu::states_bitwise_equal(oracle.state(p), result.state(p),
-                                         &sta))
-        << "sharded vs per-level divergence at point " << p;
-  }
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, result));
 
   for (size_t c = 0; c < result.num_corners(); ++c) {
     for (size_t s = 0; s < result.num_scenarios(); ++s) {

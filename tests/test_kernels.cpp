@@ -387,7 +387,7 @@ TEST(Kernels, FallingPolarityBitwiseWithAndWithoutWorkspace) {
 }
 
 // ---------------------------------------------------------------------------
-// Threaded sweep with per-worker workspaces == legacy allocating path
+// Threaded sweep with per-worker workspaces == serial evaluate()
 // ---------------------------------------------------------------------------
 
 TEST(Kernels, ThreadedSweepWithWorkspacesBitwiseEqualsLegacyEvaluate) {
@@ -410,7 +410,8 @@ TEST(Kernels, ThreadedSweepWithWorkspacesBitwiseEqualsLegacyEvaluate) {
   spec.threads = 4;
   auto result = sta.sweep(spec);
 
-  // Legacy path: serial evaluate() with NO workspace anywhere.
+  // Oracle: serial evaluate() with no caller workspace (it supplies a
+  // call-local arena).
   sta.prepare();
   for (size_t s = 0; s < scenarios.size(); ++s) {
     const auto table = sta.compile_edge_annotations(&scenarios[s]);

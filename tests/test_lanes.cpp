@@ -1,10 +1,11 @@
 // Lane layer bitwise property suite: every Lane<W> kernel against the
 // W=1 scalar oracle on randomized waveforms (unaligned tails, exact
-// grid hits, clamp edges, crossing touches), the lane-block sweep
-// against the scalar sweep bitwise at 1/2/4 threads on random
-// netlists (same-plan groups, union-merged near-miss groups, multiple
-// corners), the direct evaluate_points_delta_lanes A/B, and the
-// knob/override error paths.
+// grid hits, clamp edges, crossing touches), the sweep (lane blocks
+// wherever the CPU has AVX2) against the serial evaluate() oracle
+// bitwise at 1/2/4 threads on random netlists (same-plan groups,
+// union-merged near-miss groups, multiple corners), and the direct
+// evaluate_points_delta_lanes A/B of the W=4 walker against the W=1
+// walker and scalar evaluate_delta().
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "netlist/generators.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
@@ -248,16 +248,6 @@ std::vector<st::NoiseScenario> grouping_scenarios(
   return scenarios;
 }
 
-void expect_sweeps_bitwise_equal(st::SweepResult& a, st::SweepResult& b,
-                                 const st::StaEngine& sta) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t p = 0; p < a.size(); ++p) {
-    EXPECT_TRUE(tu::states_bitwise_equal(a.state(p), b.state(p), &sta))
-        << "point " << p;
-    EXPECT_TRUE(BitEq(a.worst_slack(p), b.worst_slack(p))) << "point " << p;
-  }
-}
-
 }  // namespace
 
 TEST(Lanes, SweepLaneBlocksMatchScalarSweepBitwise) {
@@ -269,24 +259,20 @@ TEST(Lanes, SweepLaneBlocksMatchScalarSweepBitwise) {
     slow.cell_slew_scale = 1.05;
     slow.wire_delay_scale = 1.15;
 
-    st::SweepSpec scalar_spec;
-    scalar_spec.scenarios = grouping_scenarios(f);
-    scalar_spec.corners = {st::Corner{}, slow};
-    scalar_spec.threads = 1;
-    scalar_spec.lanes = 1;  // the scalar per-point oracle
-    auto ref = f.sta->sweep(scalar_spec);
-
-    for (const int threads : {1, 2, 4}) {
-      for (const int lanes : {0, 1, 4}) {
-        if (lanes == 4 && !avx2()) continue;
-        st::SweepSpec spec = scalar_spec;
+    st::SweepSpec spec;
+    spec.scenarios = grouping_scenarios(f);
+    spec.corners = {st::Corner{}, slow};
+    // Width 1 runs scalar evaluate_delta() per point, width 4 the
+    // lane-block walker: both must reproduce the serial oracle.
+    for (const int width : {1, 4}) {
+      if (width == 4 && !avx2()) continue;
+      wv::LaneWidthGuard guard(width);
+      for (const int threads : {1, 2, 4}) {
         spec.threads = threads;
-        spec.lanes = lanes;
-        auto got = f.sta->sweep(spec);
-        SCOPED_TRACE("seed=" + std::to_string(seed) + " threads=" +
-                     std::to_string(threads) + " lanes=" +
-                     std::to_string(lanes));
-        expect_sweeps_bitwise_equal(ref, got, *f.sta);
+        const auto got = f.sta->sweep(spec);
+        EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, got))
+            << "seed=" << seed << " width=" << width
+            << " threads=" << threads;
       }
     }
   }
@@ -298,17 +284,8 @@ TEST(Lanes, EndpointOnlyLaneSweepMatchesScalar) {
   spec.scenarios = grouping_scenarios(f);
   spec.threads = 2;
   spec.endpoint_only = true;
-  spec.lanes = 1;
-  auto ref = f.sta->sweep(spec);
-  spec.lanes = avx2() ? 4 : 0;
-  auto got = f.sta->sweep(spec);
-  ASSERT_EQ(ref.size(), got.size());
-  for (size_t p = 0; p < ref.size(); ++p) {
-    EXPECT_TRUE(BitEq(ref.worst_slack(p), got.worst_slack(p)))
-        << "point " << p;
-  }
-  EXPECT_EQ(ref.worst_point().point, got.worst_point().point);
-  EXPECT_TRUE(BitEq(ref.worst_point().slack, got.worst_point().slack));
+  const auto got = f.sta->sweep(spec);
+  EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, got));
 }
 
 TEST(Lanes, PrunedLaneSweepStaysExact) {
@@ -317,11 +294,10 @@ TEST(Lanes, PrunedLaneSweepStaysExact) {
   spec.scenarios = grouping_scenarios(f);
   spec.threads = 2;
   spec.endpoint_only = true;
+  const auto ref = f.sta->sweep(spec);
   spec.prune = st::PruneMode::kSafe;
-  spec.lanes = 1;
-  auto ref = f.sta->sweep(spec);
-  spec.lanes = avx2() ? 4 : 0;
-  auto got = f.sta->sweep(spec);
+  const auto got = f.sta->sweep(spec);
+  EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, got));
   EXPECT_EQ(ref.worst_point().point, got.worst_point().point);
   EXPECT_TRUE(BitEq(ref.worst_point().slack, got.worst_point().slack));
 }
@@ -341,10 +317,10 @@ TEST(Lanes, EvaluatePointsDeltaLanesMatchesScalarDirect) {
   const auto base_table = sta.compile_edge_annotations(nullptr);
   std::vector<st::TimingState> baseline(1);
   {
-    std::vector<st::StaEngine::EvalContext> bctx(1);
-    bctx[0].edge_noise = base_table.data();
-    bctx[0].method = &sta.noise_method();
-    sta.evaluate_points(baseline, bctx);
+    st::StaEngine::EvalContext bctx;
+    bctx.edge_noise = base_table.data();
+    bctx.method = &sta.noise_method();
+    sta.evaluate(baseline[0], bctx);
   }
 
   std::vector<std::vector<const st::NoiseAnnotation*>> tables;
@@ -402,10 +378,10 @@ TEST(Lanes, GroupingIsContentBasedAndBounded) {
   const auto base_table = sta.compile_edge_annotations(nullptr);
   std::vector<st::TimingState> baseline(1);
   {
-    std::vector<st::StaEngine::EvalContext> bctx(1);
-    bctx[0].edge_noise = base_table.data();
-    bctx[0].method = &sta.noise_method();
-    sta.evaluate_points(baseline, bctx);
+    st::StaEngine::EvalContext bctx;
+    bctx.edge_noise = base_table.data();
+    bctx.method = &sta.noise_method();
+    sta.evaluate(baseline[0], bctx);
   }
   std::vector<st::StaEngine::DeltaPlan> plans;
   for (const auto& sc : scenarios) plans.push_back(sta.delta_plan(sc));
@@ -441,44 +417,4 @@ TEST(Lanes, GroupingIsContentBasedAndBounded) {
   bool any_multi = false;
   for (const auto& b : blocks) any_multi |= b.points.size() > 1;
   EXPECT_TRUE(any_multi);
-}
-
-// ---------------------------------------------------------------------------
-// Knob validation + forwarding
-// ---------------------------------------------------------------------------
-
-TEST(Lanes, SweepRejectsBadLaneWidths) {
-  auto f = tu::random_engine(47);
-  st::SweepSpec spec;
-  spec.lanes = 2;
-  EXPECT_THROW((void)f.sta->sweep(spec), wu::Error);
-  spec.lanes = -4;
-  EXPECT_THROW((void)f.sta->sweep(spec), wu::Error);
-  if (!avx2()) {
-    spec.lanes = 4;
-    EXPECT_THROW((void)f.sta->sweep(spec), wu::Error);
-  }
-}
-
-TEST(Lanes, BatchForwardsLanesKnob) {
-  auto f = tu::random_engine(53);
-  const auto scenarios = grouping_scenarios(f);
-  st::BatchOptions scalar_opt;
-  scalar_opt.threads = 1;
-  scalar_opt.lanes = 1;
-  st::ScenarioBatch scalar_batch(*f.sta, scalar_opt);
-  st::BatchOptions lane_opt;
-  lane_opt.threads = 2;
-  lane_opt.lanes = 0;  // auto: AVX2 → 4, else scalar
-  st::ScenarioBatch lane_batch(*f.sta, lane_opt);
-  for (const auto& sc : scenarios) {
-    scalar_batch.add(sc);
-    lane_batch.add(sc);
-  }
-  scalar_batch.run();
-  lane_batch.run();
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_TRUE(BitEq(scalar_batch.worst_slack(i), lane_batch.worst_slack(i)))
-        << "scenario " << i;
-  }
 }

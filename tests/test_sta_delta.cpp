@@ -1,11 +1,11 @@
 // Baseline + delta scenario propagation and slack-bound pruning:
 // dirty-cone plan structure (engine graph vs netlist-level fanout
-// query), delta-vs-full bitwise identity on randomized netlists at
-// 1/2/4 threads with scenarios touching one/few/all nets and
-// engine-level annotation overlays, endpoint-only agreement, prune=safe
+// query), delta sweeps bitwise identical to the serial evaluate()
+// oracle on randomized netlists at 1/2/4 threads with scenarios
+// touching one/few/all nets and engine-level annotation overlays,
+// endpoint-only agreement across chunk boundaries, prune=safe
 // exactness (worst_slack/worst_point/critical_endpoint never change),
-// bound validity, pruned/reused accessor errors, and ScenarioBatch
-// flag forwarding.
+// bound validity, and pruned/reused accessor errors.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 
 #include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
@@ -167,20 +166,11 @@ TEST(StaDelta, DeltaBitwiseIdenticalToFullAcrossThreads) {
     st::SweepSpec spec;
     spec.corners = two_corners();
     spec.scenarios = mixed_scenarios(f);
-    spec.threads = 1;
-    spec.delta = false;  // full-graph-per-point oracle
-    const auto oracle = f.sta->sweep(spec);
-
     for (const int threads : {1, 2, 4}) {
-      spec.delta = true;
       spec.threads = threads;
       const auto delta = f.sta->sweep(spec);
-      ASSERT_EQ(delta.size(), oracle.size());
-      for (size_t p = 0; p < delta.size(); ++p) {
-        EXPECT_TRUE(tu::states_bitwise_equal(oracle.state(p), delta.state(p),
-                                             f.sta.get()))
-            << "seed " << seed << " threads " << threads << " point " << p;
-      }
+      EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, delta))
+          << "seed " << seed << " threads " << threads;
       // Repeated delta runs are bitwise stable too.
       const auto again = f.sta->sweep(spec);
       for (size_t p = 0; p < delta.size(); ++p) {
@@ -206,15 +196,8 @@ TEST(StaDelta, EngineLevelOverlayStaysBitwiseIdentical) {
   st::SweepSpec spec;
   spec.scenarios = scenarios;
   spec.threads = 2;
-  spec.delta = false;
-  const auto full = f.sta->sweep(spec);
-  spec.delta = true;
   const auto delta = f.sta->sweep(spec);
-  for (size_t p = 0; p < full.size(); ++p) {
-    EXPECT_TRUE(
-        tu::states_bitwise_equal(full.state(p), delta.state(p), f.sta.get()))
-        << "point " << p;
-  }
+  EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, delta));
   f.sta->clear_noisy_nets();
 }
 
@@ -222,15 +205,16 @@ TEST(StaDelta, EndpointOnlyDeltaAgreesWithFullBitwise) {
   const auto f = tu::random_engine(13);
   st::SweepSpec spec;
   spec.corners = two_corners();
-  spec.scenarios = tu::random_scenarios(f, 5);
-  spec.threads = 2;
-  spec.delta = false;
+  // 130 points at one thread: three 64-point endpoint-only chunks, the
+  // last one partial.
+  spec.scenarios = tu::random_scenarios(f, 65);
+  spec.threads = 1;
   const auto full = f.sta->sweep(spec);
+  EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, full));
 
-  spec.delta = true;
   spec.endpoint_only = true;
-  spec.endpoint_chunk = 3;  // force several chunks
   const auto summary = f.sta->sweep(spec);
+  EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, summary));
   ASSERT_EQ(summary.size(), full.size());
   for (size_t p = 0; p < full.size(); ++p) {
     EXPECT_EQ(summary.worst_slack(p), full.worst_slack(p)) << "point " << p;
@@ -278,42 +262,38 @@ TEST(StaDelta, PruneSafeNeverChangesTheExactAnswers) {
     spec.corners = two_corners();
     spec.scenarios = scenarios;
     spec.threads = 2;
-    const auto exact = f.sta->sweep(spec);  // prune off, delta on
+    const auto exact = f.sta->sweep(spec);  // prune off
+    spec.prune = st::PruneMode::kSafe;
+    const auto pruned = f.sta->sweep(spec);
+    EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, pruned));
 
-    for (const bool delta : {true, false}) {
-      spec.delta = delta;
-      spec.prune = st::PruneMode::kSafe;
-      const auto pruned = f.sta->sweep(spec);
-      spec.prune = st::PruneMode::kOff;
+    // The sweep-level answers are exact and bitwise unchanged.
+    const auto wp_exact = exact.worst_point();
+    const auto wp_pruned = pruned.worst_point();
+    EXPECT_EQ(wp_pruned.point, wp_exact.point) << "seed " << seed;
+    EXPECT_EQ(wp_pruned.slack, wp_exact.slack);
+    const auto ce_exact = exact.critical_endpoint(wp_exact.point);
+    const auto ce_pruned = pruned.critical_endpoint(wp_pruned.point);
+    EXPECT_EQ(ce_pruned.endpoint, ce_exact.endpoint);
+    EXPECT_EQ(ce_pruned.slack, ce_exact.slack);
 
-      // The sweep-level answers are exact and bitwise unchanged.
-      const auto wp_exact = exact.worst_point();
-      const auto wp_pruned = pruned.worst_point();
-      EXPECT_EQ(wp_pruned.point, wp_exact.point) << "seed " << seed;
-      EXPECT_EQ(wp_pruned.slack, wp_exact.slack);
-      const auto ce_exact = exact.critical_endpoint(wp_exact.point);
-      const auto ce_pruned = pruned.critical_endpoint(wp_pruned.point);
-      EXPECT_EQ(ce_pruned.endpoint, ce_exact.endpoint);
-      EXPECT_EQ(ce_pruned.slack, ce_exact.slack);
-
-      const auto stats = pruned.prune_stats();
-      EXPECT_EQ(stats.points, pruned.size());
-      EXPECT_EQ(stats.evaluated + stats.pruned + stats.reused, stats.points);
-      for (size_t p = 0; p < pruned.size(); ++p) {
-        // Every bound is a TRUE lower bound on the exact worst slack —
-        // the safety invariant pruning rests on.
-        EXPECT_LE(pruned.worst_slack_bound(p), exact.worst_slack(p))
-            << "seed " << seed << " point " << p << " delta " << delta;
-        if (!pruned.pruned(p)) {
-          EXPECT_EQ(pruned.worst_slack(p), exact.worst_slack(p))
-              << "seed " << seed << " point " << p;
-        } else {
-          // A pruned point must be strictly beaten by the worst point.
-          EXPECT_GT(pruned.worst_slack_bound(p), wp_exact.slack);
-        }
+    const auto stats = pruned.prune_stats();
+    EXPECT_EQ(stats.points, pruned.size());
+    EXPECT_EQ(stats.evaluated + stats.pruned + stats.reused, stats.points);
+    for (size_t p = 0; p < pruned.size(); ++p) {
+      // Every bound is a TRUE lower bound on the exact worst slack —
+      // the safety invariant pruning rests on.
+      EXPECT_LE(pruned.worst_slack_bound(p), exact.worst_slack(p))
+          << "seed " << seed << " point " << p;
+      if (!pruned.pruned(p)) {
+        EXPECT_EQ(pruned.worst_slack(p), exact.worst_slack(p))
+            << "seed " << seed << " point " << p;
+      } else {
+        // A pruned point must be strictly beaten by the worst point.
+        EXPECT_GT(pruned.worst_slack_bound(p), wp_exact.slack);
       }
-      if (stats.evaluated > 0) EXPECT_GE(stats.min_bound_gap, 0.0);
     }
+    if (stats.evaluated > 0) EXPECT_GE(stats.min_bound_gap, 0.0);
   }
 }
 
@@ -438,53 +418,6 @@ TEST(StaDelta, ConeWithoutEndpointsIsReusedExactlyFromBaseline) {
   // the state equals a full clean propagation bitwise).
   spec.prune = st::PruneMode::kOff;
   const auto full = sta.sweep(spec);
-  st::SweepSpec clean_spec;
-  clean_spec.delta = false;  // independent full-propagation oracle
-  const auto clean = sta.sweep(clean_spec);
-  EXPECT_TRUE(tu::states_bitwise_equal(clean.state(0), full.state(0), &sta));
-}
-
-TEST(StaDelta, ScenarioBatchForwardsDeltaAndPrune) {
-  const int width = 4;
-  const auto net = nl::make_chain_tree(width);
-  st::StaEngine clean(net, tu::vcl013());
-  tu::constrain_chain_tree(clean, width);
-  clean.run();
-  std::vector<st::NoiseScenario> scenarios;
-  for (int a = 0; a < 4; ++a) {
-    scenarios.push_back(
-        tu::chain_bump_scenario(clean, a % 2, (a - 2) * 15e-12, 0.4));
-  }
-
-  st::StaEngine sta_full(net, tu::vcl013());
-  tu::constrain_chain_tree(sta_full, width);
-  st::BatchOptions full_opt;
-  full_opt.delta = false;
-  st::ScenarioBatch full(sta_full, full_opt);
-  for (const auto& sc : scenarios) full.add(sc);
-  full.run();
-
-  st::StaEngine sta_delta(net, tu::vcl013());
-  tu::constrain_chain_tree(sta_delta, width);
-  st::ScenarioBatch delta(sta_delta);  // delta defaults on
-  for (const auto& sc : scenarios) delta.add(sc);
-  delta.run();
-
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_TRUE(tu::states_bitwise_equal(full.state(i), delta.state(i),
-                                         &sta_delta));
-  }
-
-  st::StaEngine sta_prune(net, tu::vcl013());
-  tu::constrain_chain_tree(sta_prune, width);
-  st::BatchOptions prune_opt;
-  prune_opt.prune = st::PruneMode::kSafe;
-  st::ScenarioBatch pruned(sta_prune, prune_opt);
-  for (const auto& sc : scenarios) pruned.add(sc);
-  pruned.run();
-  EXPECT_EQ(pruned.result().prune_mode(), st::PruneMode::kSafe);
-  EXPECT_EQ(pruned.result().prune_stats().points, scenarios.size());
-  const auto wp = pruned.result().worst_point();
-  EXPECT_EQ(wp.slack, full.result().worst_point().slack);
-  EXPECT_EQ(wp.point, full.result().worst_point().point);
+  EXPECT_TRUE(tu::states_bitwise_equal(
+      tu::serial_point(sta, st::Corner{}, nullptr), full.state(0), &sta));
 }

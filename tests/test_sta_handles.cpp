@@ -1,11 +1,15 @@
 // Handle-based STA API: PinId/NetId/PortId resolution, stale/foreign
-// handle rejection, bitwise equivalence of the string and handle
-// overloads, enriched unknown-name errors, and the compiled per-edge
-// annotation table.
+// handle rejection, constraint-setter value validation, bitwise
+// equivalence of the string and handle overloads, enriched unknown-name
+// errors, and the compiled per-edge annotation table.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "charlib/characterize.hpp"
 #include "netlist/verilog.hpp"
@@ -130,6 +134,65 @@ TEST(StaHandles, InvalidAndForeignHandlesRejected) {
   sta_b.set_input(foreign_port, 0.0, 100e-12);
   sta_b.run();
   EXPECT_TRUE(sta_b.timing(foreign_pin, st::RiseFall::kFall).valid);
+}
+
+TEST(StaHandles, SettersRejectValuesEditBatchesReject) {
+  // The same value rules as EditBatch validation: every value finite,
+  // slew > 0, caps and wire delays >= 0.  Errors name the port or net
+  // and the offending value.
+  const auto netlist = inv_chain3();
+  st::StaEngine sta(netlist, lib());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    std::function<void()> call;
+    const char* names;  ///< port or net the message must name
+    double value;       ///< value the message must print
+  };
+  const std::vector<Case> cases = {
+      {"arrival nan", [&] { sta.set_input("a", nan, 100e-12); }, "a", nan},
+      {"arrival +inf", [&] { sta.set_input("a", inf, 100e-12); }, "a", inf},
+      {"slew nan", [&] { sta.set_input("a", 0.0, nan); }, "a", nan},
+      {"slew +inf",
+       [&] { sta.set_input("a", st::RiseFall::kRise, 0.0, inf); }, "a", inf},
+      {"slew zero", [&] { sta.set_input(sta.port("a"), 0.0, 0.0); }, "a",
+       0.0},
+      {"slew negative", [&] { sta.set_input("a", 0.0, -5e-12); }, "a",
+       -5e-12},
+      {"load nan", [&] { sta.set_output_load("y", nan); }, "y", nan},
+      {"load -inf", [&] { sta.set_output_load(sta.port("y"), -inf); }, "y",
+       -inf},
+      {"load negative", [&] { sta.set_output_load("y", -1e-15); }, "y",
+       -1e-15},
+      {"required nan", [&] { sta.set_required("y", nan); }, "y", nan},
+      {"required -inf", [&] { sta.set_required(sta.port("y"), -inf); }, "y",
+       -inf},
+      {"parasitic cap nan", [&] { sta.set_net_parasitics("n1", nan, 0.0); },
+       "n1", nan},
+      {"parasitic cap negative",
+       [&] { sta.set_net_parasitics("n1", -2e-15, 0.0); }, "n1", -2e-15},
+      {"wire delay +inf",
+       [&] { sta.set_net_parasitics(sta.net("n2"), 0.0, inf); }, "n2", inf},
+      {"wire delay negative",
+       [&] { sta.set_net_parasitics("n2", 0.0, -3e-12); }, "n2", -3e-12},
+  };
+  for (const auto& c : cases) {
+    const std::string msg = error_message(c.call);
+    std::ostringstream value;
+    value << c.value;
+    EXPECT_NE(msg.find(std::string(" ") + c.names), std::string::npos)
+        << c.what << ": " << msg;
+    EXPECT_NE(msg.find(value.str()), std::string::npos)
+        << c.what << ": " << msg;
+  }
+
+  // Boundary values stay legal: negative (finite) times, zero caps and
+  // zero wire delay.
+  EXPECT_NO_THROW(sta.set_input("a", -10e-12, 100e-12));
+  EXPECT_NO_THROW(sta.set_output_load("y", 0.0));
+  EXPECT_NO_THROW(sta.set_required("y", -1e-9));
+  EXPECT_NO_THROW(sta.set_net_parasitics("n1", 0.0, 0.0));
 }
 
 TEST(StaHandles, StringAndHandleOverloadsBitwiseEquivalent) {

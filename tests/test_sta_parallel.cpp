@@ -1,7 +1,7 @@
 // Parallel + batched STA propagation: bitwise determinism of the
 // level-parallel forward/backward passes across thread counts, bitwise
-// equivalence of batched scenario sweeps vs. sequential looped runs,
-// and Γeff-memo hit accounting.
+// equivalence of threaded scenario sweeps vs. sequential looped runs
+// and the serial evaluate() oracle, and Γeff-memo hit accounting.
 
 #include <gtest/gtest.h>
 
@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "netlist/generators.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/gamma_cache.hpp"
+#include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -135,21 +135,21 @@ TEST(StaParallel, BatchedBitwiseIdenticalToLoopedRuns) {
     looped_slack.push_back(sta.worst_slack());
   }
 
-  // Batched: one levelized pass, 4 threads, shared Γeff cache.
+  // Batched: one sweep, 4 threads, shared Γeff cache.
   st::StaEngine sta(net, lib());
   constrain(sta, width);
-  st::BatchOptions opt;
-  opt.threads = 4;
-  st::ScenarioBatch batch(sta, opt);
-  for (auto& sc : scenarios) batch.add(sc);
-  batch.run();
+  st::SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.threads = 4;
+  const auto swept = sta.sweep(spec);
 
   for (size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(batch.timing(i, "y", st::RiseFall::kFall).arrival,
+    EXPECT_EQ(swept.timing(i, "y", st::RiseFall::kFall).arrival,
               looped_arrival[i])
-        << "scenario " << i << " (" << batch.scenario(i).name << ")";
-    EXPECT_EQ(batch.worst_slack(i), looped_slack[i]) << "scenario " << i;
+        << "scenario " << i << " (" << swept.scenario_name(i) << ")";
+    EXPECT_EQ(swept.worst_slack(i), looped_slack[i]) << "scenario " << i;
   }
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, swept));
 }
 
 TEST(StaParallel, GammaCacheCountsHitsForRepeatedScenarios) {
@@ -165,13 +165,12 @@ TEST(StaParallel, GammaCacheCountsHitsForRepeatedScenarios) {
   const int copies = 16;
   st::StaEngine sta(net, lib());
   constrain(sta, width);
-  st::BatchOptions opt;
-  opt.threads = 2;
-  st::ScenarioBatch batch(sta, opt);
-  for (int i = 0; i < copies; ++i) batch.add(sc);
-  batch.run();
+  st::SweepSpec spec;
+  spec.scenarios.assign(copies, sc);
+  spec.threads = 2;
+  const auto swept = sta.sweep(spec);
 
-  const auto stats = batch.cache_stats();
+  const auto stats = swept.cache_stats();
   // One noisy sink, one matching transition → exactly one lookup per
   // scenario, deterministically.
   EXPECT_EQ(stats.hits + stats.misses, static_cast<uint64_t>(copies));
@@ -182,7 +181,7 @@ TEST(StaParallel, GammaCacheCountsHitsForRepeatedScenarios) {
   EXPECT_GE(stats.hits, static_cast<uint64_t>(copies) - 2);
 
   // And hits do not change results: scenario 0 == scenario N-1 bitwise.
-  expect_states_identical(sta, batch.state(0), batch.state(copies - 1));
+  expect_states_identical(sta, swept.state(0), swept.state(copies - 1));
 }
 
 TEST(StaParallel, CacheOffMatchesCacheOnBitwise) {
@@ -197,29 +196,16 @@ TEST(StaParallel, CacheOffMatchesCacheOnBitwise) {
     scenarios.push_back(bump_scenario(clean, 1, a * 15e-12, 0.5));
   }
 
-  st::StaEngine sta_on(net, lib());
-  constrain(sta_on, width);
-  st::BatchOptions on;
-  on.threads = 2;
-  on.share_gamma_cache = true;
-  st::ScenarioBatch batch_on(sta_on, on);
-  for (auto& s : scenarios) batch_on.add(s);
-  batch_on.run();
-
-  st::StaEngine sta_off(net, lib());
-  constrain(sta_off, width);
-  st::BatchOptions off;
-  off.threads = 1;
-  off.share_gamma_cache = false;
-  st::ScenarioBatch batch_off(sta_off, off);
-  for (auto& s : scenarios) batch_off.add(s);
-  batch_off.run();
-
-  EXPECT_EQ(batch_off.cache_stats().hits + batch_off.cache_stats().misses,
-            0u);
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    expect_states_identical(sta_on, batch_on.state(i), batch_off.state(i));
-  }
+  // The threaded sweep shares one Γeff memo; the serial oracle runs
+  // without any cache.
+  st::StaEngine sta(net, lib());
+  constrain(sta, width);
+  st::SweepSpec spec;
+  spec.scenarios = scenarios;
+  spec.threads = 2;
+  const auto swept = sta.sweep(spec);
+  EXPECT_GT(swept.cache_stats().hits + swept.cache_stats().misses, 0u);
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, swept));
 }
 
 TEST(StaParallel, ThreadPoolRunsEveryIndexOnceAndPropagatesErrors) {
@@ -252,16 +238,16 @@ TEST(StaParallel, EngineAnnotationsOverlayIntoBatchScenarios) {
   const auto sc1 = bump_scenario(clean, 1, -15e-12, 0.4);
 
   // Engine-level annotation on chain 1, scenario annotation on chain 0:
-  // the batch must apply BOTH (engine annotations overlay into every
+  // the sweep must apply BOTH (engine annotations overlay into every
   // scenario; the scenario wins only on nets both touch).
   st::StaEngine sta(net, lib());
   constrain(sta, width);
   const auto& ann1 = sc1.entries.front().annotation;
   sta.annotate_noisy_net(sc1.entries.front().net, ann1.waveform,
                          ann1.polarity);
-  st::ScenarioBatch batch(sta);
-  batch.add(sc0);
-  batch.run();
+  st::SweepSpec spec;
+  spec.scenarios = {sc0};
+  const auto swept = sta.sweep(spec);
 
   // Reference: one engine run with both annotations applied.
   st::StaEngine both(net, lib());
@@ -273,9 +259,9 @@ TEST(StaParallel, EngineAnnotationsOverlayIntoBatchScenarios) {
                           ann0.polarity);
   both.run();
 
-  EXPECT_EQ(batch.timing(0, "y", st::RiseFall::kFall).arrival,
+  EXPECT_EQ(swept.timing(0, "y", st::RiseFall::kFall).arrival,
             both.timing("y", st::RiseFall::kFall).arrival);
-  EXPECT_EQ(batch.worst_slack(0), both.worst_slack());
+  EXPECT_EQ(swept.worst_slack(0), both.worst_slack());
 
   // clear_noisy_nets drops the engine-level annotation: the next run
   // matches the clean analysis again.
@@ -285,16 +271,16 @@ TEST(StaParallel, EngineAnnotationsOverlayIntoBatchScenarios) {
             clean.timing("y", st::RiseFall::kFall).arrival);
 }
 
-TEST(StaParallel, EmptyBatchThrows) {
+TEST(StaParallel, EmptyScenarioIsTheCleanRun) {
   const auto net = wide_netlist(2);
   st::StaEngine sta(net, lib());
   constrain(sta, 2);
-  st::ScenarioBatch batch(sta);
-  EXPECT_THROW(batch.run(), wu::Error);
-  st::NoiseScenario sc;
-  batch.add(sc);  // scenario with no annotations = clean run
-  batch.run();
+  st::SweepSpec spec;
+  spec.scenarios.emplace_back();  // scenario with no annotations = clean
+  spec.threads = 2;
+  const auto swept = sta.sweep(spec);
   sta.run();
-  EXPECT_EQ(batch.timing(0, "y", st::RiseFall::kFall).arrival,
+  EXPECT_EQ(swept.timing(0, "y", st::RiseFall::kFall).arrival,
             sta.timing("y", st::RiseFall::kFall).arrival);
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, swept));
 }

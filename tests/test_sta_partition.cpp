@@ -1,14 +1,18 @@
-// Partition-sharded sweep propagation: partition cover/disjointness
-// invariants, partition-DAG consistency, single-partition ==
-// whole-graph equivalence, and randomized netlists asserting sharded
-// vs unsharded propagation bitwise-identical across 1/2/4 threads and
-// across repeated runs.
+// Netlist partitioning and the dynamic task loop: partition
+// cover/disjointness invariants, partition-DAG consistency,
+// single-partition == whole-graph equivalence, randomized netlists
+// asserting threaded sweeps and run() bitwise-identical to the serial
+// evaluate() oracle across 1/2/4 threads and repeated runs, and
+// ThreadPool::parallel_for_dynamic coverage/cancellation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "netlist/generators.hpp"
@@ -110,32 +114,6 @@ TEST(StaPartition, CoverDisjointAndDagInvariants) {
   }
 }
 
-TEST(StaPartition, ScheduleCoversEveryVertexOnceAtAnyThreshold) {
-  const auto net = nl::make_chain_tree(9);
-  st::StaEngine sta(net, tu::vcl013());
-  for (const size_t threshold : {1ul, 4ul, 32ul, 4096ul}) {
-    const auto& sched = sta.shard_schedule(threshold);
-    ASSERT_EQ(sched.order().size(), sta.vertex_count());
-    std::vector<int> seen(sta.vertex_count(), 0);
-    for (const auto& t : sched.tasks()) {
-      ASSERT_LE(t.begin, t.end);
-      for (uint32_t i = t.begin; i < t.end; ++i) {
-        ++seen[static_cast<size_t>(sched.order()[i])];
-      }
-      // A chunk never exceeds the fallback threshold unless it is a
-      // whole narrow partition.
-      if (sta.partitions().width(t.partition) > threshold) {
-        EXPECT_LE(t.end - t.begin, threshold);
-      }
-    }
-    for (const int c : seen) EXPECT_EQ(c, 1);
-    EXPECT_EQ(sched.serial_order().size(), sched.tasks().size());
-  }
-  // Wider threshold → coarser schedule.
-  EXPECT_GE(sta.shard_schedule(1).tasks().size(),
-            sta.shard_schedule(4096).tasks().size());
-}
-
 TEST(StaPartition, SinglePartitionEqualsWholeGraph) {
   // Degenerate options on a synthetic diamond graph: whether edges are
   // all hard (pass-1 unions) or all cut candidates under a huge size
@@ -166,97 +144,51 @@ TEST(StaPartition, SinglePartitionEqualsWholeGraph) {
   EXPECT_FALSE(parts.cross_edges().empty());
 
   // And on a real single-cone netlist the engine's own partitioning
-  // yields one shard whose sharded sweep still equals the per-level
-  // path bitwise (single-partition == whole-graph equivalence).
+  // yields one partition, and a threaded sweep still equals the serial
+  // oracle bitwise.
   const auto chain = nl::make_chain_tree(1);
   st::StaEngine single(chain, tu::vcl013());
   tu::constrain_chain_tree(single, 1);
   EXPECT_EQ(single.partitions().size(), 1u);
   st::SweepSpec spec;
   spec.threads = 2;
-  spec.shard = true;
-  const auto sharded = single.sweep(spec);
-  spec.shard = false;
-  const auto levels = single.sweep(spec);
-  EXPECT_TRUE(tu::states_bitwise_equal(levels.state(0), sharded.state(0),
-                                       &single));
+  const auto swept = single.sweep(spec);
+  EXPECT_TRUE(tu::sweep_matches_serial(single, spec, swept));
 }
 
-TEST(StaPartition, ShardedBitwiseIdenticalToUnshardedAcrossThreads) {
-  // Randomized netlists: the sharded (point × partition) schedule must
-  // reproduce the legacy per-level fan-out bitwise at 1/2/4 threads.
+TEST(StaPartition, RandomNetlistSweepsMatchSerialAcrossThreads) {
+  // Randomized netlists: threaded sweeps must reproduce the serial
+  // evaluate() oracle bitwise at 1/2/4 threads.
   for (const uint64_t seed : {3ull, 11ull}) {
     const auto f = tu::random_engine(seed);
-    const auto scenarios = tu::random_scenarios(f, 6);
-
-    st::SweepSpec base;
-    base.scenarios = scenarios;
-    base.threads = 1;
-    base.shard = false;  // the unsharded PR 3 oracle
-    const auto oracle = f.sta->sweep(base);
-
+    st::SweepSpec spec;
+    spec.scenarios = tu::random_scenarios(f, 6);
     for (const int threads : {1, 2, 4}) {
-      st::SweepSpec spec;
-      spec.scenarios = scenarios;
       spec.threads = threads;
-      spec.shard = true;
-      const auto sharded = f.sta->sweep(spec);
-      ASSERT_EQ(sharded.size(), oracle.size());
-      for (size_t p = 0; p < sharded.size(); ++p) {
-        EXPECT_TRUE(tu::states_bitwise_equal(oracle.state(p),
-                                             sharded.state(p), f.sta.get()))
-            << "seed " << seed << " threads " << threads << " point " << p;
-      }
+      const auto swept = f.sta->sweep(spec);
+      EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, swept))
+          << "seed " << seed << " threads " << threads;
       // Repeated runs are bitwise stable too.
       const auto again = f.sta->sweep(spec);
-      for (size_t p = 0; p < sharded.size(); ++p) {
-        EXPECT_TRUE(tu::states_bitwise_equal(sharded.state(p),
-                                             again.state(p), f.sta.get()))
+      for (size_t p = 0; p < swept.size(); ++p) {
+        EXPECT_TRUE(tu::states_bitwise_equal(swept.state(p), again.state(p),
+                                             f.sta.get()))
             << "repeat, seed " << seed << " threads " << threads;
       }
     }
   }
 }
 
-TEST(StaPartition, WideThresholdFallbackStaysBitwiseIdentical) {
-  // threshold 1 forces per-level chunking everywhere (maximum
-  // fragmentation); a huge threshold forces one task per partition.
-  const auto f = tu::random_engine(5, 8, 4, 10);
-  const auto scenarios = tu::random_scenarios(f, 4);
-  st::SweepSpec spec;
-  spec.scenarios = scenarios;
-  spec.threads = 4;
-  spec.shard = true;
-  spec.wide_partition_threshold = 1;
-  const auto fine = f.sta->sweep(spec);
-  spec.wide_partition_threshold = 1u << 20;
-  const auto coarse = f.sta->sweep(spec);
-  spec.shard = false;
-  const auto levels = f.sta->sweep(spec);
-  for (size_t p = 0; p < fine.size(); ++p) {
-    EXPECT_TRUE(
-        tu::states_bitwise_equal(fine.state(p), coarse.state(p), f.sta.get()));
-    EXPECT_TRUE(tu::states_bitwise_equal(levels.state(p), fine.state(p),
-                                         f.sta.get()));
-  }
-}
-
-TEST(StaPartition, RunUsesShardsAndMatchesLegacyEvaluate) {
+TEST(StaPartition, ThreadedRunMatchesSerialEvaluate) {
   const int width = 10;
   const auto net = nl::make_chain_tree(width);
   st::StaEngine sta(net, tu::vcl013());
   tu::constrain_chain_tree(sta, width);
   sta.set_threads(4);
-  sta.run();  // partition-sharded path
+  sta.run();  // level-parallel evaluate() on the engine's pool
 
-  // Legacy oracle: serial evaluate() with no workspace, no shards.
-  sta.prepare();
-  const auto table = sta.compile_edge_annotations();
-  st::StaEngine::EvalContext ctx;
-  ctx.edge_noise = table.data();
-  ctx.method = &sta.noise_method();
-  st::TimingState state;
-  sta.evaluate(state, ctx);
+  // Oracle: serial evaluate() with no pool and a call-local arena.
+  const auto state = tu::serial_point(sta, st::Corner{}, nullptr);
   for (int rf = 0; rf < 2; ++rf) {
     const auto r = static_cast<st::RiseFall>(rf);
     EXPECT_EQ(sta.timing("y", r).arrival,
@@ -267,47 +199,43 @@ TEST(StaPartition, RunUsesShardsAndMatchesLegacyEvaluate) {
   }
 }
 
-TEST(StaPartition, TaskGraphExecutorRunsDagsAndPropagatesErrors) {
-  // A diamond DAG per tile: 0 → {1, 2} → 3.  Records completion order
-  // constraints rather than a fixed schedule.
-  const std::vector<uint32_t> indegree = {0, 1, 1, 2};
-  const std::vector<std::vector<uint32_t>> successors = {
-      {1, 2}, {3}, {3}, {}};
+TEST(StaPartition, DynamicLoopRunsEveryIndexOnceAndPropagatesErrors) {
   for (const int threads : {1, 2, 4}) {
     wu::ThreadPool pool(threads);
-    const size_t tiles = 5;
-    std::vector<std::atomic<int>> done(4 * tiles);
-    for (auto& d : done) d.store(0);
-    std::atomic<int> violations{0};
-    pool.run_graph(
-        {indegree, successors, tiles}, [&](size_t, size_t task) {
-          const size_t tile = task / 4;
-          const size_t local = task % 4;
-          if (local == 1 || local == 2) {
-            if (done[tile * 4 + 0].load() == 0) violations++;
-          }
-          if (local == 3) {
-            if (done[tile * 4 + 1].load() == 0 ||
-                done[tile * 4 + 2].load() == 0) {
-              violations++;
-            }
-          }
-          done[task].store(1);
-        });
-    for (auto& d : done) EXPECT_EQ(d.load(), 1);
-    EXPECT_EQ(violations.load(), 0);
+    const size_t n = 1000;
+    std::vector<std::atomic<int>> runs(n);
+    for (auto& r : runs) r.store(0);
+    std::atomic<int> bad_worker{0};
+    pool.parallel_for_dynamic(n, [&](size_t worker, size_t i) {
+      if (worker >= pool.size()) bad_worker++;
+      runs[i]++;
+    });
+    for (auto& r : runs) EXPECT_EQ(r.load(), 1) << "threads " << threads;
+    EXPECT_EQ(bad_worker.load(), 0);
 
-    // Exceptions cancel the remainder and surface on the caller.
-    EXPECT_THROW(pool.run_graph({indegree, successors, tiles},
-                                [&](size_t, size_t task) {
-                                  if (task == 2) throw wu::Error("boom");
-                                }),
-                 wu::Error);
+    // The first exception cancels the unclaimed remainder and surfaces
+    // on the caller.  Slow bodies keep the other workers from draining
+    // the whole range before the cancellation lands.
+    std::atomic<int> executed{0};
+    try {
+      pool.parallel_for_dynamic(n, [&](size_t, size_t i) {
+        executed++;
+        if (i == 0) throw wu::Error("boom at 0");
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      });
+      FAIL() << "expected util::Error";
+    } catch (const wu::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("boom at 0"), std::string::npos);
+    }
+    EXPECT_LT(executed.load(), static_cast<int>(n)) << "threads " << threads;
+    if (threads == 1) {
+      EXPECT_EQ(executed.load(), 1);  // inline: nothing after the throw
+    }
+
     // The pool stays usable afterwards.
     std::atomic<int> count{0};
-    pool.run_graph({indegree, successors, 1},
-                   [&](size_t, size_t) { count++; });
-    EXPECT_EQ(count.load(), 4);
+    pool.parallel_for_dynamic(7, [&](size_t, size_t) { count++; });
+    EXPECT_EQ(count.load(), 7);
   }
 }
 

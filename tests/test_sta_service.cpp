@@ -543,7 +543,7 @@ TEST(ServiceConcurrencyTest, ScenarioQueriesRaceEdits) {
 TEST(ServiceLifetimeTest, PinnedSnapshotsSurviveEditsAndService) {
   const auto nl = netlist::make_random_dag(9, 5, 4, 6);
   auto service = std::make_unique<sta::StaService>(
-      nl, vcl013(), sta::ServiceConfig{service_corners(), 1, true});
+      nl, vcl013(), sta::ServiceConfig{service_corners(), 1});
   service->apply(constraint_batch(nl));
 
   const auto pinned = service->snapshot();
@@ -570,7 +570,7 @@ TEST(ServiceLifetimeTest, PinnedSnapshotsSurviveEditsAndService) {
 TEST(ServiceValidationTest, ErrorsNameHandleAndEditIndex) {
   const auto nl = netlist::make_random_dag(9, 5, 4, 6);
   sta::StaService service(nl, vcl013(),
-                          sta::ServiceConfig{{sta::Corner{}}, 1, true});
+                          sta::ServiceConfig{{sta::Corner{}}, 1});
   service.apply(constraint_batch(nl));
   const uint64_t version = service.snapshot()->version();
 

@@ -1,7 +1,7 @@
-// Unified Sweep surface: corner × scenario cross products evaluated in
-// one levelized pass, cross-checked bitwise against independent
-// single-engine runs; TimingView accessors; worst_point(); the
-// ScenarioBatch compatibility shim; and corner-keyed Γeff memoization.
+// Unified Sweep surface: corner × scenario cross products, cross-checked
+// bitwise against independent single-engine runs and the serial
+// evaluate() oracle; TimingView accessors; worst_point(); endpoint-only
+// results across chunk boundaries; and corner-keyed Γeff memoization.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "netlist/generators.hpp"
-#include "sta/batch.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
@@ -44,11 +43,6 @@ void apply_scenario(st::StaEngine& sta, const st::NoiseScenario& sc) {
     sta.annotate_noisy_net(e.net, e.annotation.waveform,
                            e.annotation.polarity);
   }
-}
-
-void expect_states_identical(const st::TimingState& a,
-                             const st::TimingState& b) {
-  EXPECT_TRUE(tu::states_bitwise_equal(a, b));
 }
 
 std::vector<st::Corner> two_corners() {
@@ -87,6 +81,7 @@ TEST(StaSweep, CrossProductMatchesIndependentRunsBitwise) {
   ASSERT_EQ(result.num_corners(), 2u);
   ASSERT_EQ(result.num_scenarios(), 8u);
   ASSERT_EQ(result.size(), 16u);
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, result));
 
   // Independent nested loops: one single-threaded engine run per
   // (corner, scenario), no cache.  Must match the sweep bitwise.
@@ -238,57 +233,15 @@ TEST(StaSweep, SharedCacheAcrossCornersStaysBitwiseCorrect) {
   }
   spec.threads = 2;
 
-  st::StaEngine sta_on(net, lib());
-  constrain(sta_on, width);
-  spec.share_gamma_cache = true;
-  const auto shared = sta_on.sweep(spec);
+  st::StaEngine sta(net, lib());
+  constrain(sta, width);
+  const auto shared = sta.sweep(spec);
   EXPECT_GT(shared.cache_stats().hits + shared.cache_stats().misses, 0u);
 
-  st::StaEngine sta_off(net, lib());
-  constrain(sta_off, width);
-  spec.share_gamma_cache = false;
-  spec.threads = 1;
-  const auto unshared = sta_off.sweep(spec);
-  EXPECT_EQ(unshared.cache_stats().hits + unshared.cache_stats().misses, 0u);
-
   // Corner keys keep cache entries distinct per derate: a hit can never
-  // leak a fit from another corner, so shared == unshared bitwise.
-  for (size_t p = 0; p < shared.size(); ++p) {
-    expect_states_identical(shared.state(p), unshared.state(p));
-  }
-}
-
-TEST(StaSweep, ScenarioBatchIsAShimOverSweep) {
-  const int width = 4;
-  const auto net = nl::make_chain_tree(width);
-  st::StaEngine clean(net, lib());
-  constrain(clean, width);
-  clean.run();
-
-  std::vector<st::NoiseScenario> scenarios;
-  for (int a = 0; a < 3; ++a) {
-    scenarios.push_back(bump_scenario(clean, 0, (a - 1) * 20e-12, 0.4));
-  }
-
-  st::StaEngine sta_batch(net, lib());
-  constrain(sta_batch, width);
-  st::ScenarioBatch batch(sta_batch);
-  for (const auto& sc : scenarios) batch.add(sc);
-  batch.run();
-
-  st::StaEngine sta_sweep(net, lib());
-  constrain(sta_sweep, width);
-  st::SweepSpec spec;
-  spec.scenarios = scenarios;
-  const auto result = sta_sweep.sweep(spec);
-
-  ASSERT_EQ(batch.size(), result.num_scenarios());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    expect_states_identical(batch.state(i), result.state(i));
-  }
-  // The shim exposes its underlying SweepResult.
-  EXPECT_EQ(batch.result().size(), batch.size());
-  EXPECT_EQ(batch.result().num_corners(), 1u);
+  // leak a fit from another corner, so the shared-memo sweep equals
+  // cache-free serial evaluation bitwise.
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, shared));
 }
 
 TEST(StaSweep, EndpointOnlyAgreesWithFullStateBitwise) {
@@ -298,20 +251,23 @@ TEST(StaSweep, EndpointOnlyAgreesWithFullStateBitwise) {
   constrain(clean, width);
   clean.run();
 
+  // 2 corners × 65 scenarios = 130 points at one thread: three 64-point
+  // endpoint-only chunks, the last one partial.
   st::SweepSpec spec;
   spec.corners = two_corners();
-  for (int a = 0; a < 5; ++a) {
-    spec.scenarios.push_back(bump_scenario(clean, a % 2, (a - 2) * 15e-12,
-                                           0.3 + 0.08 * a));
+  for (int a = 0; a < 65; ++a) {
+    spec.scenarios.push_back(bump_scenario(
+        clean, a % 2, (a % 13 - 6) * 5e-12, 0.3 + 0.005 * a));
   }
-  spec.threads = 2;
+  spec.threads = 1;
 
   st::StaEngine sta(net, lib());
   constrain(sta, width);
   const auto full = sta.sweep(spec);
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, full));
   spec.endpoint_only = true;
-  spec.endpoint_chunk = 3;  // force multiple chunks over the 10 points
   const auto summary = sta.sweep(spec);
+  EXPECT_TRUE(tu::sweep_matches_serial(sta, spec, summary));
 
   ASSERT_EQ(summary.size(), full.size());
   EXPECT_TRUE(summary.endpoint_only());
@@ -370,40 +326,6 @@ TEST(StaSweep, EndpointOnlyFullStateAccessorsThrowClearly) {
   expect_throws_endpoint_only(
       [&] { (void)r.timing(0, "y", st::RiseFall::kFall); });
   expect_throws_endpoint_only([&] { (void)r.critical_path(0); });
-}
-
-TEST(StaSweep, EndpointOnlyViaScenarioBatchShim) {
-  const int width = 4;
-  const auto net = nl::make_chain_tree(width);
-  st::StaEngine clean(net, lib());
-  constrain(clean, width);
-  clean.run();
-
-  std::vector<st::NoiseScenario> scenarios;
-  for (int a = 0; a < 4; ++a) {
-    scenarios.push_back(bump_scenario(clean, 0, a * 10e-12, 0.4));
-  }
-
-  st::StaEngine sta_full(net, lib());
-  constrain(sta_full, width);
-  st::ScenarioBatch full(sta_full);
-  for (const auto& sc : scenarios) full.add(sc);
-  full.run();
-
-  st::StaEngine sta_ep(net, lib());
-  constrain(sta_ep, width);
-  st::BatchOptions opt;
-  opt.endpoint_only = true;
-  opt.wide_partition_threshold = 8;  // forwarded alongside
-  st::ScenarioBatch batch(sta_ep, opt);
-  for (const auto& sc : scenarios) batch.add(sc);
-  batch.run();
-
-  EXPECT_TRUE(batch.result().endpoint_only());
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(batch.worst_slack(i), full.worst_slack(i)) << "scenario " << i;
-  }
-  EXPECT_THROW((void)batch.state(0), wu::Error);
 }
 
 TEST(StaSweep, OutOfRangeAccessThrows) {
