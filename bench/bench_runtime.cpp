@@ -1185,7 +1185,6 @@ SweepFigures report_sweep_speedups() {
                  "  \"sparse_prune_pruned\": %zu,\n"
                  "  \"sparse_pruned_fraction\": %.4f,\n"
                  "  \"sparse_dirty_vertex_fraction\": %.4f,\n"
-                 "  \"sparse_dirty_partition_fraction\": %.4f,\n"
                  "  \"sparse_bound_mean_gap_ps\": %.2f,\n"
                  "  \"sparse_bitwise_identical\": %s,\n"
                  "  \"gen_candidates\": %llu,\n"
@@ -1238,7 +1237,6 @@ SweepFigures report_sweep_speedups() {
                  kSparse / t_sparse_pruned, sparse_stats.evaluated,
                  sparse_stats.pruned, sparse_pruned_fraction,
                  sparse_stats.dirty_vertex_fraction,
-                 sparse_stats.dirty_partition_fraction,
                  sparse_stats.mean_bound_gap * 1e12,
                  sparse_identical ? "true" : "false",
                  static_cast<unsigned long long>(gen_space_size),

@@ -21,8 +21,8 @@ namespace waveletic::netlist {
 /// recent layers, so the graph is deep), every input is consumed at
 /// least once, and every signal nothing consumes becomes an output
 /// port.  Varied fanouts, reconvergence and multiple output cones make
-/// this the partitioner/determinism torture shape.  Uses a private LCG
-/// — the same seed builds the same netlist on every platform.
+/// this the determinism torture shape.  Uses a private LCG — the same
+/// seed builds the same netlist on every platform.
 [[nodiscard]] Netlist make_random_dag(uint64_t seed, int inputs, int layers,
                                       int layer_width);
 

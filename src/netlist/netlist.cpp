@@ -8,7 +8,6 @@ void Netlist::add_port(std::string port_name, PortDirection direction) {
   util::require(find_port(port_name) == nullptr, "duplicate port ",
                 port_name);
   add_net(port_name);
-  ++net_degree_[static_cast<size_t>(net_ordinal(port_name))];
   ports_.push_back({std::move(port_name), direction});
 }
 
@@ -16,16 +15,12 @@ void Netlist::add_net(std::string net_name) {
   if (has_net(net_name)) return;
   net_index_.emplace(net_name, nets_.size());
   nets_.push_back(std::move(net_name));
-  net_degree_.push_back(0);
 }
 
 void Netlist::add_instance(Instance inst) {
   util::require(find_instance(inst.name) == nullptr, "duplicate instance ",
                 inst.name);
-  for (const auto& [pin, net] : inst.pins) {
-    add_net(net);
-    ++net_degree_[static_cast<size_t>(net_ordinal(net))];
-  }
+  for (const auto& [pin, net] : inst.pins) add_net(net);
   instances_.push_back(std::move(inst));
 }
 
@@ -58,8 +53,6 @@ void Netlist::reroute_pin(const std::string& instance_name,
                 instance_name, "' has no pin '", pin, "'");
   if (it->second == new_net) return;
   add_net(new_net);  // no-op when present; appends otherwise
-  --net_degree_[static_cast<size_t>(net_ordinal(it->second))];
-  ++net_degree_[static_cast<size_t>(net_ordinal(new_net))];
   it->second = new_net;
 }
 
@@ -70,51 +63,6 @@ bool Netlist::has_net(const std::string& net_name) const noexcept {
 int Netlist::net_ordinal(const std::string& net_name) const noexcept {
   const auto it = net_index_.find(net_name);
   return it == net_index_.end() ? -1 : static_cast<int>(it->second);
-}
-
-int Netlist::net_degree(int net_ordinal) const noexcept {
-  return net_ordinal >= 0 &&
-                 static_cast<size_t>(net_ordinal) < net_degree_.size()
-             ? net_degree_[static_cast<size_t>(net_ordinal)]
-             : 0;
-}
-
-int Netlist::net_degree(const std::string& net_name) const noexcept {
-  return net_degree(net_ordinal(net_name));
-}
-
-Netlist::Components Netlist::connected_components() const {
-  // Union-find over net ordinals; every instance unites the nets its
-  // pins touch (pins is an ordered map, so the walk is deterministic).
-  std::vector<int> parent(nets_.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = static_cast<int>(i);
-  auto find = [&](int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
-    }
-    return x;
-  };
-  for (const auto& inst : instances_) {
-    int first = -1;
-    for (const auto& [pin, net] : inst.pins) {
-      const int ord = net_ordinal(net);
-      if (first < 0) {
-        first = ord;
-      } else {
-        parent[static_cast<size_t>(find(ord))] = find(first);
-      }
-    }
-  }
-  Components out;
-  out.net_component.assign(nets_.size(), -1);
-  for (size_t i = 0; i < nets_.size(); ++i) {
-    const auto root = static_cast<size_t>(find(static_cast<int>(i)));
-    if (out.net_component[root] < 0) out.net_component[root] = out.count++;
-    out.net_component[i] = out.net_component[root];
-  }
-  return out;
 }
 
 std::vector<int> Netlist::transitive_fanout_nets(

@@ -72,12 +72,6 @@ class Netlist {
   /// lifetime), or -1 when absent.  O(1); this is what NetId handles
   /// index.
   [[nodiscard]] int net_ordinal(const std::string& net_name) const noexcept;
-  /// Number of connections on a net (instance pins + ports, driver
-  /// included), maintained incrementally — O(1).  This is the
-  /// "low-fanout boundary" metric the STA partitioner cuts at: a net of
-  /// degree ≤ k+1 drives at most k sinks.
-  [[nodiscard]] int net_degree(int net_ordinal) const noexcept;
-  [[nodiscard]] int net_degree(const std::string& net_name) const noexcept;
   [[nodiscard]] const Port* find_port(
       const std::string& port_name) const noexcept;
   [[nodiscard]] const Instance* find_instance(
@@ -96,17 +90,6 @@ class Netlist {
   ///  - port names are unique and map to nets.
   /// Throws util::Error on violations.
   void validate() const;
-
-  /// Structural partition of the netlist: weakly-connected components
-  /// over (instance, net) incidence.  `net_component[ordinal]` is the
-  /// component id of each net (dense, 0-based, numbered by first net
-  /// ordinal); nets of different components can never influence each
-  /// other.  Computed on demand — O(instances × pins).
-  struct Components {
-    std::vector<int> net_component;
-    int count = 0;
-  };
-  [[nodiscard]] Components connected_components() const;
 
   /// True when the net crosses the top-level interface (it is a port
   /// net) — an "interface net" for hierarchical composition.
@@ -146,7 +129,6 @@ class Netlist {
   std::vector<Port> ports_;
   std::vector<std::string> nets_;
   std::vector<Instance> instances_;
-  std::vector<int> net_degree_;  ///< connection count per net ordinal
   std::unordered_map<std::string, size_t> net_index_;
 };
 

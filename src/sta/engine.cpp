@@ -395,23 +395,6 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
       g.endpoint_ports.push_back(static_cast<int32_t>(p));
     }
   }
-  // Partition cover (cone metadata and block carving): cell arcs bind
-  // their endpoints; arcs of low-fanout nets are the cut candidates
-  // (cheap boundaries between cones).  Pure function of the graph.
-  const PartitionOptions popt;
-  std::vector<PartitionEdge> pedges;
-  pedges.reserve(g.cell_edges.size() + g.net_edges.size());
-  for (const auto& e : g.cell_edges) {
-    pedges.push_back({e.from, e.to, false});
-  }
-  for (const auto& e : g.net_edges) {
-    // net_degree counts the driver too; `cut_fanout` is in sinks.
-    const bool cut = popt.cut_fanout >= 0 &&
-                     nl.net_degree(e.net) <= popt.cut_fanout + 1;
-    pedges.push_back({e.from, e.to, cut});
-  }
-  g.partitions =
-      PartitionSet::build(g.vertex_names.size(), g.vertex_level, pedges, popt);
   return graph;
 }
 
@@ -1051,15 +1034,6 @@ StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
   by_level(plan.forward, /*descending=*/false);
   by_level(plan.backward, /*descending=*/true);
 
-  // Cone ∩ partition membership: the partitions a delta actually
-  // touches.  Everything else is skipped entirely.
-  std::vector<char> part_dirty(partitions_.size(), 0);
-  for (const int v : plan.forward) {
-    part_dirty[static_cast<size_t>(partitions_.partition_of(v))] = 1;
-  }
-  for (size_t k = 0; k < part_dirty.size(); ++k) {
-    if (part_dirty[k]) plan.partitions.push_back(static_cast<uint32_t>(k));
-  }
   for (size_t e = 0; e < endpoint_ports_.size(); ++e) {
     const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
     if (dirty[static_cast<size_t>(v)]) {

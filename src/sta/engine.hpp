@@ -58,7 +58,6 @@
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/ids.hpp"
-#include "sta/partition.hpp"
 #include "util/error.hpp"
 #include "wave/kernels.hpp"
 #include "wave/waveform.hpp"
@@ -326,17 +325,6 @@ class StaEngine {
     return vertex_level_;
   }
 
-  /// The partition cover of the timing graph, computed once at
-  /// construction: the graph cut at low-fanout net boundaries
-  /// (union-find over the edge list) into groups with a
-  /// partition-level dependency DAG and a frontier-interface vertex
-  /// set.  A pure function of the graph that never affects results:
-  /// it feeds DeltaPlan::partitions, the dirty-partition statistics
-  /// and partition_instances() block carving.
-  [[nodiscard]] const PartitionSet& partitions() const noexcept {
-    return partitions_;
-  }
-
   /// Resets `state` and applies the input/required constraints.
   void init_state(TimingState& state) const;
   /// Folds all incoming edges of vertex `v` (fixed order → deterministic).
@@ -384,13 +372,6 @@ class StaEngine {
     /// change only inside the cone, but required times bleed upstream
     /// of it.
     std::vector<int> backward;
-    /// Partitions (PartitionSet ordinals) owning at least one dirty
-    /// vertex, ascending: the cone intersected with partition
-    /// membership.  Metadata (PruneStats reporting, future
-    /// partition-level scheduling) — the skipping itself happens
-    /// through the vertex worklists, which simply never visit a
-    /// partition not listed here.
-    std::vector<uint32_t> partitions;
     /// Endpoint ordinals (indices into endpoint_ports()) whose vertex
     /// is dirty: the only endpoints whose timing can differ from the
     /// corner baseline.  Empty means every endpoint summary of the
@@ -654,10 +635,9 @@ class StaEngine {
     std::vector<std::vector<int>> levels;
     std::vector<int> vertex_level;
     std::vector<int32_t> endpoint_ports;
-    PartitionSet partitions;
   };
-  /// Builds the structure layer (validate + vertices + edges + levels +
-  /// partitions) — the expensive part of construction that forks skip.
+  /// Builds the structure layer (validate + vertices + edges + levels)
+  /// — the expensive part of construction that forks skip.
   [[nodiscard]] static std::shared_ptr<const Graph> make_graph(
       const netlist::Netlist& nl, const liberty::Library& lib);
   static void levelize(Graph& g);
@@ -752,7 +732,6 @@ class StaEngine {
   const std::vector<std::vector<int>>& levels_ = graph_->levels;
   const std::vector<int>& vertex_level_ = graph_->vertex_level;
   const std::vector<int32_t>& endpoint_ports_ = graph_->endpoint_ports;
-  const PartitionSet& partitions_ = graph_->partitions;
 
   std::map<int, std::array<InputConstraint, 2>> input_constraints_;
   std::map<int, double> required_;

@@ -45,8 +45,6 @@
 
 namespace waveletic::sta {
 
-class StaEngine;
-
 /// Extraction knobs of extract_block_model().
 struct BlockModelOptions {
   /// Input-slew grid axis [s] of every extracted table.  Empty selects
@@ -177,13 +175,5 @@ struct BlockModel {
                                            const liberty::Library& lib,
                                            std::span<const std::string> instances,
                                            const std::string& block_name = "block");
-
-/// Instance names of one PartitionSet partition of a prepared engine —
-/// the frontier-interface hook of PR 4: partition `k`'s timing vertices
-/// ("inst/pin" and port names) map back to the netlist instances they
-/// belong to (port vertices are skipped).  Sorted, deduplicated; the
-/// result feeds carve_block() to characterize a partition in place.
-[[nodiscard]] std::vector<std::string> partition_instances(
-    const StaEngine& sta, size_t partition);
 
 }  // namespace waveletic::sta

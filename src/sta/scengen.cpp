@@ -771,7 +771,6 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
   auto& ps = r.prune_stats_;
   double worst_seen = kInf;
   double dirty_vertex_sum = 0.0;
-  double dirty_partition_sum = 0.0;
   double gap_sum = 0.0;
   double gap_min = kInf;
   uint64_t scenario_total = 0;
@@ -860,8 +859,6 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
       ps.pruned += cs.pruned;
       dirty_vertex_sum +=
           cs.dirty_vertex_fraction * static_cast<double>(n_scenarios);
-      dirty_partition_sum +=
-          cs.dirty_partition_fraction * static_cast<double>(n_scenarios);
       if (cs.evaluated > 0 && gspec.prune == PruneMode::kSafe) {
         gap_sum += cs.mean_bound_gap * static_cast<double>(cs.evaluated);
         gap_min = std::min(gap_min, cs.min_bound_gap);
@@ -917,8 +914,6 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
   if (scenario_total > 0) {
     ps.dirty_vertex_fraction =
         dirty_vertex_sum / static_cast<double>(scenario_total);
-    ps.dirty_partition_fraction =
-        dirty_partition_sum / static_cast<double>(scenario_total);
   }
   if (ps.evaluated > 0 && gspec.prune == PruneMode::kSafe) {
     ps.mean_bound_gap = gap_sum / static_cast<double>(ps.evaluated);

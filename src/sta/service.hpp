@@ -6,7 +6,7 @@
 ///
 /// StaService turns the batch engine into a long-running service.  It
 /// owns an immutable, refcounted PreparedSnapshot — netlist + prepared
-/// StaEngine (levels, PartitionSet, compiled tables) + one baseline
+/// StaEngine (levels, edge lists, compiled tables) + one baseline
 /// TimingState per corner — and serves read-only queries against it
 /// through the engine's const-reentrant evaluation path.  Readers pin
 /// the current snapshot with a shared_ptr (RCU-style): queries never

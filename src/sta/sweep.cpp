@@ -22,9 +22,7 @@ std::string format_prune_stats(const PruneStats& stats) {
   os << "prune_stats: points=" << stats.points
      << " evaluated=" << stats.evaluated << " reused=" << stats.reused
      << " pruned=" << stats.pruned << "\n"
-     << "  dirty_vertex_fraction=" << stats.dirty_vertex_fraction
-     << " dirty_partition_fraction=" << stats.dirty_partition_fraction
-     << "\n"
+     << "  dirty_vertex_fraction=" << stats.dirty_vertex_fraction << "\n"
      << "  mean_bound_gap=" << stats.mean_bound_gap
      << " min_bound_gap=" << stats.min_bound_gap;
   return os.str();
@@ -480,7 +478,6 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     std::map<std::vector<int>, size_t> plan_index;
     std::vector<int> key;
     double cone_frac = 0.0;
-    double part_frac = 0.0;
     for (size_t s = 0; s < n_scenarios; ++s) {
       key.clear();
       for (const auto& entry : scenarios[s]->entries) {
@@ -493,14 +490,9 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       plan_of[s] = it->second;
       cone_frac += static_cast<double>(plans[plan_of[s]].forward.size()) /
                    static_cast<double>(std::max<size_t>(vertex_count(), 1));
-      part_frac +=
-          static_cast<double>(plans[plan_of[s]].partitions.size()) /
-          static_cast<double>(std::max<size_t>(partitions_.size(), 1));
     }
     r.prune_stats_.dirty_vertex_fraction =
         cone_frac / static_cast<double>(n_scenarios);
-    r.prune_stats_.dirty_partition_fraction =
-        part_frac / static_cast<double>(n_scenarios);
   }
 
   // Result storage.

@@ -152,8 +152,6 @@ struct PruneStats {
   size_t pruned = 0;
   /// Mean |fanout cone| / vertices over the scenario axis.
   double dirty_vertex_fraction = 0.0;
-  /// Mean touched partitions / total partitions over the scenario axis.
-  double dirty_partition_fraction = 0.0;
   /// Bound tightness: mean and minimum of (exact worst slack − bound)
   /// over evaluated points [s].  A negative minimum would mean the
   /// bound was NOT conservative (asserted never to happen in tests).
@@ -164,9 +162,9 @@ struct PruneStats {
 
 /// Renders PruneStats with its canonical field names (points /
 /// evaluated / reused / pruned / dirty_vertex_fraction /
-/// dirty_partition_fraction / mean_bound_gap / min_bound_gap) — the
-/// one formatting shared by the examples, bench_runtime and
-/// docs/SWEEP_GUIDE.md, so docs and binaries never drift.
+/// mean_bound_gap / min_bound_gap) — the one formatting shared by the
+/// examples, bench_runtime and docs/SWEEP_GUIDE.md, so docs and
+/// binaries never drift.
 [[nodiscard]] std::string format_prune_stats(const PruneStats& stats);
 
 /// The cross product a sweep evaluates: every corner × every scenario.

@@ -78,7 +78,12 @@ bool try_parse_eng(std::string_view text, double& out) noexcept {
       if (!std::isalpha(static_cast<unsigned char>(c))) return false;
     }
   }
-  out = value * scale;
+  // from_chars accepts "nan"/"inf"/"infinity", and a finite mantissa
+  // can still overflow once scaled ("1e305meg"): no SI quantity the
+  // library reads may be non-finite.
+  const double scaled = value * scale;
+  if (!std::isfinite(scaled)) return false;
+  out = scaled;
   return true;
 }
 

@@ -17,7 +17,8 @@ namespace waveletic::util {
 /// Parses a SPICE/engineering-notation number such as "8.5", "4.8f",
 /// "100fF", "1k", "2.2meg", "150ps", "0.5n".  Suffix matching is
 /// case-insensitive; a trailing unit name (F, s, V, Ohm, Hz, A, m) after
-/// the scale suffix is ignored.  Throws util::Error on malformed input.
+/// the scale suffix is ignored.  Throws util::Error on malformed input,
+/// including non-finite results ("nan", "inf", "1e305meg").
 [[nodiscard]] double parse_eng(std::string_view text);
 
 /// Returns true and sets `out` instead of throwing.

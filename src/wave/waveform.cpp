@@ -22,8 +22,11 @@ Waveform::Waveform(std::vector<double> time, std::vector<double> value)
                 "Waveform: time/value length mismatch (", time_.size(), " vs ",
                 value_.size(), ")");
   util::require(!time_.empty(), "Waveform: empty sample set");
-  for (size_t i = 1; i < time_.size(); ++i) {
-    util::require(time_[i] > time_[i - 1],
+  for (size_t i = 0; i < time_.size(); ++i) {
+    util::require(std::isfinite(time_[i]) && std::isfinite(value_[i]),
+                  "Waveform: non-finite sample at index ", i, " (t=",
+                  time_[i], ", v=", value_[i], ")");
+    util::require(i == 0 || time_[i] > time_[i - 1],
                   "Waveform: time grid not strictly increasing at index ", i);
   }
 }

@@ -32,8 +32,9 @@ class Waveform {
   Waveform() = default;
 
   /// Takes ownership of the sample arrays.  `time` must be strictly
-  /// increasing and the arrays equal length (≥ 1); throws util::Error
-  /// otherwise.
+  /// increasing, every time and value finite and the arrays equal
+  /// length (≥ 1); throws util::Error otherwise, naming the offending
+  /// sample index.
   Waveform(std::vector<double> time, std::vector<double> value);
 
   [[nodiscard]] size_t size() const noexcept { return time_.size(); }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "liberty/library.hpp"
 #include "liberty/nldm.hpp"
@@ -158,6 +159,39 @@ TEST(LibertySemantic, ArcLookupAtGridPoint) {
   EXPECT_NEAR(rise.out_slew, 0.08e-9, 1e-15);
   const auto fall = arc->fall(0.1e-9, 0.01e-12);
   EXPECT_NEAR(fall.delay, 0.05e-9, 1e-15);
+}
+
+TEST(LibertySemantic, NonFiniteTableValueRejected) {
+  // A 1-D table (explicit index_1, no template) whose only defect is
+  // its first entry: the finite control parses, "nan" must not.
+  const auto lib_with = [](const std::string& values) {
+    return "library (nanlib) {\n"
+           "  time_unit : \"1ns\";\n"
+           "  cell (INVX1) {\n"
+           "    pin (A) { direction : input; capacitance : 0.0016; }\n"
+           "    pin (Y) {\n"
+           "      direction : output;\n"
+           "      function : \"!A\";\n"
+           "      timing () {\n"
+           "        related_pin : \"A\";\n"
+           "        timing_sense : negative_unate;\n"
+           "        cell_rise (scalar) {\n"
+           "          index_1 (\"0.01, 0.1\");\n"
+           "          values (\"" + values + "\");\n"
+           "        }\n"
+           "      }\n"
+           "    }\n"
+           "  }\n"
+           "}\n";
+  };
+  EXPECT_NO_THROW((void)lb::parse_liberty(lib_with("0.5, 1")));
+  try {
+    (void)lb::parse_liberty(lib_with("nan, 1"));
+    FAIL() << "a nan table value was accepted";
+  } catch (const wu::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nan"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(LibertySemantic, CellAndPinLookupErrors) {

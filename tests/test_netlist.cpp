@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/verilog.hpp"
 #include "util/error.hpp"
@@ -46,6 +47,13 @@ TEST(Netlist, PinsOnNet) {
   net.add_instance({"u3", "INVX1", {{"A", "n1"}, {"Y", "z"}}});
   const auto refs = net.pins_on_net("n1");
   EXPECT_EQ(refs.size(), 3u);  // u1/Y, u2/A, u3/A
+}
+
+TEST(Netlist, InterfaceNetsArePortNets) {
+  const auto net = nl::make_chain_tree(4);
+  EXPECT_TRUE(net.is_interface_net("a0"));   // input port
+  EXPECT_TRUE(net.is_interface_net("y"));    // output port
+  EXPECT_FALSE(net.is_interface_net("c0_1"));  // interior chain net
 }
 
 TEST(Verilog, ParsesRepresentativeModule) {

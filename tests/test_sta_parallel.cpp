@@ -1,13 +1,18 @@
 // Parallel + batched STA propagation: bitwise determinism of the
 // level-parallel forward/backward passes across thread counts, bitwise
 // equivalence of threaded scenario sweeps vs. sequential looped runs
-// and the serial evaluate() oracle, and Γeff-memo hit accounting.
+// and the serial evaluate() oracle (on chain trees and randomized
+// netlists), Γeff-memo hit accounting, and the ThreadPool static and
+// dynamic loops.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "netlist/generators.hpp"
@@ -225,6 +230,67 @@ TEST(StaParallel, ThreadPoolRunsEveryIndexOnceAndPropagatesErrors) {
   std::atomic<int> total{0};
   pool.parallel_for(100, [&](size_t) { total++; });
   EXPECT_EQ(total.load(), 100);
+
+  // parallel_for_dynamic at 1 (inline), 2 and 4 workers.
+  for (const int threads : {1, 2, 4}) {
+    wu::ThreadPool dyn(threads);
+    const size_t n = 1000;
+    std::vector<std::atomic<int>> runs(n);
+    for (auto& r : runs) r.store(0);
+    std::atomic<int> bad_worker{0};
+    dyn.parallel_for_dynamic(n, [&](size_t worker, size_t i) {
+      if (worker >= dyn.size()) bad_worker++;
+      runs[i]++;
+    });
+    for (auto& r : runs) EXPECT_EQ(r.load(), 1) << "threads " << threads;
+    EXPECT_EQ(bad_worker.load(), 0);
+
+    // The first exception cancels the unclaimed remainder and surfaces
+    // on the caller.  Slow bodies keep the other workers from draining
+    // the whole range before the cancellation lands.
+    std::atomic<int> executed{0};
+    try {
+      dyn.parallel_for_dynamic(n, [&](size_t, size_t i) {
+        executed++;
+        if (i == 0) throw wu::Error("boom at 0");
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      });
+      FAIL() << "expected util::Error";
+    } catch (const wu::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("boom at 0"), std::string::npos);
+    }
+    EXPECT_LT(executed.load(), static_cast<int>(n)) << "threads " << threads;
+    if (threads == 1) {
+      EXPECT_EQ(executed.load(), 1);  // inline: nothing after the throw
+    }
+
+    std::atomic<int> count{0};
+    dyn.parallel_for_dynamic(7, [&](size_t, size_t) { count++; });
+    EXPECT_EQ(count.load(), 7);
+  }
+}
+
+TEST(StaParallel, RandomNetlistSweepsMatchSerialAcrossThreads) {
+  // Randomized netlists: threaded sweeps must reproduce the serial
+  // evaluate() oracle bitwise at 1/2/4 threads.
+  for (const uint64_t seed : {3ull, 11ull}) {
+    const auto f = tu::random_engine(seed);
+    st::SweepSpec spec;
+    spec.scenarios = tu::random_scenarios(f, 6);
+    for (const int threads : {1, 2, 4}) {
+      spec.threads = threads;
+      const auto swept = f.sta->sweep(spec);
+      EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, swept))
+          << "seed " << seed << " threads " << threads;
+      // Repeated runs are bitwise stable too.
+      const auto again = f.sta->sweep(spec);
+      for (size_t p = 0; p < swept.size(); ++p) {
+        EXPECT_TRUE(tu::states_bitwise_equal(swept.state(p), again.state(p),
+                                             f.sta.get()))
+            << "repeat, seed " << seed << " threads " << threads;
+      }
+    }
+  }
 }
 
 TEST(StaParallel, EngineAnnotationsOverlayIntoBatchScenarios) {

@@ -46,6 +46,20 @@ TEST(Units, RejectsMalformedInput) {
   EXPECT_THROW(wu::parse_eng("4.8f!"), wu::Error);
   double out = 0.0;
   EXPECT_FALSE(wu::try_parse_eng("zz1", out));
+  // Non-finite numbers, spelled out or overflowing after scaling.
+  for (const char* bad :
+       {"nan", "NaNps", "inf", "-inf", "infinity", "1e305meg"}) {
+    out = 1.0;
+    EXPECT_FALSE(wu::try_parse_eng(bad, out)) << bad;
+    EXPECT_EQ(out, 1.0) << bad;  // untouched on failure
+    try {
+      (void)wu::parse_eng(bad);
+      ADD_FAILURE() << "parse_eng accepted " << bad;
+    } catch (const wu::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Units, FormatEngRoundTripsMagnitudes) {

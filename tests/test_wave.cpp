@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -42,6 +45,27 @@ TEST(Waveform, ConstructorValidates) {
   EXPECT_THROW(wv::Waveform({0.0, 1.0}, {1.0}), wu::Error);
   EXPECT_THROW(wv::Waveform({}, {}), wu::Error);
   EXPECT_NO_THROW(wv::Waveform({0.0}, {1.0}));
+  // Non-finite samples: a NaN value anywhere, a NaN or inf time in a
+  // one-sample waveform, an inf tail time that still "increases".
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto expect_rejected_at = [](std::vector<double> t,
+                                     std::vector<double> v,
+                                     const std::string& index) {
+    try {
+      wv::Waveform w(std::move(t), std::move(v));
+      ADD_FAILURE() << "non-finite sample accepted (index " << index << ")";
+    } catch (const wu::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("index " + index),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected_at({0.0, 1.0, 2.0}, {0.0, nan, 1.0}, "1");
+  expect_rejected_at({0.0, 1.0}, {0.0, -inf}, "1");
+  expect_rejected_at({nan}, {1.0}, "0");
+  expect_rejected_at({inf}, {1.0}, "0");
+  expect_rejected_at({0.0, inf}, {0.0, 1.0}, "1");
 }
 
 TEST(Waveform, InterpolatesLinearlyAndClamps) {
