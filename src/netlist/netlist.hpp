@@ -6,6 +6,7 @@
 /// levelizes; it is deliberately library-agnostic (cells are referenced
 /// by name and resolved against a liberty::Library at analysis time).
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <span>
@@ -52,8 +53,8 @@ class Netlist {
                        std::string new_cell);
   /// Moves one pin of an instance onto `new_net`, creating the net if
   /// absent (appended after all existing nets, keeping every existing
-  /// ordinal stable).  Net degrees are maintained incrementally.
-  /// Throws util::Error for an unknown instance or pin.
+  /// ordinal stable).  O(degree of the two nets).  Throws util::Error
+  /// for an unknown instance or pin.
   void reroute_pin(const std::string& instance_name, const std::string& pin,
                    const std::string& new_net);
 
@@ -72,12 +73,17 @@ class Netlist {
   /// lifetime), or -1 when absent.  O(1); this is what NetId handles
   /// index.
   [[nodiscard]] int net_ordinal(const std::string& net_name) const noexcept;
+  /// Ordinal of `port_name` in ports(), or -1 when absent.  O(1).
+  [[nodiscard]] int port_ordinal(const std::string& port_name) const noexcept;
+  /// O(1).
   [[nodiscard]] const Port* find_port(
       const std::string& port_name) const noexcept;
+  /// O(1).
   [[nodiscard]] const Instance* find_instance(
       const std::string& inst_name) const noexcept;
 
-  /// Instances whose given pin connects to `net_name`.
+  /// Instance pins connected to `net_name`, in instance order and, within
+  /// an instance, pin-map order.  O(degree of the net).
   struct PinRef {
     const Instance* instance;
     std::string pin;
@@ -119,17 +125,27 @@ class Netlist {
   /// transitive_fanout_nets), or null when the net is driven by a port
   /// or undriven.  Two nets sharing a driver are complementary outputs
   /// of one cell — the correlation screen's same-driver rule.
-  /// O(total pins) per call.
+  /// O(degree of the net) per call.
   [[nodiscard]] const Instance* driver_of(
       int net_ordinal,
       const std::function<bool(const Instance&, const std::string& pin)>&
           drives) const;
 
  private:
+  /// Ordinal of `net_name`, appending the net first when absent.
+  size_t intern_net(const std::string& net_name);
+
   std::vector<Port> ports_;
   std::vector<std::string> nets_;
   std::vector<Instance> instances_;
+  // Name and connectivity indexes.  They hold ordinals, never
+  // pointers, so a copied Netlist's indexes stay valid as they are.
   std::unordered_map<std::string, size_t> net_index_;
+  std::unordered_map<std::string, size_t> port_index_;
+  std::unordered_map<std::string, size_t> instance_index_;
+  /// Per net ordinal: ascending ordinals of the instances with at least
+  /// one pin on the net.
+  std::vector<std::vector<uint32_t>> instances_on_net_;
 };
 
 }  // namespace waveletic::netlist

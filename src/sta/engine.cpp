@@ -202,11 +202,9 @@ NetId StaEngine::net(const std::string& name) const {
 }
 
 PortId StaEngine::port(const std::string& name) const {
-  for (size_t i = 0; i < ports_.size(); ++i) {
-    if (ports_[i].name == name) {
-      return PortId{static_cast<int32_t>(i), graph_tag_};
-    }
-  }
+  // ports_ follows the netlist's port order.
+  const int ord = netlist_->port_ordinal(name);
+  if (ord >= 0) return PortId{ord, graph_tag_};
   std::ostringstream os;
   os << "unknown port: " << name << " (ports:";
   for (const auto& p : ports_) os << ' ' << p.name;
@@ -261,12 +259,10 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
   // and reroute edits, which is what lets the service carry timing
   // baselines across a structural rebuild by direct index.
   auto vertex = [&g](const std::string& name) {
-    const auto it = g.vertex_index.find(name);
-    if (it != g.vertex_index.end()) return it->second;
-    const int id = static_cast<int>(g.vertex_names.size());
-    g.vertex_names.push_back(name);
-    g.vertex_index.emplace(name, id);
-    return id;
+    const auto [it, inserted] = g.vertex_index.try_emplace(
+        name, static_cast<int>(g.vertex_names.size()));
+    if (inserted) g.vertex_names.push_back(name);
+    return it->second;
   };
   // Vertices + port records for ports.
   for (const auto& port : nl.ports()) {
@@ -312,13 +308,13 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
     }
   }
   // Net edges: driver -> every sink.
-  for (const auto& net : nl.nets()) {
+  for (size_t ord = 0; ord < n_nets; ++ord) {
+    const std::string& net = nl.nets()[ord];
     // Driver: an input port with this net name, or an instance output.
+    const netlist::Port* port = nl.find_port(net);
     std::vector<int> drivers;
-    if (const auto* port = nl.find_port(net)) {
-      if (port->direction == netlist::PortDirection::kInput) {
-        drivers.push_back(vertex(net));
-      }
+    if (port != nullptr && port->direction == netlist::PortDirection::kInput) {
+      drivers.push_back(vertex(net));
     }
     struct Sink {
       int v;
@@ -342,15 +338,14 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
                              : nl.net_ordinal(out_it->second)});
       }
     }
-    if (const auto* port = nl.find_port(net)) {
-      if (port->direction == netlist::PortDirection::kOutput) {
-        sinks.push_back({vertex(net), nullptr, nullptr, -1});
-      }
+    if (port != nullptr &&
+        port->direction == netlist::PortDirection::kOutput) {
+      sinks.push_back({vertex(net), nullptr, nullptr, -1});
     }
     util::require(drivers.size() <= 1, "net ", net, " has ", drivers.size(),
                   " drivers");
     if (drivers.empty()) continue;  // undriven net: stays unconstrained
-    const int32_t net_ord = nl.net_ordinal(net);
+    const auto net_ord = static_cast<int32_t>(ord);
     for (const auto& sink : sinks) {
       NetEdge e;
       e.from = drivers[0];
@@ -488,11 +483,12 @@ void StaEngine::recompute_net_loads(std::span<const int32_t> nets) {
       }
     }
     load += net_parasitics_[static_cast<size_t>(ord)].first;
-    for (size_t p = 0; p < ports_.size(); ++p) {
-      if (ports_[p].direction == netlist::PortDirection::kOutput &&
-          ports_[p].name == net) {
-        load += output_loads_[p];
-      }
+    // ports_ follows the netlist's port order, so the port ordinal
+    // indexes output_loads_ directly.
+    const int p = netlist_->port_ordinal(net);
+    if (p >= 0 && ports_[static_cast<size_t>(p)].direction ==
+                      netlist::PortDirection::kOutput) {
+      load += output_loads_[static_cast<size_t>(p)];
     }
     net_loads_[static_cast<size_t>(ord)] = load;
   }

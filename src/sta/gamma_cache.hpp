@@ -17,9 +17,8 @@
 /// returns bitwise-exactly what the fit would have produced, keeping
 /// cached and uncached runs identical.  Because arc identity and load
 /// bits are in the key (not just the edge index), one cache may be
-/// shared across copy-on-write engine snapshots whose loads or graphs
-/// differ (sta/service.hpp) — entries simply never collide across
-/// prepared states.
+/// shared across prepared engine states whose loads or graphs differ —
+/// entries simply never collide across them.
 ///
 /// Sharded: 16 buckets, each an unordered_map under its own mutex, so
 /// concurrent lookups from the propagation pool rarely contend.

@@ -31,6 +31,48 @@ std::string format_service_stats(const ServiceStats& stats) {
 }
 
 // ---------------------------------------------------------------------------
+// TimingStatePool
+// ---------------------------------------------------------------------------
+
+/// Spare TimingState storage of one service.  Every publish needs one
+/// vertex-sized state per corner and every query one more; freeing and
+/// reallocating them lets the allocator hand the blocks back to the
+/// kernel and fault them in again on some later call, so edit and
+/// query latency would depend on the heap's history.  Retired snapshots
+/// and dropped query results give their states back here instead, and
+/// the next publish or query overwrites one in place (every state is
+/// overwritten whole, so reuse changes no result).  It keeps at most
+/// one state per corner.  The pool is shared weakly with snapshots and
+/// results, which may be dropped on any thread and after the service
+/// is gone.
+class TimingStatePool {
+ public:
+  explicit TimingStatePool(size_t capacity) : capacity_(capacity) {
+    spare_.reserve(capacity);
+  }
+
+  /// A spare state, or an empty one when none is left.
+  [[nodiscard]] TimingState take() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (spare_.empty()) return {};
+    TimingState state = std::move(spare_.back());
+    spare_.pop_back();
+    return state;
+  }
+
+  /// Keeps `state` for reuse, or frees it when the pool is full.
+  void give(TimingState&& state) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (spare_.size() < capacity_) spare_.push_back(std::move(state));
+  }
+
+ private:
+  std::mutex mutex_;
+  std::vector<TimingState> spare_;
+  const size_t capacity_;
+};
+
+// ---------------------------------------------------------------------------
 // PreparedSnapshot
 // ---------------------------------------------------------------------------
 
@@ -70,6 +112,10 @@ void require_evaluated(const std::shared_ptr<const PreparedSnapshot>& snap) {
 
 }  // namespace
 
+ScenarioTiming::~ScenarioTiming() {
+  if (const auto pool = pool_.lock()) pool->give(std::move(state_));
+}
+
 const PinTiming& ScenarioTiming::timing(const std::string& pin,
                                         RiseFall rf) const {
   require_evaluated(snapshot_);
@@ -100,10 +146,7 @@ StaService::StaService(netlist::Netlist netlist,
     : library_(&library), config_(std::move(config)) {
   util::require(!config_.corners.empty(),
                 "StaService: ServiceConfig.corners must be non-empty");
-  // One Γeff memo shared by every snapshot and query: keys cover exact
-  // waveform/ramp/load bits + corner, so sharing is exact even across
-  // edits.
-  cache_ = std::make_shared<GammaCache>();
+  states_ = std::make_shared<TimingStatePool>(config_.corners.size());
   if (config_.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.threads);
   }
@@ -113,7 +156,7 @@ StaService::StaService(netlist::Netlist netlist,
   auto eng = std::make_unique<StaEngine>(*nl, *library_);
   eng->prepare();
 
-  auto snap = std::shared_ptr<PreparedSnapshot>(new PreparedSnapshot());
+  auto snap = new_snapshot();
   snap->version_ = 1;
   snap->netlist_ = std::move(nl);
   snap->engine_ = std::move(eng);
@@ -123,6 +166,17 @@ StaService::StaService(netlist::Netlist netlist,
 }
 
 StaService::~StaService() = default;
+
+std::shared_ptr<PreparedSnapshot> StaService::new_snapshot() const {
+  return std::shared_ptr<PreparedSnapshot>(
+      new PreparedSnapshot(),
+      [pool = std::weak_ptr<TimingStatePool>(states_)](PreparedSnapshot* snap) {
+        if (const auto p = pool.lock()) {
+          for (auto& state : snap->baselines_) p->give(std::move(state));
+        }
+        delete snap;
+      });
+}
 
 std::shared_ptr<const PreparedSnapshot> StaService::snapshot() const {
   std::lock_guard<std::mutex> lock(head_mutex_);
@@ -263,7 +317,7 @@ PublishReport StaService::apply(const EditBatch& batch) {
   const StaEngine::DeltaPlan plan = eng->delta_plan(seeds);
   const size_t vertices = eng->vertex_count();
 
-  auto snap = std::shared_ptr<PreparedSnapshot>(new PreparedSnapshot());
+  auto snap = new_snapshot();
   snap->version_ = head->version() + 1;
   snap->netlist_ = std::move(nl);
   snap->engine_ = std::move(eng);
@@ -315,9 +369,10 @@ void StaService::evaluate_snapshot(PreparedSnapshot& snap,
     contexts[c].corner = &snap.corners_[c];
     contexts[c].corner_key = snap.corners_[c].key();
     contexts[c].method = &eng.noise_method();
-    contexts[c].cache = cache_.get();
+    contexts[c].cache = &snap.cache_;
   }
-  snap.baselines_.assign(n_corners, TimingState{});
+  snap.baselines_.resize(n_corners);
+  for (auto& state : snap.baselines_) state = states_->take();
   std::span<wave::Workspace> wss(workspaces_.data(), workspaces_.size());
 
   bool delta = previous != nullptr && plan != nullptr;
@@ -396,11 +451,13 @@ ScenarioTiming StaService::query(const NoiseScenario& scenario,
   ctx.corner = &snap->corners()[corner];
   ctx.corner_key = ctx.corner->key();
   ctx.method = &eng.noise_method();
-  ctx.cache = cache_.get();
+  ctx.cache = &snap->cache_;
 
   ScenarioTiming result;
   result.snapshot_ = snap;
   result.corner_ = corner;
+  result.state_ = states_->take();
+  result.pool_ = states_;
   eng.evaluate_delta(result.state_, snap->baseline(corner), plan, ctx);
   return result;
 }

@@ -59,6 +59,8 @@ class ThreadPool;
 
 namespace waveletic::sta {
 
+class TimingStatePool;
+
 /// Construction-time options of an StaService.
 struct ServiceConfig {
   /// Corners every snapshot keeps a baseline TimingState for; must be
@@ -131,6 +133,11 @@ class PreparedSnapshot {
   std::vector<TimingState> baselines_;
   std::vector<double> worst_slacks_;
   std::vector<StaEngine::WorstEndpoint> worst_endpoints_;
+  /// Γeff memo of this snapshot's baselines and queries.  It lives and
+  /// dies with the snapshot, so a long-running service holds only the
+  /// memos of snapshots somebody still pins.  Mutable: the memo is
+  /// thread-safe and its exact keys make a hit bitwise equal to a fit.
+  mutable GammaCache cache_;
 };
 
 /// Result of a scenario query: the evaluated TimingState plus a shared
@@ -139,6 +146,15 @@ class PreparedSnapshot {
 /// SweepResult, which throws via its liveness token instead).
 class ScenarioTiming {
  public:
+  ScenarioTiming() = default;
+  ScenarioTiming(const ScenarioTiming&) = default;
+  ScenarioTiming(ScenarioTiming&&) noexcept = default;
+  ScenarioTiming& operator=(const ScenarioTiming&) = default;
+  ScenarioTiming& operator=(ScenarioTiming&&) noexcept = default;
+  /// Hands the state's storage back to the service, if it still runs,
+  /// for a later query or publish to overwrite.
+  ~ScenarioTiming();
+
   /// Timing of a pin/port under the scenario.
   [[nodiscard]] const PinTiming& timing(const std::string& pin,
                                         RiseFall rf) const;
@@ -161,6 +177,7 @@ class ScenarioTiming {
   std::shared_ptr<const PreparedSnapshot> snapshot_;
   size_t corner_ = 0;
   TimingState state_;
+  std::weak_ptr<TimingStatePool> pool_;
 };
 
 /// Publish summary returned by StaService::apply().
@@ -233,10 +250,16 @@ class StaService {
                          const PreparedSnapshot* previous,
                          const StaEngine::DeltaPlan* plan);
   void count_query() const noexcept { ++queries_served_; }
+  /// An empty snapshot whose baselines go back to states_ when its last
+  /// owner drops it.
+  [[nodiscard]] std::shared_ptr<PreparedSnapshot> new_snapshot() const;
 
   const liberty::Library* library_;
   ServiceConfig config_;
-  std::shared_ptr<GammaCache> cache_;  ///< shared Γeff memo
+
+  /// Storage of retired baselines and dropped query results, which the
+  /// next publish or query overwrites in place (service.cpp).
+  std::shared_ptr<TimingStatePool> states_;
 
   /// Writer-path resources, used only under writer_mutex_.
   std::unique_ptr<util::ThreadPool> pool_;

@@ -146,7 +146,7 @@ TEST(LeastSquares, AllZeroWeightsThrow) {
   std::vector<double> t{0.0, 1.0};
   std::vector<double> v{0.0, 1.0};
   std::vector<double> w{0.0, 0.0};
-  EXPECT_THROW(la::fit_line(t, v, w), wu::Error);
+  EXPECT_THROW((void)la::fit_line(t, v, w), wu::Error);
 }
 
 TEST(LeastSquares, GeneralPathMatchesLineFit) {

@@ -81,7 +81,9 @@ std::vector<double> random_sorted_grid(std::mt19937_64& rng,
 TEST(Lanes, DispatchReportsConsistentWidths) {
   EXPECT_TRUE(wv::lane_width_available(1));
   EXPECT_TRUE(wv::active_lane_width() == 1 || wv::active_lane_width() == 4);
-  if (wv::compiled_lane_width() == 1) EXPECT_FALSE(avx2());
+  if (wv::compiled_lane_width() == 1) {
+    EXPECT_FALSE(avx2());
+  }
   {
     wv::LaneWidthGuard g(1);
     EXPECT_EQ(wv::active_lane_width(), 1);
@@ -92,7 +94,9 @@ TEST(Lanes, DispatchReportsConsistentWidths) {
   }
   EXPECT_THROW(wv::force_lane_width(3), wu::Error);
   EXPECT_THROW(wv::force_lane_width(-1), wu::Error);
-  if (!avx2()) EXPECT_THROW(wv::force_lane_width(4), wu::Error);
+  if (!avx2()) {
+    EXPECT_THROW(wv::force_lane_width(4), wu::Error);
+  }
 }
 
 TEST(Lanes, SampleIntoW4MatchesW1Bitwise) {
@@ -218,9 +222,13 @@ TEST(Lanes, CrossingScansW4MatchW1Bitwise) {
         all4.assign(s.begin(), s.end());
       }
       ASSERT_EQ(fc1.has_value(), fc4.has_value()) << "level " << level;
-      if (fc1) ASSERT_TRUE(BitEq(*fc1, *fc4));
+      if (fc1) {
+        ASSERT_TRUE(BitEq(*fc1, *fc4));
+      }
       ASSERT_EQ(lc1.has_value(), lc4.has_value());
-      if (lc1) ASSERT_TRUE(BitEq(*lc1, *lc4));
+      if (lc1) {
+        ASSERT_TRUE(BitEq(*lc1, *lc4));
+      }
       ASSERT_EQ(n1, n4);
       ASSERT_EQ(all1.size(), all4.size());
       for (size_t k = 0; k < all1.size(); ++k) {

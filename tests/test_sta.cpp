@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <ctime>
+#include <limits>
 
 #include "charlib/characterize.hpp"
 #include "core/method.hpp"
 #include "core/point_based.hpp"
+#include "netlist/generators.hpp"
 #include "netlist/verilog.hpp"
 #include "sta/engine.hpp"
 #include "util/error.hpp"
@@ -283,4 +287,28 @@ TEST(StaNoise, OppositePolarityTransitionUnaffected) {
   // driven by the input fall and must match the clean run exactly.
   EXPECT_NEAR(noisy.timing("u2/A", st::RiseFall::kRise).arrival,
               clean.timing("u2/A", st::RiseFall::kRise).arrival, 1e-15);
+}
+
+TEST(Sta, ConstructionScalesLinearly) {
+  // Netlist generation plus graph construction at N = 256 and 4N gates,
+  // best of 3 runs each.  Linear code takes about 4x as long at 4N; one
+  // scan over every instance pin per net (quadratic) takes over 10x.
+  // The clock is this process's CPU time and the runs interleave, so
+  // other load on the host does not skew one size; both sizes stay
+  // small enough to run in cache, where linear code scales cleanly.
+  (void)lib();  // characterize outside the timed region
+  const auto cpu_seconds = [](int layers) {
+    const std::clock_t t0 = std::clock();
+    const auto netlist = nl::make_random_dag(3, 8, layers, 64);
+    const st::StaEngine sta(netlist, lib());
+    return static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC;
+  };
+  double t_n = std::numeric_limits<double>::infinity();
+  double t_4n = t_n;
+  for (int run = 0; run < 3; ++run) {
+    t_n = std::min(t_n, cpu_seconds(4));
+    t_4n = std::min(t_4n, cpu_seconds(16));
+  }
+  EXPECT_LE(t_4n / t_n, 6.0) << "t(N) = " << t_n * 1e3
+                             << " ms, t(4N) = " << t_4n * 1e3 << " ms";
 }

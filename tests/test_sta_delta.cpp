@@ -290,7 +290,9 @@ TEST(StaDelta, PruneSafeNeverChangesTheExactAnswers) {
         EXPECT_GT(pruned.worst_slack_bound(p), wp_exact.slack);
       }
     }
-    if (stats.evaluated > 0) EXPECT_GE(stats.min_bound_gap, 0.0);
+    if (stats.evaluated > 0) {
+      EXPECT_GE(stats.min_bound_gap, 0.0);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -565,6 +566,77 @@ TEST(ServiceLifetimeTest, PinnedSnapshotsSurviveEditsAndService) {
   service.reset();
   EXPECT_EQ(std::bit_cast<uint64_t>(pinned->worst_slack(0)), before);
   EXPECT_EQ(std::bit_cast<uint64_t>(result.worst_slack()), before);
+}
+
+TEST(ServiceLifetimeTest, RecycledBaselinesNeverTouchPinnedSnapshots) {
+  // Publishes and queries refill the storage of retired snapshots and
+  // dropped query results.  Every publish must still match its replay
+  // oracle (recycled storage is overwritten whole), and no snapshot
+  // somebody pins — directly or through a query result — may be
+  // recycled underneath its owner.
+  const auto nl = netlist::make_random_dag(9, 5, 4, 6);
+  const auto corners = service_corners();
+  sta::StaService service(nl, vcl013(), sta::ServiceConfig{corners, 1});
+  std::vector<sta::EditBatch> history = {constraint_batch(nl)};
+  service.apply(history.back());
+
+  struct Pin {
+    std::shared_ptr<const sta::PreparedSnapshot> snap;
+    std::vector<sta::TimingState> copy;
+  };
+  std::vector<Pin> pins;
+  std::vector<sta::ScenarioTiming> results;
+  std::vector<sta::TimingState> result_copies;
+  std::string inverter;
+  for (const auto& inst : nl.instances()) {
+    if (inst.cell == "INVX1") inverter = inst.name;
+  }
+  ASSERT_FALSE(inverter.empty());
+  sta::NoiseScenario clean;
+  clean.name = "clean";
+
+  for (int k = 0; k < 9; ++k) {
+    sta::EditBatch b;
+    if (k % 4 == 3) {
+      b.retype_cell(inverter, k % 8 == 3 ? "INVX4" : "INVX1");
+    } else {
+      const auto& inst = nl.instances()[static_cast<size_t>(1 + 2 * k)];
+      b.set_net_parasitics(inst.pins.at("Y"), (1.0 + k) * 1e-15,
+                           (2.0 + k) * 1e-12);
+    }
+    // A dropped query result hands its storage to the next publish.
+    EXPECT_TRUE(std::isfinite(service.query(clean, 0).worst_slack()));
+    history.push_back(b);
+    service.apply(b);
+
+    const auto head = service.snapshot();
+    const auto oracle = oracle_baselines(nl, history, corners);
+    for (size_t c = 0; c < corners.size(); ++c) {
+      ASSERT_TRUE(
+          states_bitwise_equal(oracle[c], head->baseline(c), &head->engine()))
+          << "publish " << k << ", corner " << c;
+    }
+    if (k % 3 == 0) {
+      pins.push_back({head, {head->baseline(0), head->baseline(1)}});
+    } else if (k % 3 == 1) {
+      results.push_back(service.query(clean, 1));
+      result_copies.push_back(head->baseline(1));
+    }
+    // Released pins free their snapshot for recycling mid-stream.
+    if (k == 6) pins.erase(pins.begin());
+
+    for (const auto& pin : pins) {
+      for (size_t c = 0; c < corners.size(); ++c) {
+        EXPECT_TRUE(states_bitwise_equal(pin.copy[c], pin.snap->baseline(c)))
+            << "pinned version " << pin.snap->version() << " changed";
+      }
+    }
+    for (size_t r = 0; r < results.size(); ++r) {
+      EXPECT_TRUE(states_bitwise_equal(result_copies[r],
+                                       results[r].snapshot()->baseline(1)))
+          << "version pinned by a query result changed";
+    }
+  }
 }
 
 TEST(ServiceValidationTest, ErrorsNameHandleAndEditIndex) {

@@ -40,10 +40,10 @@ TEST(Units, SuffixIsCaseInsensitive) {
 }
 
 TEST(Units, RejectsMalformedInput) {
-  EXPECT_THROW(wu::parse_eng(""), wu::Error);
-  EXPECT_THROW(wu::parse_eng("abc"), wu::Error);
-  EXPECT_THROW(wu::parse_eng("1.2.3"), wu::Error);
-  EXPECT_THROW(wu::parse_eng("4.8f!"), wu::Error);
+  EXPECT_THROW((void)wu::parse_eng(""), wu::Error);
+  EXPECT_THROW((void)wu::parse_eng("abc"), wu::Error);
+  EXPECT_THROW((void)wu::parse_eng("1.2.3"), wu::Error);
+  EXPECT_THROW((void)wu::parse_eng("4.8f!"), wu::Error);
   double out = 0.0;
   EXPECT_FALSE(wu::try_parse_eng("zz1", out));
   // Non-finite numbers, spelled out or overflowing after scaling.
