@@ -17,6 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -1059,12 +1060,17 @@ SweepFigures report_sweep_speedups() {
                 looped_slack[i] == sweptN_slack[i];
   }
 
-  // Single-run thread scaling.
+  // Single-run thread scaling: the median of 21 warm runs, so the
+  // pool start of the first run() is not charged to the threaded side.
   auto run_once = [&](int threads) {
     st::StaEngine sta(f.netlist, f.lib);
     f.constrain(sta);
     sta.set_threads(threads);
-    return wall_seconds([&] { sta.run(); });
+    sta.run();
+    std::vector<double> t(21);
+    for (double& x : t) x = wall_seconds([&] { sta.run(); });
+    std::nth_element(t.begin(), t.begin() + 10, t.end());
+    return t[10];
   };
   const double t_run1 = run_once(1);
   const double t_runN = run_once(static_cast<int>(hw));
@@ -1965,11 +1971,10 @@ void report_hier_summary() {
   const nl::Netlist block = make_grid_block(8, 120);
 
   st::BlockModel model;
-  const double t_extract = wall_seconds([&] {
-    st::BlockModelOptions mopt;
-    mopt.threads = static_cast<int>(hw);
-    model = st::extract_block_model(block, lib, mopt);
-  });
+  st::BlockModelOptions mopt;
+  mopt.threads = static_cast<int>(hw);
+  const double t_extract = wall_seconds(
+      [&] { model = st::extract_block_model(block, lib, mopt); });
 
   // -- flat-feasible comparison point: the flat oracle still fits. ----
   nl::StitchOptions small;
@@ -2041,6 +2046,17 @@ void report_hier_summary() {
     hier_worst = sweep_worst(h.sweep(spec));
   });
   const double speedup = t_hier > 0.0 ? t_flat / t_hier : 0.0;
+  // Charges the one-off extraction to this one design.
+  const double speedup_with_extraction = t_flat / (t_hier + t_extract);
+  // Copies at which hier + extraction first beats flat, assuming both
+  // sides scale linearly in the copy count from this point; 0 when
+  // hier never wins (its per-copy cost is not below flat's).
+  const double saving_per_copy =
+      (t_flat - t_hier) / static_cast<double>(small.copies);
+  const size_t break_even_copies =
+      saving_per_copy > 0.0
+          ? static_cast<size_t>(std::ceil(t_extract / saving_per_copy))
+          : 0;
 
   // -- 1M headline: never materialize the flat design. ----------------
   nl::StitchOptions big = small;
@@ -2067,9 +2083,9 @@ void report_hier_summary() {
 
   std::printf("\n-- hierarchical macro-model summary (%zu threads) --\n", hw);
   std::printf("block: %zu instances, %zu ports -> %zu macro arcs, "
-              "extract %.1f ms\n",
+              "extract %.1f ms (%d jobs in flight)\n",
               block.instances().size(), block.ports().size(),
-              model.arcs.size(), t_extract * 1e3);
+              model.arcs.size(), t_extract * 1e3, mopt.threads);
   std::printf("flat-feasible point (%zu copies, %zu flat vs %zu hier "
               "vertices, %zu scenarios):\n",
               small.copies, compare_flat_vertices,
@@ -2080,6 +2096,10 @@ void report_hier_summary() {
               "%.1fx speedup)%s\n",
               t_hier * 1e3, hier_worst * 1e9, speedup,
               speedup >= 10.0 ? "" : "  [below 10x target]");
+  std::printf("  hier with extraction:  %8.1f ms (%.2fx vs flat; "
+              "break-even at %zu copies, 0 = never)\n",
+              (t_hier + t_extract) * 1e3, speedup_with_extraction,
+              break_even_copies);
   std::printf("expanded copy bitwise identical to flat: %s (%zu vertices)\n",
               bitwise ? "yes" : "NO — BUG", compared);
   std::printf("1M headline: %zu copies = %zu flat-equivalent vertices held "
@@ -2099,12 +2119,15 @@ void report_hier_summary() {
                  "  \"block_ports\": %zu,\n"
                  "  \"macro_arcs\": %zu,\n"
                  "  \"extract_ms_per_block\": %.3f,\n"
+                 "  \"extract_threads\": %d,\n"
                  "  \"compare_copies\": %zu,\n"
                  "  \"compare_flat_vertices\": %zu,\n"
                  "  \"compare_hier_vertices\": %zu,\n"
                  "  \"flat_sweep_ms\": %.3f,\n"
                  "  \"hier_sweep_ms\": %.3f,\n"
                  "  \"hier_vs_flat_speedup\": %.2f,\n"
+                 "  \"hier_vs_flat_speedup_with_extraction\": %.2f,\n"
+                 "  \"break_even_copies\": %zu,\n"
                  "  \"stitched_copies\": %zu,\n"
                  "  \"stitched_vertices\": %zu,\n"
                  "  \"hier_vertices\": %zu,\n"
@@ -2113,11 +2136,12 @@ void report_hier_summary() {
                  "  \"bitwise_identical\": %s\n"
                  "}\n",
                  hw, block.instances().size(), block.ports().size(),
-                 model.arcs.size(), t_extract * 1e3, small.copies,
-                 compare_flat_vertices, hier_ref.hier_vertex_count(),
-                 t_flat * 1e3, t_hier * 1e3, speedup, big.copies,
-                 big_flat_vertices, big_hier_vertices, t_big * 1e3,
-                 static_cast<double>(rss) / 1e6,
+                 model.arcs.size(), t_extract * 1e3, mopt.threads,
+                 small.copies, compare_flat_vertices,
+                 hier_ref.hier_vertex_count(), t_flat * 1e3, t_hier * 1e3,
+                 speedup, speedup_with_extraction, break_even_copies,
+                 big.copies, big_flat_vertices, big_hier_vertices,
+                 t_big * 1e3, static_cast<double>(rss) / 1e6,
                  bitwise ? "true" : "false");
     std::fclose(f_json);
     std::printf("wrote %s\n", json_path);

@@ -924,26 +924,29 @@ void StaEngine::evaluate(TimingState& state, const EvalContext& ctx,
   // Serial levels run as "worker 0".
   EvalContext serial_ctx = ctx;
   serial_ctx.workspace = &arenas[0];
+  const auto for_level = [&](const std::vector<int>& level,
+                             const auto& visit) {
+    if (!threaded || level.size() <= kLevelChunk) {
+      for (const int v : level) visit(v, serial_ctx);
+      return;
+    }
+    const size_t chunks = (level.size() + kLevelChunk - 1) / kLevelChunk;
+    pool->parallel_for_dynamic(chunks, [&](size_t worker, size_t c) {
+      EvalContext task_ctx = ctx;
+      task_ctx.workspace = &arenas[worker];
+      const size_t end = std::min(level.size(), (c + 1) * kLevelChunk);
+      for (size_t i = c * kLevelChunk; i < end; ++i) visit(level[i], task_ctx);
+    });
+  };
   init_state(state);
   for (const auto& level : levels_) {
-    if (threaded && level.size() > 1) {
-      pool->parallel_for(level.size(), [&](size_t worker, size_t i) {
-        EvalContext task_ctx = ctx;
-        task_ctx.workspace = &arenas[worker];
-        forward_vertex(level[i], state, task_ctx);
-      });
-    } else {
-      for (const int v : level) forward_vertex(v, state, serial_ctx);
-    }
+    for_level(level, [&](int v, const EvalContext& c) {
+      forward_vertex(v, state, c);
+    });
   }
   for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-    const auto& level = *it;
-    if (threaded && level.size() > 1) {
-      pool->parallel_for(level.size(),
-                         [&](size_t i) { backward_vertex(level[i], state); });
-    } else {
-      for (const int v : level) backward_vertex(v, state);
-    }
+    for_level(*it,
+              [&](int v, const EvalContext&) { backward_vertex(v, state); });
   }
 }
 

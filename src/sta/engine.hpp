@@ -25,14 +25,16 @@
 /// depends only on strictly lower levels, so a level's vertices can be
 /// processed in parallel; each vertex folds its incoming edges in a
 /// fixed order, which makes results bitwise-identical at any thread
-/// count.  The timing state lives in a separate TimingState object, so
-/// a prepared engine can evaluate many (noise scenario × corner) points
+/// count.  Only levels wider than one chunk (kLevelChunk vertices) are
+/// dispatched; narrower ones cost less inline than a pool round trip.
+/// The timing state lives in a separate TimingState object, so a
+/// prepared engine can evaluate many (noise scenario × corner) points
 /// concurrently through the const, reentrant evaluation path.  There
-/// is one full-graph routine, evaluate() (level-parallel when given a
-/// pool), used by run(), sweep baselines and service rebuilds, and one
-/// delta routine, evaluate_delta() (plus its SIMD lane-block form),
-/// which derives every sweep point from its corner baseline (see
-/// sweep.hpp).
+/// is one full-graph routine, evaluate() (chunk-gated level-parallel
+/// when given a pool), used by run(), sweep baselines and service
+/// rebuilds, and one delta routine, evaluate_delta() (plus its SIMD
+/// lane-block form), which derives every sweep point from its corner
+/// baseline (see sweep.hpp).
 ///
 /// Handle-based API: names are resolved ONCE to PinId / NetId / PortId
 /// handles (pin(), net(), port()), and the primary overloads of every
@@ -222,9 +224,16 @@ class StaEngine {
   }
 
   // -- analysis ------------------------------------------------------------
-  /// Number of worker threads used by run() for level-parallel
-  /// propagation (≤ 0 selects the hardware concurrency; default 1).
+  /// Number of worker threads run() may use (≤ 0 selects the hardware
+  /// concurrency; default 1).  Only levels wider than kLevelChunk go to
+  /// the pool (see evaluate()), so on graphs without such levels run()
+  /// stays serial at any setting.
   void set_threads(int threads);
+
+  /// Vertices per pool task of a level-parallel evaluate().  A level
+  /// is dispatched only when it spans more than one chunk; a narrower
+  /// level folds inline, because a dispatch costs more than its work.
+  static constexpr size_t kLevelChunk = 1024;
 
   /// Runs forward (arrival) and backward (required) propagation under
   /// the engine-level annotations and corner.
@@ -336,9 +345,11 @@ class StaEngine {
   /// Full forward + backward sweep of one point into `state`: the one
   /// full-graph routine (run(), sweep baselines, service rebuilds) and
   /// the test oracle every other path is checked against.
-  /// Level-parallel when `pool` is given; every vertex folds its
-  /// in-edges in a fixed order after all of its predecessors, so the
-  /// result is bitwise identical at any thread count.  prepare() must
+  /// With a `pool`, each level wider than kLevelChunk is split into
+  /// contiguous kLevelChunk-vertex chunks that run as pool tasks;
+  /// narrower levels run inline.  Every vertex folds its in-edges in a
+  /// fixed order after all of its predecessors, so the result is
+  /// bitwise identical at any thread count.  prepare() must
   /// have run.  When `worker_workspaces` is non-empty (it must then
   /// hold at least pool->size() arenas, or 1 without a pool), every
   /// task runs with ctx.workspace pointed at its worker's arena; empty

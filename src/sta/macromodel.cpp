@@ -1,23 +1,20 @@
 #include "sta/macromodel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 #include "charlib/characterize.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
+#include "util/thread_pool.hpp"
 
 namespace waveletic::sta {
 
 namespace {
-
-liberty::NldmTable make_table(const std::vector<double>& slews,
-                              const std::vector<double>& loads,
-                              std::vector<double> values) {
-  return liberty::NldmTable(slews, loads, std::move(values));
-}
 
 /// Sum of liberty input-pin capacitances connected to `net_name`.
 double net_input_cap(const netlist::Netlist& nl, const liberty::Library& lib,
@@ -32,6 +29,33 @@ double net_input_cap(const netlist::Netlist& nl, const liberty::Library& lib,
     }
   }
   return cap;
+}
+
+/// Throws std::invalid_argument with the streamed message unless `ok`.
+template <typename... Args>
+void require_arg(bool ok, const Args&... args) {
+  if (ok) return;
+  std::ostringstream os;
+  os << "extract_block_model: ";
+  (os << ... << args);
+  throw std::invalid_argument(os.str());
+}
+
+/// Rejects an extraction grid axis that is empty or not finite,
+/// positive and strictly increasing, naming the offending value.
+void check_axis(const char* name, const std::vector<double>& axis) {
+  require_arg(!axis.empty(), "empty ", name, " axis");
+  for (size_t i = 0; i < axis.size(); ++i) {
+    const double v = axis[i];
+    require_arg(std::isfinite(v), name, " axis value ", v, " at index ", i,
+                " is not finite");
+    require_arg(v > 0.0, name, " axis value ", v, " at index ", i,
+                " is not positive");
+    if (i > 0) {
+      require_arg(v > axis[i - 1], name, " axis value ", v, " at index ", i,
+                  " does not exceed the previous value ", axis[i - 1]);
+    }
+  }
 }
 
 /// Latest-arriving valid sink timing on `net` for polarity `pol`, or
@@ -100,8 +124,15 @@ BlockModel extract_block_model(const netlist::Netlist& block,
   model.name = options.name;
   model.slews = options.slews.empty() ? default_grid.slews : options.slews;
   model.loads = options.loads.empty() ? default_grid.loads_x1 : options.loads;
-  if (model.slews.empty() || model.loads.empty()) {
-    throw std::invalid_argument("extract_block_model: empty grid axis");
+  check_axis("slew", model.slews);
+  check_axis("load", model.loads);
+  const double fraction = options.noise_amplitude_fraction;
+  require_arg(fraction > 0.0 && fraction <= 1.0, "noise_amplitude_fraction ",
+              fraction, " is outside (0, 1]");
+  require_arg(options.waveform_samples >= 2, "waveform_samples ",
+              options.waveform_samples, " is below 2");
+  for (const auto& n : options.noise_nets) {
+    require_arg(block.net_ordinal(n) >= 0, "unknown noise net '", n, "'");
   }
 
   std::vector<std::string> inputs;
@@ -118,79 +149,22 @@ BlockModel extract_block_model(const netlist::Netlist& block,
       model.ports.push_back({p.name, false, 0.0});
     }
   }
-  if (inputs.empty() || outputs.empty()) {
-    throw std::invalid_argument(
-        "extract_block_model: block needs at least one input and one "
-        "output port");
-  }
+  require_arg(!inputs.empty() && !outputs.empty(),
+              "block needs at least one input and one output port");
 
   StaEngine proto(block, lib);
-  proto.set_threads(options.threads);
 
+  const size_t n_in = inputs.size();
   const size_t n_slew = model.slews.size();
   const size_t n_load = model.loads.size();
   const size_t n_grid = n_slew * n_load;
   const size_t n_out = outputs.size();
 
-  // Per (input, output): delay/slew samples per transition, row-major
-  // (slew-major, load-minor) like NldmTable, plus an all-grid-points
-  // validity flag (structural reachability is constant over the grid).
-  struct ArcSamples {
-    std::vector<double> delay[2], slew[2];
-    bool reachable = true;
-    ArcSamples(size_t n) {
-      for (int rf = 0; rf < 2; ++rf) {
-        delay[rf].assign(n, 0.0);
-        slew[rf].assign(n, 0.0);
-      }
-    }
-  };
-
-  for (const auto& in : inputs) {
-    std::vector<ArcSamples> samples(n_out, ArcSamples(n_grid));
-    for (size_t l = 0; l < n_load; ++l) {
-      auto eng = proto.fork();
-      for (const auto& out : outputs) eng->set_output_load(out, model.loads[l]);
-      for (size_t s = 0; s < n_slew; ++s) {
-        eng->set_input(in, 0.0, model.slews[s]);
-        eng->run();
-        for (size_t o = 0; o < n_out; ++o) {
-          const size_t at = s * n_load + l;
-          for (int rf = 0; rf < 2; ++rf) {
-            const PinTiming& t =
-                eng->timing(outputs[o], static_cast<RiseFall>(rf));
-            if (!t.valid) {
-              samples[o].reachable = false;
-              continue;
-            }
-            samples[o].delay[rf][at] = t.arrival;
-            samples[o].slew[rf][at] = t.slew;
-          }
-        }
-      }
-    }
-    for (size_t o = 0; o < n_out; ++o) {
-      if (!samples[o].reachable) continue;
-      BlockPortArc arc;
-      arc.from_port = in;
-      arc.to_port = outputs[o];
-      arc.arc.related_pin = in;
-      arc.arc.sense = liberty::TimingSense::kNonUnate;
-      arc.arc.cell_rise = make_table(model.slews, model.loads,
-                                     std::move(samples[o].delay[0]));
-      arc.arc.cell_fall = make_table(model.slews, model.loads,
-                                     std::move(samples[o].delay[1]));
-      arc.arc.rise_transition = make_table(model.slews, model.loads,
-                                           std::move(samples[o].slew[0]));
-      arc.arc.fall_transition = make_table(model.slews, model.loads,
-                                           std::move(samples[o].slew[1]));
-      model.arcs.push_back(std::move(arc));
-    }
-  }
-
-  // -- noise-transfer characterization at the reference grid point ------
-  const double ref_slew = model.slews[model.slews.size() / 2];
-  const double ref_load = model.loads[model.loads.size() / 2];
+  // -- noise-transfer reference point -----------------------------------
+  // One serial run (all inputs at the mid-grid slew, all outputs at the
+  // mid-grid load) gives the base arrivals and each probe's victim.
+  const double ref_slew = model.slews[n_slew / 2];
+  const double ref_load = model.loads[n_load / 2];
   const double vdd = lib.nom_voltage;
   const double amplitude = options.noise_amplitude_fraction * vdd;
   const RiseFall victim_rf = options.noise_polarity == wave::Polarity::kRising
@@ -202,28 +176,11 @@ BlockModel extract_block_model(const netlist::Netlist& block,
   for (const auto& out : outputs) ref->set_output_load(out, ref_load);
   ref->run();
 
-  struct BaseArrival {
-    double arrival[2] = {0.0, 0.0};
-    bool valid[2] = {false, false};
-  };
-  std::vector<BaseArrival> base(n_out);
-  for (size_t o = 0; o < n_out; ++o) {
-    for (int rf = 0; rf < 2; ++rf) {
-      const PinTiming& t = ref->timing(outputs[o], static_cast<RiseFall>(rf));
-      base[o].valid[rf] = t.valid;
-      base[o].arrival[rf] = t.arrival;
-    }
-  }
-
+  // One probe per characterized net that is live in the reference run.
   std::vector<std::string> probe_nets = inputs;
-  for (const auto& n : options.noise_nets) {
-    if (block.net_ordinal(n) < 0) {
-      throw std::invalid_argument("extract_block_model: unknown noise net '" +
-                                  n + "'");
-    }
-    probe_nets.push_back(n);
-  }
-
+  probe_nets.insert(probe_nets.end(), options.noise_nets.begin(),
+                    options.noise_nets.end());
+  std::vector<NoiseScenario> probes;
   for (const auto& net : probe_nets) {
     double victim_arrival = 0.0;
     double victim_slew = ref_slew;
@@ -237,29 +194,113 @@ BlockModel extract_block_model(const netlist::Netlist& block,
       victim_arrival = sink->arrival;
       victim_slew = sink->slew;
     }
-    const NoiseScenario probe = make_aggressor_scenario(
+    probes.push_back(make_aggressor_scenario(
         net, victim_arrival, victim_slew, vdd, options.noise_polarity,
-        /*alignment=*/0.0, amplitude, options.waveform_samples);
-    for (const auto& entry : probe.entries) {
-      ref->annotate_noisy_net(entry.net, entry.annotation.waveform,
+        /*alignment=*/0.0, amplitude, options.waveform_samples));
+  }
+
+  // -- characterization jobs --------------------------------------------
+  // Job j < n_in × n_load drives input j / n_load across the slew grid
+  // at load j % n_load; the rest run one noise probe each.  Every job
+  // is a serial fork writing only its own samples, so the model is
+  // bitwise identical at any thread count.
+  //
+  // Per (input, output): delay/slew samples per transition, row-major
+  // (slew-major, load-minor) like NldmTable.
+  struct ArcSamples {
+    std::vector<double> delay[2], slew[2];
+    explicit ArcSamples(size_t n) {
+      for (int rf = 0; rf < 2; ++rf) {
+        delay[rf].assign(n, 0.0);
+        slew[rf].assign(n, 0.0);
+      }
+    }
+  };
+  std::vector<ArcSamples> samples(n_in * n_out, ArcSamples(n_grid));
+  const size_t n_grid_jobs = n_in * n_load;
+  // unreachable[job × n_out + o]: output o was invalid at some slew of
+  // grid job `job` (structural reachability is constant over the grid).
+  std::vector<char> unreachable(n_grid_jobs * n_out, 0);
+  std::vector<std::vector<NoiseTransfer>> probe_transfers(probes.size());
+
+  const auto grid_job = [&](size_t job) {
+    const size_t i = job / n_load;
+    const size_t l = job % n_load;
+    auto eng = proto.fork();
+    for (const auto& out : outputs) eng->set_output_load(out, model.loads[l]);
+    for (size_t s = 0; s < n_slew; ++s) {
+      eng->set_input(inputs[i], 0.0, model.slews[s]);
+      eng->run();
+      const size_t at = s * n_load + l;
+      for (size_t o = 0; o < n_out; ++o) {
+        ArcSamples& arc = samples[i * n_out + o];
+        for (int rf = 0; rf < 2; ++rf) {
+          const PinTiming& t =
+              eng->timing(outputs[o], static_cast<RiseFall>(rf));
+          if (!t.valid) {
+            unreachable[job * n_out + o] = 1;
+            continue;
+          }
+          arc.delay[rf][at] = t.arrival;
+          arc.slew[rf][at] = t.slew;
+        }
+      }
+    }
+  };
+  const auto probe_job = [&](size_t p) {
+    auto eng = ref->fork();
+    for (const auto& entry : probes[p].entries) {
+      eng->annotate_noisy_net(entry.net, entry.annotation.waveform,
                               entry.annotation.polarity);
     }
-    ref->run();
+    eng->run();
     for (size_t o = 0; o < n_out; ++o) {
       double sens = 0.0;
       bool any = false;
-      for (int rf = 0; rf < 2; ++rf) {
-        if (!base[o].valid[rf]) continue;
-        const PinTiming& t =
-            ref->timing(outputs[o], static_cast<RiseFall>(rf));
-        if (!t.valid) continue;
+      for (const RiseFall rf : {RiseFall::kRise, RiseFall::kFall}) {
+        const PinTiming& base = ref->timing(outputs[o], rf);
+        const PinTiming& t = eng->timing(outputs[o], rf);
+        if (!base.valid || !t.valid) continue;
         any = true;
-        sens = std::max(sens, (t.arrival - base[o].arrival[rf]) / amplitude);
+        sens = std::max(sens, (t.arrival - base.arrival) / amplitude);
       }
-      if (!any) continue;
-      model.transfers.push_back({net, outputs[o], sens});
+      if (any) {
+        probe_transfers[p].push_back(
+            {probes[p].entries.front().net, outputs[o], sens});
+      }
     }
-    ref->clear_noisy_nets();
+  };
+  util::ThreadPool pool(options.threads);
+  pool.parallel_for_dynamic(n_grid_jobs + probes.size(), [&](size_t, size_t j) {
+    if (j < n_grid_jobs) return grid_job(j);
+    probe_job(j - n_grid_jobs);
+  });
+
+  for (size_t i = 0; i < n_in; ++i) {
+    for (size_t o = 0; o < n_out; ++o) {
+      bool reachable = true;
+      for (size_t l = 0; l < n_load; ++l) {
+        reachable = reachable && !unreachable[(i * n_load + l) * n_out + o];
+      }
+      if (!reachable) continue;
+      ArcSamples& s = samples[i * n_out + o];
+      BlockPortArc arc;
+      arc.from_port = inputs[i];
+      arc.to_port = outputs[o];
+      arc.arc.related_pin = inputs[i];
+      arc.arc.sense = liberty::TimingSense::kNonUnate;
+      arc.arc.cell_rise = {model.slews, model.loads, std::move(s.delay[0])};
+      arc.arc.cell_fall = {model.slews, model.loads, std::move(s.delay[1])};
+      arc.arc.rise_transition = {model.slews, model.loads,
+                                 std::move(s.slew[0])};
+      arc.arc.fall_transition = {model.slews, model.loads,
+                                 std::move(s.slew[1])};
+      model.arcs.push_back(std::move(arc));
+    }
+  }
+  for (auto& transfers : probe_transfers) {
+    model.transfers.insert(model.transfers.end(), transfers.begin(),
+                           transfers.end());
   }
 
   // Mirror the input-port sensitivities onto their interface arcs.

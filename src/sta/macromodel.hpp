@@ -67,8 +67,10 @@ struct BlockModelOptions {
   wave::Polarity noise_polarity = wave::Polarity::kFalling;
   /// Sample count of the synthesized probe waveform.
   size_t waveform_samples = 512;
-  /// Threads used by the characterization runs (1 = serial; the grid is
-  /// deterministic at any value).
+  /// Characterization jobs in flight at once (1 = serial, ≤ 0 = the
+  /// hardware concurrency).  Each (input port, output load) grid column
+  /// and each noise probe is one job on a serial forked engine, so the
+  /// model is bitwise identical at any value.
   int threads = 1;
 };
 
@@ -153,12 +155,17 @@ struct BlockModel {
 /// (input port, output load) a forked engine drives that single input
 /// across the slew grid and reads every reachable output port's arrival
 /// (→ delay table: the input is driven at arrival 0) and slew
-/// (→ transition table); then a reference-point engine (all inputs at
-/// the mid-grid slew, all outputs at the mid-grid load) measures the
-/// noise-transfer sensitivities by annotating a probe bump per
-/// characterized net and reading the output-arrival push-out.
-/// Deterministic: the grid walk order is fixed and every run uses the
-/// engine's deterministic propagation.
+/// (→ transition table); a reference-point engine (all inputs at the
+/// mid-grid slew, all outputs at the mid-grid load) gives the base
+/// arrivals, and a fork of it per characterized net annotates a probe
+/// bump and reads the output-arrival push-out (the noise-transfer
+/// sensitivities).  The grid columns and probes run as independent
+/// jobs (BlockModelOptions::threads at a time), each writing only its
+/// own samples, so the result is deterministic at any thread count.
+/// Options are checked before any characterization: std::invalid_argument
+/// names a grid axis value that is not finite, positive and strictly
+/// increasing, an unknown noise net, a noise_amplitude_fraction outside
+/// (0, 1], or fewer than 2 waveform_samples.
 [[nodiscard]] BlockModel extract_block_model(
     const netlist::Netlist& block, const liberty::Library& lib,
     const BlockModelOptions& options = {});

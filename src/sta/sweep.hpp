@@ -13,8 +13,8 @@
 /// pointer tables, and evaluates every point through ONE path:
 ///
 ///  1. one clean baseline per corner — StaEngine::evaluate(), the
-///     level-parallel full-graph routine (or SweepSpec::corner_baselines
-///     when the caller already holds them);
+///     chunk-gated level-parallel full-graph routine (or
+///     SweepSpec::corner_baselines when the caller already holds them);
 ///  2. every scenario point as a *delta* against its corner baseline —
 ///     re-propagating only the transitive fanout cone of its annotated
 ///     nets, the paper's observation that a noise bump perturbs timing

@@ -29,33 +29,10 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_chunk(size_t worker_index, const Job& job) noexcept {
-  if (job.dynamic_run != nullptr) {
-    dynamic_worker(worker_index, *job.dynamic_run);
-    return;
-  }
-  // Static contiguous partition of [0, n) into size_ chunks.
-  const size_t per = (job.n + size_ - 1) / size_;
-  const size_t begin = std::min(worker_index * per, job.n);
-  const size_t end = std::min(begin + per, job.n);
-  try {
-    if (job.body_worker != nullptr) {
-      for (size_t i = begin; i < end; ++i) {
-        (*job.body_worker)(worker_index, i);
-      }
-    } else {
-      for (size_t i = begin; i < end; ++i) (*job.body)(i);
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!first_error_) first_error_ = std::current_exception();
-  }
-}
-
 void ThreadPool::worker_loop(size_t worker_index) {
   uint64_t seen_generation = 0;
   for (;;) {
-    Job job;
+    Run* run = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       start_cv_.wait(lock, [&] {
@@ -63,9 +40,9 @@ void ThreadPool::worker_loop(size_t worker_index) {
       });
       if (shutdown_) return;
       seen_generation = generation_;
-      job = job_;
+      run = run_;
     }
-    run_chunk(worker_index, job);
+    drain(worker_index, *run);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (--pending_ == 0) done_cv_.notify_all();
@@ -73,29 +50,7 @@ void ThreadPool::worker_loop(size_t worker_index) {
   }
 }
 
-void ThreadPool::parallel_for(size_t n,
-                              const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  if (size_ == 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-  dispatch(Job{&body, nullptr, n});
-}
-
-void ThreadPool::parallel_for(
-    size_t n, const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) return;
-  if (size_ == 1 || n == 1) {
-    // Chunk 0 always runs on the calling thread.
-    for (size_t i = 0; i < n; ++i) body(0, i);
-    return;
-  }
-  dispatch(Job{nullptr, &body, n});
-}
-
-void ThreadPool::dynamic_worker(size_t worker_index,
-                                DynamicRun& run) noexcept {
+void ThreadPool::drain(size_t worker_index, Run& run) noexcept {
   while (!run.cancelled.load()) {
     const size_t i = run.next.fetch_add(1);
     if (i >= run.n) return;
@@ -112,41 +67,26 @@ void ThreadPool::dynamic_worker(size_t worker_index,
 void ThreadPool::parallel_for_dynamic(
     size_t n, const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
-  DynamicRun run;
+  Run run;
   run.body = &body;
   run.n = n;
   if (size_ > 1 && n > 1) {
-    dispatch(Job{nullptr, nullptr, 0, &run});
-    return;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      run_ = &run;
+      pending_ = size_ - 1;
+      ++generation_;
+    }
+    start_cv_.notify_all();
   }
-  // Inline execution on the calling thread, same cancel semantics.
-  dynamic_worker(0, run);
-  std::lock_guard<std::mutex> lock(mutex_);
+  drain(0, run);
+  std::unique_lock<std::mutex> lock(mutex_);
+  // `run` lives on this stack frame: wait until no helper touches it.
+  done_cv_.wait(lock, [&] { return pending_ == 0; });
   if (first_error_) {
     auto err = first_error_;
     first_error_ = nullptr;
     std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::dispatch(const Job& job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = job;
-    first_error_ = nullptr;
-    pending_ = size_ - 1;  // helper chunks; chunk 0 runs here
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  run_chunk(0, job_);
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return pending_ == 0; });
-    if (first_error_) {
-      auto err = first_error_;
-      first_error_ = nullptr;
-      std::rethrow_exception(err);
-    }
   }
 }
 

@@ -10,13 +10,17 @@
 ///  - interface-arc delay/transition tables are monotone along the
 ///    output-load axis;
 ///  - noise-transfer sensitivities are non-negative and
-///    lower_interior_bump() lowers interior bumps monotonically.
+///    lower_interior_bump() lowers interior bumps monotonically;
+///  - extraction is bitwise identical at any thread count and rejects
+///    bad options before characterizing, naming the offending value.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -306,6 +310,110 @@ TEST(Hier, NoiseTransfersLowerOntoInterfaceMonotonically) {
                std::invalid_argument);
   EXPECT_THROW((void)b.hier->lower_interior_bump(0, "no_such_net", 0.2),
                std::invalid_argument);
+}
+
+TEST(Hier, ExtractionIdenticalAcrossThreads) {
+  // Extraction runs its grid and noise probes as independent jobs; the
+  // model must not depend on how many run at once.
+  const netlist::Netlist block = small_block(23);
+  std::string interior;
+  for (const auto& inst : block.instances()) {
+    const std::string& net = inst.pins.at("Y");
+    if (block.find_port(net) == nullptr) {
+      interior = net;
+      break;
+    }
+  }
+  ASSERT_FALSE(interior.empty());
+
+  sta::BlockModelOptions opt;
+  opt.noise_nets = {interior};
+  opt.threads = 1;
+  const sta::BlockModel ref = sta::extract_block_model(block, vcl013(), opt);
+  ASSERT_FALSE(ref.arcs.empty());
+  bool probed = false;
+  for (const auto& t : ref.transfers) probed = probed || t.net == interior;
+  ASSERT_TRUE(probed) << "interior probe " << interior << " never ran";
+
+  const auto same_table = [](const liberty::NldmTable& a,
+                             const liberty::NldmTable& b) {
+    if (a.index_1() != b.index_1() || a.index_2() != b.index_2()) return false;
+    for (size_t i = 0; i < a.index_1().size(); ++i) {
+      for (size_t j = 0; j < a.index_2().size(); ++j) {
+        if (bits(a.value_at(i, j)) != bits(b.value_at(i, j))) return false;
+      }
+    }
+    return true;
+  };
+  for (const int threads : {4, 0}) {
+    opt.threads = threads;
+    const sta::BlockModel m = sta::extract_block_model(block, vcl013(), opt);
+    ASSERT_EQ(m.arcs.size(), ref.arcs.size()) << "threads=" << threads;
+    for (size_t k = 0; k < m.arcs.size(); ++k) {
+      const auto& a = m.arcs[k];
+      const auto& r = ref.arcs[k];
+      const std::string arc = r.from_port + "->" + r.to_port;
+      EXPECT_EQ(a.from_port, r.from_port) << "threads=" << threads;
+      EXPECT_EQ(a.to_port, r.to_port) << "threads=" << threads;
+      EXPECT_TRUE(same_table(a.arc.cell_rise, r.arc.cell_rise)) << arc;
+      EXPECT_TRUE(same_table(a.arc.cell_fall, r.arc.cell_fall)) << arc;
+      EXPECT_TRUE(same_table(a.arc.rise_transition, r.arc.rise_transition))
+          << arc;
+      EXPECT_TRUE(same_table(a.arc.fall_transition, r.arc.fall_transition))
+          << arc;
+      EXPECT_EQ(bits(a.noise_transfer), bits(r.noise_transfer)) << arc;
+    }
+    ASSERT_EQ(m.transfers.size(), ref.transfers.size())
+        << "threads=" << threads;
+    for (size_t k = 0; k < m.transfers.size(); ++k) {
+      EXPECT_EQ(m.transfers[k].net, ref.transfers[k].net);
+      EXPECT_EQ(m.transfers[k].to_port, ref.transfers[k].to_port);
+      EXPECT_EQ(bits(m.transfers[k].sensitivity),
+                bits(ref.transfers[k].sensitivity))
+          << ref.transfers[k].net << "->" << ref.transfers[k].to_port
+          << " threads=" << threads;
+    }
+  }
+}
+
+TEST(Hier, ExtractionRejectsBadOptionsNamingTheValue) {
+  const netlist::Netlist block = small_block(13);
+  const auto expect_rejected = [&](const sta::BlockModelOptions& opt,
+                                   const std::string& needle) {
+    try {
+      (void)sta::extract_block_model(block, vcl013(), opt);
+      ADD_FAILURE() << "accepted; expected an error naming '" << needle
+                    << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+
+  sta::BlockModelOptions opt;
+  opt.slews = {20e-12, nan, 200e-12};
+  expect_rejected(opt, "slew axis value nan at index 1 is not finite");
+
+  opt = {};
+  opt.loads = {-1e-15, 4e-15};
+  expect_rejected(opt, "load axis value -1e-15 at index 0 is not positive");
+
+  opt = {};
+  opt.slews = {20e-12, 80e-12, 80e-12};
+  expect_rejected(opt, "slew axis value 8e-11 at index 2 does not exceed");
+
+  opt = {};
+  opt.noise_nets = {"no_such_net"};
+  expect_rejected(opt, "unknown noise net 'no_such_net'");
+
+  opt = {};
+  opt.noise_amplitude_fraction = 1.5;
+  expect_rejected(opt, "noise_amplitude_fraction 1.5 is outside (0, 1]");
+
+  opt = {};
+  opt.waveform_samples = 1;
+  expect_rejected(opt, "waveform_samples 1 is below 2");
 }
 
 TEST(Hier, CarveBlockFromInstanceSliceExtracts) {

@@ -2,12 +2,13 @@
 // level-parallel forward/backward passes across thread counts, bitwise
 // equivalence of threaded scenario sweeps vs. sequential looped runs
 // and the serial evaluate() oracle (on chain trees and randomized
-// netlists), Γeff-memo hit accounting, and the ThreadPool static and
-// dynamic loops.
+// netlists), Γeff-memo hit accounting, and the ThreadPool loop.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -65,42 +66,56 @@ TEST(StaParallel, LevelsCoverAllVerticesOnce) {
 }
 
 TEST(StaParallel, MultiThreadBitwiseIdenticalToSingleThread) {
-  const int width = 12;
+  // evaluate() dispatches only levels wider than one kLevelChunk; the
+  // chains make levels `width` wide, so this width spans four chunks
+  // and run() really takes the pooled branch.
+  const size_t chunk = st::StaEngine::kLevelChunk;
+  const int width = static_cast<int>(3 * chunk + 1);
   const auto net = wide_netlist(width);
 
   st::StaEngine sta1(net, lib());
   constrain(sta1, width);
-  sta1.set_threads(1);
+  size_t widest = 0;
+  for (const auto& level : sta1.levels()) {
+    widest = std::max(widest, level.size());
+  }
+  ASSERT_GT(widest, 2 * chunk) << "fixture no longer dispatches levels";
   sta1.run();
 
+  // A noisy annotation makes the parallel path exercise Γeff too.
+  const auto& n0 = sta1.timing("inv0_2/A", st::RiseFall::kFall);
+  const auto ramp =
+      wv::Ramp::from_arrival_slew(n0.arrival, n0.slew, lib().nom_voltage);
+  const auto noisy_run = [&](st::StaEngine& sta, int threads) {
+    constrain(sta, width);
+    sta.annotate_noisy_net("c0_1",
+                           ramp.denormalized(wv::Polarity::kFalling, 256),
+                           wv::Polarity::kFalling);
+    sta.set_threads(threads);
+    sta.run();
+  };
+  st::StaEngine ref(net, lib());
+  noisy_run(ref, 1);
+
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
   for (const int threads : {2, 4, 8}) {
     st::StaEngine stan(net, lib());
-    constrain(stan, width);
-    // A noisy annotation makes the parallel path exercise Γeff too.
-    const auto& n0 = sta1.timing("inv0_2/A", st::RiseFall::kFall);
-    const auto ramp =
-        wv::Ramp::from_arrival_slew(n0.arrival, n0.slew, lib().nom_voltage);
-    stan.annotate_noisy_net("c0_1",
-                            ramp.denormalized(wv::Polarity::kFalling, 256),
-                            wv::Polarity::kFalling);
-    st::StaEngine sta1n(net, lib());
-    constrain(sta1n, width);
-    sta1n.annotate_noisy_net("c0_1",
-                             ramp.denormalized(wv::Polarity::kFalling, 256),
-                             wv::Polarity::kFalling);
-    sta1n.set_threads(1);
-    sta1n.run();
-    stan.set_threads(threads);
-    stan.run();
-
-    for (int rf = 0; rf < 2; ++rf) {
-      const auto r = static_cast<st::RiseFall>(rf);
-      EXPECT_EQ(sta1n.timing("y", r).arrival, stan.timing("y", r).arrival)
-          << "threads=" << threads;
-      EXPECT_EQ(sta1n.timing("y", r).slew, stan.timing("y", r).slew);
-      EXPECT_EQ(sta1n.timing("y", r).required, stan.timing("y", r).required);
+    noisy_run(stan, threads);
+    size_t divergent = 0;
+    for (size_t v = 0; v < ref.vertex_count(); ++v) {
+      const st::PinId pin = ref.pin(ref.vertex_name(v));
+      for (const auto rf : {st::RiseFall::kRise, st::RiseFall::kFall}) {
+        const auto& a = ref.timing(pin, rf);
+        const auto& b = stan.timing(stan.pin(ref.vertex_name(v)), rf);
+        if (a.valid != b.valid || bits(a.arrival) != bits(b.arrival) ||
+            bits(a.slew) != bits(b.slew) ||
+            bits(a.required) != bits(b.required)) {
+          ++divergent;
+        }
+      }
     }
-    EXPECT_EQ(sta1n.worst_slack(), stan.worst_slack());
+    EXPECT_EQ(divergent, 0u) << "threads=" << threads;
+    EXPECT_EQ(ref.worst_slack(), stan.worst_slack()) << "threads=" << threads;
   }
 }
 
@@ -214,26 +229,10 @@ TEST(StaParallel, CacheOffMatchesCacheOnBitwise) {
 }
 
 TEST(StaParallel, ThreadPoolRunsEveryIndexOnceAndPropagatesErrors) {
-  wu::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<int> counts(1000, 0);
-  pool.parallel_for(counts.size(), [&](size_t i) { counts[i]++; });
-  for (const int c : counts) EXPECT_EQ(c, 1);
-
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](size_t i) {
-                          if (i == 57) throw wu::Error("boom");
-                        }),
-      wu::Error);
-  // Pool stays usable after an exception.
-  std::atomic<int> total{0};
-  pool.parallel_for(100, [&](size_t) { total++; });
-  EXPECT_EQ(total.load(), 100);
-
   // parallel_for_dynamic at 1 (inline), 2 and 4 workers.
   for (const int threads : {1, 2, 4}) {
     wu::ThreadPool dyn(threads);
+    EXPECT_EQ(dyn.size(), static_cast<size_t>(threads));
     const size_t n = 1000;
     std::vector<std::atomic<int>> runs(n);
     for (auto& r : runs) r.store(0);
