@@ -489,10 +489,9 @@ const SparseFixture& sparse_fixture() {
 // Dense-cone lane workload: a deep ~900-vertex random DAG where each
 // chosen victim drives a cone covering ≥ 10% of the graph.  64
 // scenarios = the 4 largest-cone victims × 16 alignment/strength
-// variants, so plan dedup collapses the sweep onto 4 cones and the
-// lane grouper packs 16 full 4-wide blocks — the workload the SoA
-// walker exists for.  (Sparse tiny-cone sweeps are baseline-copy
-// dominated and gain little from lanes; that regime is measured by the
+// variants, so plan dedup collapses the sweep onto 4 cones and every
+// point walks a dense cone through evaluate_delta().  (Sparse tiny-cone
+// sweeps are baseline-copy dominated; that regime is measured by the
 // sparse sweep above.)
 // ---------------------------------------------------------------------------
 
@@ -991,17 +990,17 @@ SweepFigures report_sweep_speedups() {
       compound_funnel.window_killed + compound_funnel.correlation_killed +
       compound_funnel.set_killed);
 
-  // SIMD lane A/B on the dense 64-scenario delta sweep (the dense-cone
-  // random-DAG fixture: 4 victims × 16 variants, every cone ≥ 10% of
-  // the ~900-vertex graph).  wave::LaneWidthGuard(1) pins the scalar
-  // per-point path; unpinned, the sweep takes the widest available
-  // width (4 on AVX2 builds, where the two runs must match bitwise per
-  // point — the lane determinism contract).  Best-of-5 interleaved.  Measured under two
-  // noise methods: P1 (propagation-bound — the graph walk the lane
-  // layer vectorizes) is the headline; SGDP (the default) also runs
-  // its scalar per-lane Newton Γeff fits, which bound its lane gain
-  // near ~1.3× by Amdahl, and is reported alongside.  On scalar-only
-  // builds/CPUs both runs take the same path and the speedup is ~1.0.
+  // Kernel-width A/B on the dense 64-scenario delta sweep (the
+  // dense-cone random-DAG fixture: 4 victims × 16 variants, every cone
+  // ≥ 10% of the ~900-vertex graph).  wave::LaneWidthGuard(1) pins the
+  // scalar waveform kernels; unpinned, the sweep's Γeff fits use the
+  // widest available kernel width (4 on AVX2 builds).  Every point
+  // runs scalar evaluate_delta() at either width and the two runs must
+  // match bitwise per point — the lane determinism contract.
+  // Best-of-5 interleaved, under two noise methods: P1 (propagation-
+  // bound, its fits barely touch the kernels) and SGDP (the default,
+  // whose Newton Γeff fits do).  On scalar-only builds/CPUs both runs
+  // take the same path and the speedup is ~1.0.
   const int lane_width = wv::active_lane_width();
   const int kLaneScenarios = 64;
   size_t lane_vertices = 0;
@@ -1038,7 +1037,7 @@ SweepFigures report_sweep_speedups() {
                    wall_seconds([&] { r_sgdp_wide = sta.sweep(spec); }));
     }
     // Cross-check on this fixture: looped serial evaluate() must agree
-    // exactly with the baseline+delta path the lane A/B runs on.
+    // exactly with the baseline+delta path the width A/B runs on.
     const auto looped = looped_serial_slacks(sta, dense_scenarios, &p1);
     for (size_t p = 0; p < r_scalar.size(); ++p) {
       lane_identical = lane_identical &&
@@ -1132,20 +1131,17 @@ SweepFigures report_sweep_speedups() {
               compound_prewave_killed >= 0.5
                   ? ""
                   : "  [pre-waveform kills below 50% target]");
-  std::printf("lane-parallel delta sweep (dense-cone fixture: %zu vertices, "
-              "%d scenarios on 4 cones, width %d):\n",
+  std::printf("dense delta sweep, kernel width A/B (dense-cone fixture: "
+              "%zu vertices, %d scenarios on 4 cones, width %d):\n",
               lane_vertices, kLaneScenarios, lane_width);
   std::printf("  P1    width 1 (scalar):        %8.1f ms  (%.1f "
               "scenarios/sec)\n",
               t_lane_scalar * 1e3, kLaneScenarios / t_lane_scalar);
   std::printf("  P1    width auto:              %8.1f ms  (%.1f "
-              "scenarios/sec, %.2fx vs scalar)%s\n",
-              t_lane_wide * 1e3, kLaneScenarios / t_lane_wide, lane_speedup,
-              lane_width < 4 || lane_speedup >= 1.5
-                  ? ""
-                  : "  [below 1.5x target]");
-  std::printf("  SGDP  width 1 -> width auto:   %8.1f ms -> %.1f ms  (%.2fx; "
-              "scalar Geff fits bound this near ~1.3x)\n",
+              "scenarios/sec, %.2fx vs scalar)\n",
+              t_lane_wide * 1e3, kLaneScenarios / t_lane_wide, lane_speedup);
+  std::printf("  SGDP  width 1 -> width auto:   %8.1f ms -> %.1f ms  "
+              "(%.2fx)\n",
               t_lane_sgdp_scalar * 1e3, t_lane_sgdp_wide * 1e3,
               lane_sgdp_speedup);
   std::printf("result memory per point: full %zu B -> endpoint-only %zu B "

@@ -744,9 +744,7 @@ void StaEngine::noisy_fit(const NetEdge& e, size_t edge_index,
                           double& slew) const {
   // The full noisy-sink gate: annotation present, sink is a gate input
   // whose transition matches the annotated polarity, and the sink gate
-  // has an arc from this pin.  Shared verbatim by the scalar path
-  // (propagate_net_edge) and the lane-block path (evaluate_delta_block)
-  // so "lane == scalar" at noisy edges is structural.
+  // has an arc from this pin.
   if (noisy == nullptr || e.sink_pin == nullptr) return;
   const auto rf = static_cast<RiseFall>(rf_i);
   if (to_polarity(rf) != noisy->polarity) return;
@@ -997,11 +995,6 @@ StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
     if (dirty[v]) plan.forward.push_back(static_cast<int>(v));
     if (back[v]) plan.backward.push_back(static_cast<int>(v));
   }
-  // The collection loops above run in ascending vertex id — keep that
-  // order for the materialization walklists before re-sorting the
-  // propagation ones by level.
-  plan.forward_ids = plan.forward;
-  plan.backward_ids = plan.backward;
   // Order worklists as (level, vertex) forwards and (-level, vertex)
   // backwards.  The lists are built in ascending vertex id, so a
   // stable counting sort over the level key produces exactly what
@@ -1213,6 +1206,10 @@ void StaEngine::evaluate_points_delta(
                 contexts.size(), " contexts vs ", baselines.size(),
                 " baselines vs ", plans.size(), " plans");
   const size_t n_points = states.size();
+  for (size_t p = 0; p < n_points; ++p) {
+    util::require(baselines[p] != nullptr && plans[p] != nullptr,
+                  "evaluate_points_delta: null baseline/plan at point ", p);
+  }
   if (n_points == 0) return;
   std::vector<wave::Workspace> local;
   const auto arenas = worker_arenas(pool, worker_workspaces, local,

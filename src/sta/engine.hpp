@@ -32,9 +32,9 @@
 /// concurrently through the const, reentrant evaluation path.  There
 /// is one full-graph routine, evaluate() (chunk-gated level-parallel
 /// when given a pool), used by run(), sweep baselines and service
-/// rebuilds, and one delta routine, evaluate_delta() (plus its SIMD
-/// lane-block form), which derives every sweep point from its corner
-/// baseline (see sweep.hpp).
+/// rebuilds, and one delta routine, evaluate_delta(), which derives
+/// every sweep point and service edit from its corner baseline (see
+/// sweep.hpp).
 ///
 /// Handle-based API: names are resolved ONCE to PinId / NetId / PortId
 /// handles (pin(), net(), port()), and the primary overloads of every
@@ -388,14 +388,6 @@ class StaEngine {
     /// corner baseline.  Empty means every endpoint summary of the
     /// scenario equals the baseline exactly.
     std::vector<int32_t> endpoints;
-    /// `forward` in ascending vertex-id order.  Result materialization
-    /// iterates this instead of the level order: writes into the output
-    /// TimingState then stream in address order, which measurably beats
-    /// level-order scatter on lane-block sweeps.  Same members, only
-    /// the iteration order differs — folding still uses `forward`.
-    std::vector<int> forward_ids;
-    /// `backward` in ascending vertex-id order (see `forward_ids`).
-    std::vector<int> backward_ids;
     /// Graph size the plan was computed for (validation).
     size_t num_vertices = 0;
   };
@@ -489,35 +481,27 @@ class StaEngine {
   /// the pool (ThreadPool::parallel_for_dynamic).  Every point runs
   /// with its worker's arena from `worker_workspaces` (call-local
   /// arenas when empty).  Results are bitwise identical to evaluate()
-  /// with the same contexts at any thread count.
+  /// with the same contexts at any thread count.  Throws util::Error
+  /// naming the point when a baseline or plan pointer is null.
   void evaluate_points_delta(
       std::span<TimingState> states, std::span<const EvalContext> contexts,
       std::span<const TimingState* const> baselines,
       std::span<const DeltaPlan* const> plans, util::ThreadPool* pool = nullptr,
       std::span<wave::Workspace> worker_workspaces = {}) const;
 
-  // -- SIMD lane-parallel delta propagation --------------------------------
-  // A sweep funnels many near-identical scenarios through the same
-  // cone; the lane layer walks the levelized cone ONCE per group of up
-  // to wave::Lane<W>::width compatible points, carrying each point's
-  // arrival/slew/required in adjacent SIMD lanes of a
-  // structure-of-arrays state.  Every lane keeps its own scalar fold
-  // order (vertical SIMD only — no cross-lane reduction, no FMA), so
-  // lane results are bitwise identical to the scalar path per point.
+  // -- lane-block grouping (perfbench probes only) -------------------------
+  // No propagation path uses these: perfbench's traced sta.lanes.*
+  // probes do, and they go when those probes are retired.
 
-  /// One lane-group of an evaluate_points_delta_lanes() call: up to
-  /// `width` compatible points (same baseline, same corner, plan
-  /// content equal or merged into a cone-superset union plan) walked
-  /// together through one SoA lane state.
+  /// One group of compatible sweep points: up to `width` points (same
+  /// baseline, same corner, plan content equal or merged into a
+  /// cone-superset union plan).
   struct LaneBlock {
     /// Indices into the call's point spans, grouped in first-seen
     /// order; size 1..width.
     std::vector<uint32_t> points;
-    /// The plan every lane of the block is propagated over: the
-    /// points' shared plan, or the (level, vertex)-merged union of
-    /// their plans.  Union propagation is exact: re-folding a vertex
-    /// outside a lane's own cone reproduces its baseline value bitwise
-    /// (same inputs, same fixed fold order).
+    /// The plan covering every point of the block: the points' shared
+    /// plan, or the (level, vertex)-merged union of their plans.
     const DeltaPlan* plan = nullptr;
     /// Owns `plan` when it is a merged union (null when `plan` aliases
     /// a caller plan).
@@ -527,31 +511,15 @@ class StaEngine {
   /// Groups compatible points into lane blocks of at most `width`
   /// lanes: points qualify for the same block when they share a
   /// baseline pointer and corner/method/cache identity, and their
-  /// plans have equal content (edge-noise tables may differ — noisy
-  /// edges are handled per lane).  Sub-width leftovers sharing a
-  /// (baseline, corner) are merged under a union plan; blocks of one
-  /// point fall back to scalar evaluate_delta() in the runner.
+  /// plans have equal content (edge-noise tables may differ).
+  /// Sub-width leftovers sharing a (baseline, corner) are merged under
+  /// a union plan.
   /// Deterministic: block membership is a pure function of the inputs
-  /// in first-seen order (and results never depend on grouping).
+  /// in first-seen order.
   [[nodiscard]] std::vector<LaneBlock> group_lane_blocks(
       std::span<const EvalContext> contexts,
       std::span<const TimingState* const> baselines,
       std::span<const DeltaPlan* const> plans, int width) const;
-
-  /// Lane-parallel evaluate_points_delta(): same inputs, same results,
-  /// bit for bit.  `lanes` must be 1 or 4; 1 runs the W=1 oracle
-  /// instantiation of the block walker (available on every build),
-  /// 4 requires AVX2 (wave::lane_width_available(4)) and throws
-  /// util::Error otherwise.  Blocks run as independent pool tasks; the
-  /// W=1 instantiation of the block walker is the oracle the W=4 path
-  /// must match bitwise (asserted by tests/test_lanes.cpp and the
-  /// bench `bitwise_identical` flag).
-  void evaluate_points_delta_lanes(
-      std::span<TimingState> states, std::span<const EvalContext> contexts,
-      std::span<const TimingState* const> baselines,
-      std::span<const DeltaPlan* const> plans, int lanes,
-      util::ThreadPool* pool = nullptr,
-      std::span<wave::Workspace> worker_workspaces = {}) const;
 
   /// Result accessors against an external state (sweep/service results).
   [[nodiscard]] const PinTiming& timing_in(const TimingState& state,
@@ -690,32 +658,13 @@ class StaEngine {
   void propagate_net_edge(size_t edge_index, TimingState& state,
                           const EvalContext& ctx) const;
   /// The Γeff replacement step at a noisy net sink: gates on
-  /// (annotation, sink pin, polarity, arc) exactly like the historical
-  /// inline block, then rewrites (arrival, slew) via cache or fit.
-  /// Shared verbatim by propagate_net_edge() and the lane-block path,
-  /// which is what makes "lane == scalar" at noisy edges structural.
+  /// (annotation, sink pin, polarity, arc), then rewrites (arrival,
+  /// slew) via cache or fit.
   void noisy_fit(const NetEdge& e, size_t edge_index,
                  const NoiseAnnotation* noisy, int rf_i,
                  const EvalContext& ctx, double& arrival, double& slew) const;
   static void relax(TimingState& state, int to, RiseFall to_rf, double arrival,
                     double slew, int from, RiseFall from_rf);
-
-  /// Per-worker scratch of the lane-block walker: epoch-stamped
-  /// vertex→slot maps plus the SoA lane arrays (defined in
-  /// engine_lanes_impl.hpp; sized O(V) once, reused across blocks).
-  struct LaneScratch;
-  /// Walks one lane block: reset → forward fold → backward fold of
-  /// `block.plan` with W lanes in flight, then materializes each real
-  /// lane as baseline-copy + cone overwrite.  Instantiated at W=1
-  /// (engine_lanes.cpp — the oracle/fallback) and W=4
-  /// (engine_lanes_avx2.cpp, compiled with -mavx2).
-  template <int W>
-  void evaluate_delta_block(const LaneBlock& block,
-                            std::span<TimingState> states,
-                            std::span<const EvalContext> contexts,
-                            std::span<const TimingState* const> baselines,
-                            wave::Workspace* workspace,
-                            LaneScratch& scratch) const;
 
   const netlist::Netlist* netlist_;
   const liberty::Library* library_;

@@ -1,14 +1,14 @@
-// Lane-block grouping and the lane-parallel delta runner.  This TU is
-// compiled at the baseline ISA: it instantiates the W=1 oracle of the
-// block walker and dispatches to the W=4 instantiation (built in
-// engine_lanes_avx2.cpp with -mavx2) without ever expanding it here.
+// Lane-block grouping of sweep points.  No propagation path calls it:
+// it remains only for perfbench's traced sta.lanes.* probes.
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <unordered_map>
 
-#include "sta/engine_lanes_impl.hpp"
-#include "util/thread_pool.hpp"
+#include "sta/engine.hpp"
+#include "util/error.hpp"
 
 namespace waveletic::sta {
 
@@ -58,8 +58,7 @@ std::vector<StaEngine::LaneBlock> StaEngine::group_lane_blocks(
   const size_t uwidth = static_cast<size_t>(width);
 
   // 1. Bucket points by (baseline, corner, plan content) in first-seen
-  //    order.  Method/cache/edge_noise may differ per lane: the walker
-  //    reads them from each lane's own context.
+  //    order.  Method/cache/edge_noise may differ per lane.
   struct Bucket {
     const TimingState* baseline;
     const Corner* corner;
@@ -187,69 +186,5 @@ std::vector<StaEngine::LaneBlock> StaEngine::group_lane_blocks(
   }
   return blocks;
 }
-
-void StaEngine::evaluate_points_delta_lanes(
-    std::span<TimingState> states, std::span<const EvalContext> contexts,
-    std::span<const TimingState* const> baselines,
-    std::span<const DeltaPlan* const> plans, int lanes,
-    util::ThreadPool* pool, std::span<wave::Workspace> worker_workspaces)
-    const {
-  util::require(states.size() == contexts.size() &&
-                    states.size() == baselines.size() &&
-                    states.size() == plans.size(),
-                "evaluate_points_delta_lanes: ", states.size(), " states vs ",
-                contexts.size(), " contexts vs ", baselines.size(),
-                " baselines vs ", plans.size(), " plans");
-  util::require(lanes == 1 || lanes == 4,
-                "evaluate_points_delta_lanes: lanes must be 1 or 4, got ",
-                lanes);
-  util::require(wave::lane_width_available(lanes),
-                "evaluate_points_delta_lanes: lane width ", lanes,
-                " not available on this build/CPU");
-  if (states.empty()) return;
-  std::vector<wave::Workspace> local;
-  const auto arenas = worker_arenas(pool, worker_workspaces, local,
-                                    "evaluate_points_delta_lanes");
-
-  const auto blocks = group_lane_blocks(contexts, baselines, plans, lanes);
-  std::vector<LaneScratch> scratch(arenas.size());
-  auto body = [&](size_t worker, size_t bi) {
-    const LaneBlock& blk = blocks[bi];
-    wave::Workspace* ws = &arenas[worker];
-    if (lanes == 4 && blk.points.size() > 1) {
-#if defined(WAVELETIC_HAVE_AVX2)
-      evaluate_delta_block<4>(blk, states, contexts, baselines, ws,
-                              scratch[worker]);
-#endif
-      return;
-    }
-    if (lanes == 1) {
-      // W=1 runs every (singleton) block through the walker — the
-      // oracle instantiation, exercised on every build.
-      evaluate_delta_block<1>(blk, states, contexts, baselines, ws,
-                              scratch[worker]);
-      return;
-    }
-    // Width-4 singleton: the scalar per-point path is cheaper than a
-    // 3/4-padded lane walk and bitwise identical by contract.
-    const uint32_t p = blk.points[0];
-    EvalContext task_ctx = contexts[p];
-    task_ctx.workspace = ws;
-    evaluate_delta(states[p], *baselines[p], *plans[p], task_ctx);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for_dynamic(blocks.size(), body);
-  } else {
-    for (size_t b = 0; b < blocks.size(); ++b) body(0, b);
-  }
-}
-
-// The oracle instantiation: structurally the scalar fold, one point per
-// "vector".  The W=4 instantiation must match it bitwise.
-template void StaEngine::evaluate_delta_block<1>(
-    const LaneBlock& block, std::span<TimingState> states,
-    std::span<const EvalContext> contexts,
-    std::span<const TimingState* const> baselines, wave::Workspace* workspace,
-    LaneScratch& s) const;
 
 }  // namespace waveletic::sta

@@ -8,7 +8,6 @@
 #include "noise/scenario.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
-#include "wave/lanes.hpp"
 #include "wave/ramp.hpp"
 
 namespace waveletic::sta {
@@ -695,15 +694,8 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       wave_plans[i] = &plans[plan_of[p % n_scenarios]];
     }
     const std::span<TimingState> wave_states(wave_buf.data(), n);
-    if (wave::active_lane_width() == 4) {
-      // Lane-parallel: compatible points of the wave share one SoA
-      // graph walk.  Bitwise identical to the scalar branch below.
-      evaluate_points_delta_lanes(wave_states, wave_ctx, wave_base,
-                                  wave_plans, 4, &pool, wss);
-    } else {
-      evaluate_points_delta(wave_states, wave_ctx, wave_base, wave_plans,
-                            &pool, wss);
-    }
+    evaluate_points_delta(wave_states, wave_ctx, wave_base, wave_plans,
+                          &pool, wss);
     for (size_t i = 0; i < n; ++i) {
       const size_t p = wave_points[i];
       const double ws = worst_slack_in(wave_buf[i]);

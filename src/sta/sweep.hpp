@@ -18,10 +18,9 @@
 ///  2. every scenario point as a *delta* against its corner baseline —
 ///     re-propagating only the transitive fanout cone of its annotated
 ///     nets, the paper's observation that a noise bump perturbs timing
-///     only through the victim's cone.  Compatible points share one
-///     SIMD lane-block walk when wave::active_lane_width() == 4;
-///     otherwise each runs scalar evaluate_delta().  Points are
-///     dynamically scheduled over the engine's worker pool
+///     only through the victim's cone.  Every point runs
+///     evaluate_delta() (via evaluate_points_delta()), dynamically
+///     scheduled over the engine's worker pool
 ///     (ThreadPool::parallel_for_dynamic), since dirty cones are
 ///     unbalanced.
 ///
@@ -38,8 +37,8 @@
 /// its in-edges in a fixed order after all of its predecessors, and
 /// cache hits return bitwise what the fit would produce — so every
 /// point is bitwise identical to a serial evaluate() of its (corner,
-/// scenario), at any thread count and lane width.  Serial evaluate()
-/// is the test oracle (tests/sta_test_util.hpp).
+/// scenario), at any thread count and kernel lane width.  Serial
+/// evaluate() is the test oracle (tests/sta_test_util.hpp).
 ///
 /// Result storage: the default keeps a full TimingState per point.  For
 /// sweep-scale point counts (10k+), `endpoint_only = true` keeps only

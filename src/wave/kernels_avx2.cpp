@@ -1,5 +1,5 @@
-// AVX2 (W=4) instantiations of the lane kernel bodies.  This is one of
-// the only TUs compiled with -mavx2 (see CMakeLists.txt); it must stay
+// AVX2 (W=4) instantiations of the lane kernel bodies.  This is the
+// only TU compiled with -mavx2 (see CMakeLists.txt); it must stay
 // free of code that could run on non-AVX2 CPUs — everything here is
 // reached exclusively through the active_lane_width() == 4 dispatch in
 // kernels.cpp.  Built without -mfma and with -ffp-contract=off, so per

@@ -2,14 +2,13 @@
 
 /// \file lanes.hpp
 /// Lane-width-agnostic SIMD primitive layer underneath the batched
-/// waveform kernels and the lane-block sweep engine.
+/// waveform kernels.
 ///
 /// `Lane<W>` exposes one fixed vocabulary — load / store / broadcast /
-/// gather / arithmetic / ordered compares / blend-select / exact
-/// `std::min`-`std::max` replicas / the shared `lerp` formula — over W
-/// adjacent IEEE doubles.  `Lane<1>` is plain scalar code and is the
-/// bitwise ORACLE: every templated kernel or engine body instantiated
-/// at W=1 compiles to exactly the pre-lane scalar loops.  `Lane<4>` is
+/// pair loads / arithmetic / ordered compares / blend-select / the
+/// shared `lerp` formula — over W adjacent IEEE doubles.  `Lane<1>` is
+/// plain scalar code and is the bitwise ORACLE: every templated kernel
+/// instantiated at W=1 compiles to exactly the pre-lane scalar loops.  `Lane<4>` is
 /// AVX2 and is only defined inside translation units compiled with
 /// `-mavx2` (the `*_avx2.cpp` TUs); all other code talks to it through
 /// the runtime-dispatch glue below.
@@ -24,8 +23,8 @@
 ///    are built WITHOUT `-mfma` and with `-ffp-contract=off`, so the
 ///    compiler cannot fuse them behind our back;
 ///  - compares use the ordered-quiet predicates (`_CMP_LT_OQ` & co.),
-///    matching the semantics of the scalar `<`, `<=`, `>`, `>=`, `==`
-///    on NaN inputs exactly.
+///    matching the semantics of the scalar `<`, `<=`, `>` on NaN
+///    inputs exactly.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,7 +44,7 @@ namespace waveletic::wave {
 /// accepts `-mavx2`), otherwise 1.
 [[nodiscard]] int compiled_lane_width() noexcept;
 
-/// Lane count the kernel/engine dispatchers select right now:
+/// Lane count the kernel dispatchers select right now:
 /// the forced width if `force_lane_width` set one, else
 /// `compiled_lane_width()` clamped by what the CPU actually supports
 /// (AVX2 is probed once at startup).  Always 1 or 4.
@@ -104,11 +103,6 @@ struct Lane<1> {
   static D broadcast(double x) noexcept { return x; }
   /// The per-lane offsets {0, 1, …, width−1} as doubles.
   static D step() noexcept { return 0.0; }
-  /// Per-lane indexed load: lane j reads `base[idx[j]]` (`idx` holds
-  /// `width` int32 indices).
-  static D gather(const double* base, const int32_t* idx) noexcept {
-    return base[idx[0]];
-  }
   /// Per-lane adjacent-pair load: lane j of `lo` reads `base[idx[j]]`,
   /// lane j of `hi` reads `base[idx[j] + 1]`.  Interpolation kernels
   /// always touch `(lo, lo+1)` index pairs, and contiguous pair loads
@@ -136,29 +130,14 @@ struct Lane<1> {
   static M le(D a, D b) noexcept { return a <= b; }
   /// Lane-wise `a > b` (false on NaN).
   static M gt(D a, D b) noexcept { return a > b; }
-  /// Lane-wise `a >= b` (false on NaN).
-  static M ge(D a, D b) noexcept { return a >= b; }
-  /// Lane-wise `a == b` (false on NaN).
-  static M eq(D a, D b) noexcept { return a == b; }
 
   /// Mask conjunction.
   static M mask_and(M a, M b) noexcept { return a && b; }
-  /// Mask disjunction.
-  static M mask_or(M a, M b) noexcept { return a || b; }
-  /// Mask negation.
-  static M mask_not(M a) noexcept { return !a; }
-  /// True when at least one lane of `m` is set.
-  static bool any(M m) noexcept { return m; }
   /// True when every lane of `m` is set.
   static bool all(M m) noexcept { return m; }
 
   /// Per-lane `m ? a : b`.
   static D select(M m, D a, D b) noexcept { return m ? a : b; }
-  /// Exact `std::min(a, b)` per lane: `(b < a) ? b : a`, including the
-  /// NaN and signed-zero behaviour of the scalar template.
-  static D min(D a, D b) noexcept { return (b < a) ? b : a; }
-  /// Exact `std::max(a, b)` per lane: `(a < b) ? b : a`.
-  static D max(D a, D b) noexcept { return (a < b) ? b : a; }
 
   /// The shared interpolation formula of `detail::lerp_segment`, lane
   /// wise:  `frac = (x − tlo) / (thi − tlo);  vlo + frac·(vhi − vlo)`.
@@ -194,12 +173,6 @@ struct Lane<4> {
   static D broadcast(double x) noexcept { return _mm256_set1_pd(x); }
   /// The per-lane offsets {0, 1, 2, 3} as doubles.
   static D step() noexcept { return _mm256_set_pd(3.0, 2.0, 1.0, 0.0); }
-  /// Per-lane indexed load: lane j reads `base[idx[j]]` (`idx` holds
-  /// `width` int32 indices).
-  static D gather(const double* base, const int32_t* idx) noexcept {
-    return _mm256_i32gather_pd(
-        base, _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx)), 8);
-  }
   /// Per-lane adjacent-pair load: lane j of `lo` reads `base[idx[j]]`,
   /// lane j of `hi` reads `base[idx[j] + 1]`.  Four 128-bit pair loads
   /// plus `unpacklo/hi` transposes — substantially cheaper than two
@@ -229,21 +202,9 @@ struct Lane<4> {
   static M le(D a, D b) noexcept { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
   /// Lane-wise `a > b`, ordered-quiet.
   static M gt(D a, D b) noexcept { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
-  /// Lane-wise `a >= b`, ordered-quiet.
-  static M ge(D a, D b) noexcept { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
-  /// Lane-wise `a == b`, ordered-quiet (false on NaN).
-  static M eq(D a, D b) noexcept { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
 
   /// Mask conjunction.
   static M mask_and(M a, M b) noexcept { return _mm256_and_pd(a, b); }
-  /// Mask disjunction.
-  static M mask_or(M a, M b) noexcept { return _mm256_or_pd(a, b); }
-  /// Mask negation (xor with all-ones; inputs are full-lane masks).
-  static M mask_not(M a) noexcept {
-    return _mm256_xor_pd(a, _mm256_castsi256_pd(_mm256_set1_epi64x(-1)));
-  }
-  /// True when at least one lane of `m` is set.
-  static bool any(M m) noexcept { return _mm256_movemask_pd(m) != 0; }
   /// True when every lane of `m` is set.
   static bool all(M m) noexcept { return _mm256_movemask_pd(m) == 0xF; }
 
@@ -252,13 +213,6 @@ struct Lane<4> {
   static D select(M m, D a, D b) noexcept {
     return _mm256_blendv_pd(b, a, m);
   }
-  /// Exact `std::min(a, b)` per lane.  `vminpd(x, y)` computes
-  /// `x < y ? x : y` and returns y on NaN/equal, so swapping the
-  /// operands — `vminpd(b, a)` — reproduces `std::min(a, b) =
-  /// (b < a) ? b : a` bit-for-bit, NaN and −0.0 included.
-  static D min(D a, D b) noexcept { return _mm256_min_pd(b, a); }
-  /// Exact `std::max(a, b)` per lane (same operand swap as `min`).
-  static D max(D a, D b) noexcept { return _mm256_max_pd(b, a); }
 
   /// The shared interpolation formula of `detail::lerp_segment`, lane
   /// wise — same op sequence as `Lane<1>::lerp`.

@@ -1,17 +1,19 @@
 // Lane layer bitwise property suite: every Lane<W> kernel against the
 // W=1 scalar oracle on randomized waveforms (unaligned tails, exact
-// grid hits, clamp edges, crossing touches), the sweep (lane blocks
-// wherever the CPU has AVX2) against the serial evaluate() oracle
-// bitwise at 1/2/4 threads on random netlists (same-plan groups,
-// union-merged near-miss groups, multiple corners), and the direct
-// evaluate_points_delta_lanes A/B of the W=4 walker against the W=1
-// walker and scalar evaluate_delta().
+// grid hits, clamp edges, crossing touches), the sweep at kernel widths
+// 1 and 4 against the serial evaluate() oracle bitwise at 1/2/4 threads
+// on random netlists (shared-net scenario variants, multiple corners),
+// evaluate_points_delta() against per-point serial evaluate() with and
+// without a pool, and the lane-block grouper's partition invariants.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "netlist/generators.hpp"
@@ -239,7 +241,7 @@ TEST(Lanes, CrossingScansW4MatchW1Bitwise) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-block sweep vs scalar sweep, bitwise, across thread counts
+// Sweep vs serial evaluate(), bitwise, across kernel widths and threads
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -258,7 +260,7 @@ std::vector<st::NoiseScenario> grouping_scenarios(
 
 }  // namespace
 
-TEST(Lanes, SweepLaneBlocksMatchScalarSweepBitwise) {
+TEST(Lanes, SweepMatchesSerialAtKernelWidthsAndThreads) {
   for (const uint64_t seed : {3u, 17u}) {
     auto f = tu::random_engine(seed);
     st::Corner slow;
@@ -270,8 +272,9 @@ TEST(Lanes, SweepLaneBlocksMatchScalarSweepBitwise) {
     st::SweepSpec spec;
     spec.scenarios = grouping_scenarios(f);
     spec.corners = {st::Corner{}, slow};
-    // Width 1 runs scalar evaluate_delta() per point, width 4 the
-    // lane-block walker: both must reproduce the serial oracle.
+    // The width pins the batched waveform kernels inside the Γeff
+    // fits; every point runs evaluate_delta() at either width and must
+    // reproduce the serial oracle.
     for (const int width : {1, 4}) {
       if (width == 4 && !avx2()) continue;
       wv::LaneWidthGuard guard(width);
@@ -311,11 +314,10 @@ TEST(Lanes, PrunedLaneSweepStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Direct evaluate_points_delta_lanes A/B (covers the W=1 walker on
-// every build, the W=4 walker on AVX2)
+// Direct evaluate_points_delta() vs per-point serial evaluate()
 // ---------------------------------------------------------------------------
 
-TEST(Lanes, EvaluatePointsDeltaLanesMatchesScalarDirect) {
+TEST(Lanes, EvaluatePointsDeltaMatchesSerialEvaluate) {
   auto f = tu::random_engine(41);
   auto& sta = *f.sta;
   sta.prepare();
@@ -349,33 +351,47 @@ TEST(Lanes, EvaluatePointsDeltaLanesMatchesScalarDirect) {
     plan_ptrs[p] = &plans[p];
   }
 
-  std::vector<st::TimingState> ref(n), got(n);
-  sta.evaluate_points_delta(ref, contexts, baselines, plan_ptrs);
-  // W=1 block walker (every build): singleton blocks through the SoA
-  // path, bitwise identical to the scalar fold by construction.
-  sta.evaluate_points_delta_lanes(got, contexts, baselines, plan_ptrs, 1);
-  for (size_t p = 0; p < n; ++p) {
-    EXPECT_TRUE(tu::states_bitwise_equal(ref[p], got[p], &sta))
-        << "W=1 point " << p;
-  }
-  if (avx2()) {
-    std::vector<st::TimingState> wide(n);
-    for (const int threads : {0, 2}) {
-      std::unique_ptr<wu::ThreadPool> pool;
-      std::vector<wv::Workspace> wss;
-      if (threads > 0) {
-        pool = std::make_unique<wu::ThreadPool>(threads);
-        wss.resize(static_cast<size_t>(threads));
-      }
-      sta.evaluate_points_delta_lanes(
-          wide, contexts, baselines, plan_ptrs, 4, pool.get(),
-          std::span<wv::Workspace>(wss.data(), wss.size()));
-      for (size_t p = 0; p < n; ++p) {
-        EXPECT_TRUE(tu::states_bitwise_equal(ref[p], wide[p], &sta))
-            << "W=4 threads=" << threads << " point " << p;
-      }
+  // Oracle: a from-scratch serial evaluate() of every point.
+  std::vector<st::TimingState> ref(n);
+  for (size_t p = 0; p < n; ++p) sta.evaluate(ref[p], contexts[p]);
+
+  for (const int threads : {0, 2}) {
+    std::unique_ptr<wu::ThreadPool> pool;
+    std::vector<wv::Workspace> wss;
+    if (threads > 0) {
+      pool = std::make_unique<wu::ThreadPool>(threads);
+      wss.resize(static_cast<size_t>(threads));
+    }
+    std::vector<st::TimingState> got(n);
+    sta.evaluate_points_delta(got, contexts, baselines, plan_ptrs, pool.get(),
+                              std::span<wv::Workspace>(wss.data(), wss.size()));
+    for (size_t p = 0; p < n; ++p) {
+      EXPECT_TRUE(tu::states_bitwise_equal(ref[p], got[p], &sta))
+          << "threads=" << threads << " point " << p;
     }
   }
+
+  // A null baseline or plan is rejected up front, naming the point.
+  std::vector<st::TimingState> out(n);
+  const auto expect_null_rejected =
+      [&](std::span<const st::TimingState* const> bases,
+          std::span<const st::StaEngine::DeltaPlan* const> ps) {
+        try {
+          sta.evaluate_points_delta(out, contexts, bases, ps);
+          ADD_FAILURE() << "null pointer accepted";
+        } catch (const wu::Error& e) {
+          EXPECT_NE(std::string(e.what()).find(
+                        "evaluate_points_delta: null baseline/plan at point 5"),
+                    std::string::npos)
+              << e.what();
+        }
+      };
+  auto null_base = baselines;
+  null_base[5] = nullptr;
+  expect_null_rejected(null_base, plan_ptrs);
+  auto null_plan = plan_ptrs;
+  null_plan[5] = nullptr;
+  expect_null_rejected(baselines, null_plan);
 }
 
 TEST(Lanes, GroupingIsContentBasedAndBounded) {
