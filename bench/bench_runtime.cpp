@@ -1289,9 +1289,8 @@ SweepFigures report_sweep_speedups() {
 
 // ---------------------------------------------------------------------------
 // Kernel summary: measured ns/sample of batched vs scalar sampling,
-// heap allocations per Γeff fit (legacy vs workspace) and per full
-// propagation (warmed workspace), emitted as BENCH_kernels.json for CI
-// tracking.
+// heap allocations per Γeff fit and per full propagation on a warm
+// thread arena, emitted as BENCH_kernels.json for CI tracking.
 // ---------------------------------------------------------------------------
 
 void report_kernel_summary(const SweepFigures& sweep) {
@@ -1494,28 +1493,24 @@ void report_kernel_summary(const SweepFigures& sweep) {
       time_crossings(lane_width) * 1e9 / cross_points;
   if (!lane_bitwise) std::printf("LANE KERNEL MISMATCH — BUG\n");
 
-  // Heap allocations per Γeff fit: the legacy allocating path vs a
-  // warmed per-worker workspace (the paper's P = 35, SGDP).
+  // Heap allocations per Γeff fit on a warm thread arena (the paper's
+  // P = 35, SGDP).
   const auto method = co::make_method("SGDP");
-  auto allocs_per_fit = [&](wv::Workspace* ws, int n) {
-    auto mi = fixture().input(35);
-    mi.workspace = ws;
-    auto warm = method->fit(mi);  // warm slabs + one-time lazies
-    benchmark::DoNotOptimize(warm);
-    const uint64_t before = heap_allocations();
-    for (int i = 0; i < n; ++i) {
-      auto fit = method->fit(mi);
-      benchmark::DoNotOptimize(fit);
-    }
-    return static_cast<double>(heap_allocations() - before) / n;
-  };
-  wv::Workspace fit_ws;
-  const double fit_allocs_legacy = allocs_per_fit(nullptr, 50);
-  const double fit_allocs_ws = allocs_per_fit(&fit_ws, 50);
+  const auto fit_mi = fixture().input(35);
+  auto warm_fit = method->fit(fit_mi);  // warm slabs + one-time lazies
+  benchmark::DoNotOptimize(warm_fit);
+  constexpr int kFits = 50;
+  const uint64_t fit_before = heap_allocations();
+  for (int i = 0; i < kFits; ++i) {
+    auto fit = method->fit(fit_mi);
+    benchmark::DoNotOptimize(fit);
+  }
+  const double fit_allocs_ws =
+      static_cast<double>(heap_allocations() - fit_before) / kFits;
 
   // Heap allocations per full propagation (prepared engine, one noisy
-  // net, serial reentrant evaluate — the sweep inner loop).  With a
-  // warmed workspace this must be exactly zero.
+  // net, serial reentrant evaluate — the sweep inner loop).  On a warm
+  // thread arena this must be exactly zero.
   const auto& f = sta_fixture();
   st::StaEngine sta(f.netlist, f.lib);
   f.constrain(sta);
@@ -1530,8 +1525,6 @@ void report_kernel_summary(const SweepFigures& sweep) {
   ctx.edge_noise = table.data();
   ctx.method = &sta.noise_method();
   st::TimingState state;
-  wv::Workspace prop_ws;
-  ctx.workspace = &prop_ws;
   sta.evaluate(state, ctx);  // warm slabs + state capacity
   const uint64_t prop_before = heap_allocations();
   constexpr int kPropagations = 20;
@@ -1560,8 +1553,8 @@ void report_kernel_summary(const SweepFigures& sweep) {
   std::printf("  crossing scans: %6.2f -> %6.2f  (%.2fx)\n",
               lane_crossings_w1_ns, lane_crossings_w4_ns,
               lane_crossings_w1_ns / lane_crossings_w4_ns);
-  std::printf("allocations per SGDP fit:   legacy %6.1f  workspace %6.1f\n",
-              fit_allocs_legacy, fit_allocs_ws);
+  std::printf("allocations per SGDP fit:   workspace %6.1f\n",
+              fit_allocs_ws);
   std::printf("allocations per propagate:  workspace %6.1f%s\n",
               prop_allocs_ws,
               prop_allocs_ws == 0.0 ? "  (zero hot-path allocations)"
@@ -1592,7 +1585,6 @@ void report_kernel_summary(const SweepFigures& sweep) {
                  "  \"lane_crossings_w4_ns_per_point\": %.3f,\n"
                  "  \"lane_crossings_speedup\": %.2f,\n"
                  "  \"lane_kernels_bitwise_identical\": %s,\n"
-                 "  \"fit_allocs_legacy\": %.1f,\n"
                  "  \"fit_allocs_workspace\": %.1f,\n"
                  "  \"propagate_allocs_workspace\": %.1f,\n"
                  "  \"sweep_scenarios_per_sec\": %.1f,\n"
@@ -1611,8 +1603,8 @@ void report_kernel_summary(const SweepFigures& sweep) {
                  lane_combine_w1_ns / lane_combine_w4_ns,
                  lane_crossings_w1_ns, lane_crossings_w4_ns,
                  lane_crossings_w1_ns / lane_crossings_w4_ns,
-                 lane_bitwise ? "true" : "false", fit_allocs_legacy,
-                 fit_allocs_ws, prop_allocs_ws,
+                 lane_bitwise ? "true" : "false", fit_allocs_ws,
+                 prop_allocs_ws,
                  sweep.scenarios_per_sec, sweep.speedup_vs_looped,
                  sweep.lane_scenarios_per_sec,
                  sweep.lane_speedup_vs_scalar,

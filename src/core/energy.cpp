@@ -10,8 +10,7 @@ namespace waveletic::core {
 
 Fit E4Method::fit(const MethodInput& input) const {
   input.require_noisy();
-  wave::Workspace local;
-  wave::Workspace& ws = input.scratch(local);
+  wave::Workspace& ws = util::thread_scratch();
   const auto scope = ws.scope();
   const auto noisy = input.noisy_rising_view(ws);
   const double vdd = input.vdd;

@@ -48,20 +48,13 @@ Fit lsf3_fit(wave::WaveView noisy_rising, double vdd, int samples,
   spec.v = v;
   spec.vdd = vdd;
   spec.init = init;
-  spec.ws = &ws;
-  fit.ramp = fit_clamped_ramp(spec);
+  fit.ramp = fit_clamped_ramp(spec, ws);
   return fit;
-}
-
-Fit lsf3_fit(const wave::Waveform& noisy_rising, double vdd, int samples) {
-  wave::Workspace local;
-  return lsf3_fit(wave::WaveView(noisy_rising), vdd, samples, local);
 }
 
 Fit Lsf3Method::fit(const MethodInput& input) const {
   input.require_noisy();
-  wave::Workspace local;
-  wave::Workspace& ws = input.scratch(local);
+  wave::Workspace& ws = util::thread_scratch();
   const auto scope = ws.scope();
   return lsf3_fit(input.noisy_rising_view(ws), input.vdd, input.samples, ws);
 }

@@ -23,12 +23,8 @@ class Lsf3Method final : public EquivalentWaveformMethod {
 
 /// Shared helper: unweighted LSQ ramp over the noisy critical region;
 /// used directly by LSF3 and as the degenerate fallback of WLS5/SGDP.
-/// The primary overload draws all sampling buffers from `ws`; the
-/// Waveform overload is the legacy allocating wrapper (bitwise
-/// identical results).
+/// Draws all sampling buffers from `ws`.
 [[nodiscard]] Fit lsf3_fit(wave::WaveView noisy_rising, double vdd,
                            int samples, wave::Workspace& ws);
-[[nodiscard]] Fit lsf3_fit(const wave::Waveform& noisy_rising, double vdd,
-                           int samples);
 
 }  // namespace waveletic::core

@@ -42,12 +42,6 @@ struct MethodInput {
   /// P — the number of sampling points (the paper's run-time section
   /// uses P = 35).
   int samples = 35;
-  /// Optional per-worker scratch arena.  When set, the techniques draw
-  /// every sampling/normalization buffer from it — a warmed workspace
-  /// makes fit() allocation-free.  Null selects the legacy allocating
-  /// path (each fit uses its own throwaway arena); results are bitwise
-  /// identical either way.
-  wave::Workspace* workspace = nullptr;
 
   /// Rising-normalized owning copies (legacy surface; cold paths).
   [[nodiscard]] wave::Waveform noisy_rising() const;
@@ -67,14 +61,6 @@ struct MethodInput {
   [[nodiscard]] wave::WaveView noiseless_in_wave() const noexcept;
   [[nodiscard]] wave::WaveView noiseless_out_wave() const noexcept;
 
-  /// The arena a fit should use: the caller-provided per-worker
-  /// workspace, or `local` (the legacy allocating path) when none was
-  /// supplied.
-  [[nodiscard]] wave::Workspace& scratch(
-      wave::Workspace& local) const noexcept {
-    return workspace != nullptr ? *workspace : local;
-  }
-
   /// Validates presence of the required waveforms.
   void require_noisy() const;
   void require_noiseless_pair(std::string_view method) const;
@@ -93,8 +79,10 @@ struct Fit {
 ///
 /// Reentrancy contract: fit() is const and must be safe to call
 /// concurrently from many threads on one instance — implementations
-/// keep all working state on the stack (every built-in technique
-/// does).  The levelized STA engine and its sweeps rely on this to
+/// keep all working state on the stack and in the calling thread's
+/// util::thread_scratch() arena, under a scope (every built-in
+/// technique does), so a warmed thread fits without touching the
+/// heap.  The levelized STA engine and its sweeps rely on this to
 /// evaluate noise scenarios in parallel through a single method
 /// object.  A caller that wants per-thread instances anyway (e.g. to
 /// tolerate a future stateful technique) can clone().

@@ -8,8 +8,7 @@ namespace waveletic::core {
 Fit P1Method::fit(const MethodInput& input) const {
   input.require_noisy();
   input.require_noiseless_pair("P1");
-  wave::Workspace local;
-  wave::Workspace& ws = input.scratch(local);
+  wave::Workspace& ws = util::thread_scratch();
   const auto scope = ws.scope();
   const auto noisy = input.noisy_rising_view(ws);
   const auto clean = input.noiseless_in_rising_view(ws);
@@ -27,8 +26,7 @@ Fit P1Method::fit(const MethodInput& input) const {
 
 Fit P2Method::fit(const MethodInput& input) const {
   input.require_noisy();
-  wave::Workspace local;
-  wave::Workspace& ws = input.scratch(local);
+  wave::Workspace& ws = util::thread_scratch();
   const auto scope = ws.scope();
   const auto noisy = input.noisy_rising_view(ws);
 

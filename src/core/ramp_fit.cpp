@@ -8,7 +8,8 @@
 
 namespace waveletic::core {
 
-wave::Ramp fit_clamped_ramp(const ClampedRampFit& spec) {
+wave::Ramp fit_clamped_ramp(const ClampedRampFit& spec,
+                            util::Workspace& ws) {
   const size_t n = spec.t.size();
   util::require(n >= 4 && spec.v.size() == n,
                 "fit_clamped_ramp: need >= 4 samples");
@@ -74,8 +75,6 @@ wave::Ramp fit_clamped_ramp(const ClampedRampFit& spec) {
   if (!pinned) x_buf[m++] = spec.init.a() * t_ref + spec.init.b();
   la::GaussNewtonOptions gn;
   gn.max_iterations = spec.iterations;
-  util::Workspace local;
-  util::Workspace& ws = spec.ws != nullptr ? *spec.ws : local;
   (void)la::gauss_newton_into(residual, std::span<double>(x_buf, m), n, gn,
                               ws);
 

@@ -36,16 +36,14 @@ struct ClampedRampFit {
   /// only the slope is fitted (used to anchor the arrival at the noisy
   /// waveform's latest 50% crossing when the free fit drifts).
   std::optional<double> pin_time{};
-  /// Scratch arena for the Gauss-Newton refinement; null = a throwaway
-  /// local arena (the legacy allocating path).  Bitwise identical.
-  util::Workspace* ws = nullptr;
 };
 
 /// Gauss-Newton refinement of the saturated-ramp objective.  Returns
 /// the refined ramp, or `init` unchanged when the problem is degenerate
 /// (all samples saturated / no descent found).  The result is guaranteed
 /// to have positive slope and a 50% crossing within one region-span of
-/// the sample window.
-[[nodiscard]] wave::Ramp fit_clamped_ramp(const ClampedRampFit& spec);
+/// the sample window.  The Gauss-Newton scratch comes from `ws`.
+[[nodiscard]] wave::Ramp fit_clamped_ramp(const ClampedRampFit& spec,
+                                          util::Workspace& ws);
 
 }  // namespace waveletic::core

@@ -5,7 +5,6 @@
 
 #include "core/lsf.hpp"
 #include "core/ramp_fit.hpp"
-#include "la/gauss_newton.hpp"
 #include "la/solve.hpp"
 #include "util/error.hpp"
 #include "wave/metrics.hpp"
@@ -100,8 +99,7 @@ OperativeCrossing operative_crossing(WaveView noisy, double vdd,
 Fit SgdpMethod::fit(const MethodInput& input) const {
   input.require_noisy();
   input.require_noiseless_pair("SGDP");
-  Workspace local;
-  Workspace& ws = input.scratch(local);
+  Workspace& ws = util::thread_scratch();
   const auto scope = ws.scope();
   const auto noisy = input.noisy_rising_view(ws);
   const auto clean_in = input.noiseless_in_rising_view(ws);
@@ -174,8 +172,7 @@ Fit SgdpMethod::fit(const MethodInput& input) const {
   first.vdd = input.vdd;
   first.init = start;
   first.iterations = opt_.gauss_newton_iterations;
-  first.ws = &ws;
-  wave::Ramp ramp = fit_clamped_ramp(first);
+  wave::Ramp ramp = fit_clamped_ramp(first, ws);
 
   if (opt_.second_order) {
     // Full Eq. 3 with the ½·dρ/dv·Δ² correction, seeded by the
@@ -183,7 +180,7 @@ Fit SgdpMethod::fit(const MethodInput& input) const {
     ClampedRampFit second = first;
     second.drho = set.drho;
     second.init = ramp;
-    ramp = fit_clamped_ramp(second);
+    ramp = fit_clamped_ramp(second, ws);
   }
 
   if (opt_.anchor_guard) {
@@ -202,7 +199,7 @@ Fit SgdpMethod::fit(const MethodInput& input) const {
       pinned.pin_time = anchor;
       pinned.init = start;
       if (opt_.second_order) pinned.drho = set.drho;
-      ramp = fit_clamped_ramp(pinned);
+      ramp = fit_clamped_ramp(pinned, ws);
     }
     const auto span_slew =
         wave::slew_noisy(noisy, wave::Polarity::kRising, input.vdd);
@@ -223,8 +220,7 @@ wave::Waveform SgdpMethod::effective_sensitivity(
     const MethodInput& input) const {
   input.require_noisy();
   input.require_noiseless_pair("SGDP");
-  Workspace local;
-  Workspace& ws = input.scratch(local);
+  Workspace& ws = util::thread_scratch();
   const auto scope = ws.scope();
   const auto noisy = input.noisy_rising_view(ws);
   const auto rho = SensitivityCurve::build(

@@ -10,8 +10,7 @@ namespace waveletic::core {
 Fit Wls5Method::fit(const MethodInput& input) const {
   input.require_noisy();
   input.require_noiseless_pair("WLS5");
-  wave::Workspace local;
-  wave::Workspace& ws = input.scratch(local);
+  wave::Workspace& ws = util::thread_scratch();
   const auto scope = ws.scope();
   const auto noisy = input.noisy_rising_view(ws);
   const auto clean_in = input.noiseless_in_rising_view(ws);

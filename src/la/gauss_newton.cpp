@@ -106,36 +106,4 @@ GaussNewtonStats gauss_newton_into(ResidualRef fn, std::span<double> x,
   return stats;
 }
 
-GaussNewtonResult gauss_newton(const ResidualFn& fn, Vector x0,
-                               size_t residuals,
-                               const GaussNewtonOptions& opt) {
-  const size_t m = x0.size();
-  util::require(m > 0, "gauss_newton: empty parameter vector");
-  util::require(residuals >= m, "gauss_newton: fewer residuals (", residuals,
-                ") than parameters (", m, ")");
-
-  // Adapter over the span core: the legacy callback writes Vector /
-  // Matrix buffers which are copied into the core's spans — identical
-  // values, one shared algorithm.
-  Vector r_vec(residuals, 0.0);
-  Matrix jac_mat(residuals, m);
-  auto adapter = [&](std::span<const double> x, std::span<double> r,
-                     MatrixRef jac) {
-    fn(x, r_vec, jac_mat);
-    std::copy(r_vec.begin(), r_vec.end(), r.begin());
-    const auto flat = jac_mat.row(0);
-    std::copy(flat.data(), flat.data() + residuals * m, jac.data);
-  };
-
-  GaussNewtonResult result;
-  result.x = std::move(x0);
-  util::Workspace ws;
-  const auto stats =
-      gauss_newton_into(ResidualRef(adapter), result.x, residuals, opt, ws);
-  result.objective = stats.objective;
-  result.iterations = stats.iterations;
-  result.converged = stats.converged;
-  return result;
-}
-
 }  // namespace waveletic::la

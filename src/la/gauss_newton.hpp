@@ -5,7 +5,6 @@
 /// min Σ r_k(x)².  SGDP's second-order objective (Eq. 3 of the paper) is
 /// nonlinear in the ramp coefficients, so its fit runs through here.
 
-#include <functional>
 #include <span>
 #include <type_traits>
 
@@ -24,22 +23,10 @@ struct GaussNewtonOptions {
   double damping = 1e-9;
 };
 
-struct GaussNewtonResult {
-  Vector x;
-  double objective = 0.0;  ///< Σ r² at the final iterate.
-  int iterations = 0;
-  bool converged = false;
-};
-
-/// Residual callback: fills r (size n) and optionally the Jacobian
-/// J (n×m, row k = ∂r_k/∂x) for the current x.
-using ResidualFn =
-    std::function<void(std::span<const double> x, Vector& r, Matrix& jac)>;
-
-/// Non-owning residual callback for the allocation-free driver below —
-/// a function_ref: no heap, no copy, the referenced callable must
-/// outlive the call.  Fills r (size n) and the row-major Jacobian
-/// (n×m) for the current x.
+/// Non-owning residual callback for the driver below — a
+/// function_ref: no heap, no copy, the referenced callable must outlive
+/// the call.  Fills r (size n) and the row-major Jacobian J (n×m,
+/// row k = ∂r_k/∂x) for the current x.
 class ResidualRef {
  public:
   template <class F,
@@ -62,27 +49,21 @@ class ResidualRef {
   Raw fn_;
 };
 
-/// Scalar outcome of the allocation-free driver (the solution lands in
-/// the caller's x buffer).
+/// Scalar outcome of the driver (the solution lands in the caller's x
+/// buffer).
 struct GaussNewtonStats {
-  double objective = 0.0;
+  double objective = 0.0;  ///< Σ r² at the final iterate.
   int iterations = 0;
   bool converged = false;
 };
 
-/// Minimizes Σ r_k(x)² starting from x0.  Accepts a step only when it
-/// does not increase the objective (backtracking halving, 6 attempts).
-[[nodiscard]] GaussNewtonResult gauss_newton(const ResidualFn& fn, Vector x0,
-                                             size_t residuals,
-                                             const GaussNewtonOptions& opt = {});
-
-/// Allocation-free variant: `x` holds x0 on entry and the solution on
-/// exit; every scratch buffer (residuals, Jacobians, normal equations,
-/// line-search trials) comes from `ws`, and the inner linear solve runs
-/// in place — a warmed workspace makes the whole refinement heap-free.
-/// Same algorithm and same per-element arithmetic as gauss_newton()
-/// (which is implemented on top of this), so results are bitwise
-/// identical.
+/// Minimizes Σ r_k(x)²: `x` holds x0 on entry and the solution on exit.
+/// Accepts a step only when it does not increase the objective
+/// (backtracking halving, 6 attempts).  Every scratch buffer
+/// (residuals, Jacobians, normal equations, line-search trials) comes
+/// from `ws`, and the inner linear solve runs in place — a warmed arena
+/// makes the whole refinement heap-free.  Throws util::Error on an
+/// empty x or fewer residuals than parameters.
 GaussNewtonStats gauss_newton_into(ResidualRef fn, std::span<double> x,
                                    size_t residuals,
                                    const GaussNewtonOptions& opt,

@@ -799,15 +799,10 @@ void StaEngine::noisy_fit(const NetEdge& e, size_t edge_index,
     mi.in_polarity = pol;
     mi.out_polarity = out_pol;
     mi.vdd = vdd;
-    mi.workspace = ctx.workspace;
-    // The noiseless pair is synthesized into the worker's arena (zero
+    // The noiseless pair is synthesized into the thread's arena (zero
     // heap traffic once its slabs are warm).
-    util::require(ctx.workspace != nullptr,
-                  "noisy_fit: EvalContext::workspace is null (evaluate() and "
-                  "evaluate_delta() supply one; direct forward_vertex() "
-                  "callers must)");
     constexpr size_t kCleanSamples = 192;
-    auto& ws = *ctx.workspace;
+    auto& ws = util::thread_scratch();
     const auto ws_scope = ws.scope();
     const auto t_in = ws.alloc(kCleanSamples);
     const auto v_in = ws.alloc(kCleanSamples);
@@ -887,64 +882,31 @@ util::ThreadPool& StaEngine::worker_pool(int threads) {
   if (pool_ == nullptr || pool_->size() != want) {
     pool_ = std::make_unique<util::ThreadPool>(static_cast<int>(want));
   }
-  // One scratch arena per worker, retained across calls: the first
-  // call warms the slabs, every later propagation is allocation-free.
-  if (workspaces_.size() < want) workspaces_.resize(want);
   return *pool_;
 }
 
-std::span<wave::Workspace> StaEngine::worker_arenas(
-    const util::ThreadPool* pool, std::span<wave::Workspace> supplied,
-    std::vector<wave::Workspace>& local, const char* caller) {
-  const size_t workers = pool != nullptr ? pool->size() : 1;
-  if (supplied.empty()) {
-    local.resize(workers);
-    return local;
-  }
-  util::require(supplied.size() >= workers, caller,
-                ": need one workspace per pool worker (", supplied.size(),
-                " < ", workers, ")");
-  return supplied;
-}
-
 void StaEngine::evaluate(TimingState& state, const EvalContext& ctx,
-                         util::ThreadPool* pool,
-                         std::span<wave::Workspace> worker_workspaces) const {
+                         util::ThreadPool* pool) const {
   util::require(ctx.method != nullptr, "evaluate: null noise method");
   const bool threaded = pool != nullptr && pool->size() > 1;
-  if (worker_workspaces.empty() && !threaded && ctx.workspace != nullptr) {
-    worker_workspaces = {ctx.workspace, 1};
-  }
-  std::vector<wave::Workspace> local;
-  const auto arenas =
-      worker_arenas(threaded ? pool : nullptr, worker_workspaces, local,
-                    "evaluate");
-  // Serial levels run as "worker 0".
-  EvalContext serial_ctx = ctx;
-  serial_ctx.workspace = &arenas[0];
   const auto for_level = [&](const std::vector<int>& level,
                              const auto& visit) {
     if (!threaded || level.size() <= kLevelChunk) {
-      for (const int v : level) visit(v, serial_ctx);
+      for (const int v : level) visit(v);
       return;
     }
     const size_t chunks = (level.size() + kLevelChunk - 1) / kLevelChunk;
-    pool->parallel_for_dynamic(chunks, [&](size_t worker, size_t c) {
-      EvalContext task_ctx = ctx;
-      task_ctx.workspace = &arenas[worker];
+    pool->parallel_for_dynamic(chunks, [&](size_t, size_t c) {
       const size_t end = std::min(level.size(), (c + 1) * kLevelChunk);
-      for (size_t i = c * kLevelChunk; i < end; ++i) visit(level[i], task_ctx);
+      for (size_t i = c * kLevelChunk; i < end; ++i) visit(level[i]);
     });
   };
   init_state(state);
   for (const auto& level : levels_) {
-    for_level(level, [&](int v, const EvalContext& c) {
-      forward_vertex(v, state, c);
-    });
+    for_level(level, [&](int v) { forward_vertex(v, state, ctx); });
   }
   for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
-    for_level(*it,
-              [&](int v, const EvalContext&) { backward_vertex(v, state); });
+    for_level(*it, [&](int v) { backward_vertex(v, state); });
   }
 }
 
@@ -1180,16 +1142,13 @@ void StaEngine::evaluate_delta(TimingState& state,
   util::require(plan.num_vertices == vertex_names_.size(),
                 "evaluate_delta: plan was computed for ", plan.num_vertices,
                 " vertices, engine has ", vertex_names_.size());
-  wave::Workspace local;
-  EvalContext fit_ctx = ctx;
-  if (fit_ctx.workspace == nullptr) fit_ctx.workspace = &local;
   state = baseline;
   // Every dirty vertex is reset to its initial constraints BEFORE any
   // is folded: relax() is a max, so folding on top of the stale
   // baseline value would be wrong whenever the scenario speeds an
   // arrival up (and would corrupt critical_pred links either way).
   for (const int v : plan.forward) reset_vertex(state, v);
-  for (const int v : plan.forward) forward_vertex(v, state, fit_ctx);
+  for (const int v : plan.forward) forward_vertex(v, state, ctx);
   for (const int v : plan.backward) reset_required(state, v);
   for (const int v : plan.backward) backward_vertex(v, state);
 }
@@ -1197,8 +1156,7 @@ void StaEngine::evaluate_delta(TimingState& state,
 void StaEngine::evaluate_points_delta(
     std::span<TimingState> states, std::span<const EvalContext> contexts,
     std::span<const TimingState* const> baselines,
-    std::span<const DeltaPlan* const> plans, util::ThreadPool* pool,
-    std::span<wave::Workspace> worker_workspaces) const {
+    std::span<const DeltaPlan* const> plans, util::ThreadPool* pool) const {
   util::require(states.size() == contexts.size() &&
                     states.size() == baselines.size() &&
                     states.size() == plans.size(),
@@ -1211,13 +1169,8 @@ void StaEngine::evaluate_points_delta(
                   "evaluate_points_delta: null baseline/plan at point ", p);
   }
   if (n_points == 0) return;
-  std::vector<wave::Workspace> local;
-  const auto arenas = worker_arenas(pool, worker_workspaces, local,
-                                    "evaluate_points_delta");
-  auto body = [&](size_t worker, size_t p) {
-    EvalContext task_ctx = contexts[p];
-    task_ctx.workspace = &arenas[worker];
-    evaluate_delta(states[p], *baselines[p], *plans[p], task_ctx);
+  auto body = [&](size_t, size_t p) {
+    evaluate_delta(states[p], *baselines[p], *plans[p], contexts[p]);
   };
   if (pool != nullptr) {
     pool->parallel_for_dynamic(n_points, body);
@@ -1236,7 +1189,7 @@ void StaEngine::run() {
   ctx.method = noise_method_.get();
   ctx.cache = nullptr;
   util::ThreadPool& pool = worker_pool(threads_);
-  evaluate(state_, ctx, &pool, {workspaces_.data(), pool.size()});
+  evaluate(state_, ctx, &pool);
   analyzed_ = true;
 }
 

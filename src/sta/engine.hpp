@@ -294,22 +294,16 @@ class StaEngine {
   /// `corner` is the derate point (null = nominal) and `corner_key` its
   /// Corner::key() (0 when null), folded into Γeff memo keys; `method`
   /// is the Γeff technique (must be reentrant — all built-in techniques
-  /// are); `cache` optionally memoizes Γeff fits across points/threads;
-  /// `workspace` is the scratch arena of the worker running this
-  /// evaluation — Γeff fits draw their sampling buffers from it, so a
-  /// warmed workspace makes the propagation hot path allocation-free.
-  /// MUST be owned by exactly one worker (run()/sweep() keep one per
-  /// ThreadPool worker and patch it per task).  Null makes evaluate()
-  /// and evaluate_delta() supply a call-local arena; a caller driving
-  /// forward_vertex() directly must set it.  Results are bitwise
-  /// independent of which arena a fit draws from.
+  /// are); `cache` optionally memoizes Γeff fits across points/threads.
+  /// Γeff fits draw their scratch from the running thread's
+  /// util::thread_scratch() arena, so a warmed thread propagates
+  /// allocation-free; results never depend on which thread fits.
   struct EvalContext {
     const NoiseAnnotation* const* edge_noise = nullptr;
     const Corner* corner = nullptr;
     uint64_t corner_key = 0;
     const core::EquivalentWaveformMethod* method = nullptr;
     GammaCache* cache = nullptr;
-    wave::Workspace* workspace = nullptr;
   };
 
   /// Compiles the effective annotation of every net edge into a dense
@@ -350,14 +344,9 @@ class StaEngine {
   /// narrower levels run inline.  Every vertex folds its in-edges in a
   /// fixed order after all of its predecessors, so the result is
   /// bitwise identical at any thread count.  prepare() must
-  /// have run.  When `worker_workspaces` is non-empty (it must then
-  /// hold at least pool->size() arenas, or 1 without a pool), every
-  /// task runs with ctx.workspace pointed at its worker's arena; empty
-  /// uses ctx.workspace on a serial run and call-local arenas
-  /// otherwise.
+  /// have run.
   void evaluate(TimingState& state, const EvalContext& ctx,
-                util::ThreadPool* pool = nullptr,
-                std::span<wave::Workspace> worker_workspaces = {}) const;
+                util::ThreadPool* pool = nullptr) const;
 
   // -- baseline + delta propagation ----------------------------------------
   // The paper's central observation: a noise bump perturbs timing only
@@ -438,7 +427,7 @@ class StaEngine {
   /// either engine interchangeable (same graph tag).  The fork copies
   /// constraints, parasitics, annotations, loads, corner and thread
   /// count, clones the noise method, and starts unanalyzed with its
-  /// own empty state/pool/workspaces.
+  /// own empty state and pool.
   [[nodiscard]] std::unique_ptr<StaEngine> fork() const;
   /// Copies `other`'s configuration (constraints, loads, parasitics,
   /// annotations, corner, method, threads) onto this engine across a
@@ -469,8 +458,7 @@ class StaEngine {
   /// plan's backward set.  Bitwise identical to evaluate() with the
   /// same context: clean vertices keep baseline values, which full
   /// propagation would reproduce, and dirty vertices fold the same
-  /// fixed-order in-edges against them.  A null ctx.workspace gets a
-  /// call-local arena.
+  /// fixed-order in-edges against them.
   void evaluate_delta(TimingState& state, const TimingState& baseline,
                       const DeltaPlan& plan, const EvalContext& ctx) const;
 
@@ -478,16 +466,15 @@ class StaEngine {
   /// baselines: point p copies *baselines[p] and re-propagates
   /// *plans[p] under contexts[p].  Points are independent and their
   /// dirty worklists unbalanced, so they run dynamically scheduled on
-  /// the pool (ThreadPool::parallel_for_dynamic).  Every point runs
-  /// with its worker's arena from `worker_workspaces` (call-local
-  /// arenas when empty).  Results are bitwise identical to evaluate()
+  /// the pool (ThreadPool::parallel_for_dynamic).  Results are bitwise
+  /// identical to evaluate()
   /// with the same contexts at any thread count.  Throws util::Error
   /// naming the point when a baseline or plan pointer is null.
   void evaluate_points_delta(
       std::span<TimingState> states, std::span<const EvalContext> contexts,
       std::span<const TimingState* const> baselines,
-      std::span<const DeltaPlan* const> plans, util::ThreadPool* pool = nullptr,
-      std::span<wave::Workspace> worker_workspaces = {}) const;
+      std::span<const DeltaPlan* const> plans,
+      util::ThreadPool* pool = nullptr) const;
 
   // -- lane-block grouping (perfbench probes only) -------------------------
   // No propagation path uses these: perfbench's traced sta.lanes.*
@@ -633,15 +620,9 @@ class StaEngine {
       const std::string& name) const;
   void compute_loads();
   /// The engine's worker pool resized to `threads` (≤ 0 selects the
-  /// hardware concurrency), with workspaces_ grown to one arena per
-  /// worker.  run(), sweep() and the generated sweep share it.
+  /// hardware concurrency).  run(), sweep() and the generated sweep
+  /// share it.
   util::ThreadPool& worker_pool(int threads);
-  /// The per-worker arenas of a pooled runner: `supplied` when
-  /// non-empty (it must hold one arena per worker of `pool`, or 1
-  /// without one), else `local` filled with call-local arenas.
-  [[nodiscard]] static std::span<wave::Workspace> worker_arenas(
-      const util::ThreadPool* pool, std::span<wave::Workspace> supplied,
-      std::vector<wave::Workspace>& local, const char* caller);
   /// Shared closure step of both delta_plan overloads: `dirty` holds
   /// the forward seeds, `back` extra backward-only seeds; both are
   /// closed (fanout / fanin) and turned into sorted worklists.
@@ -713,10 +694,6 @@ class StaEngine {
   TimingState state_;  ///< default state written by run()
   int threads_ = 1;
   std::unique_ptr<util::ThreadPool> pool_;  ///< see worker_pool()
-  /// Per-ThreadPool-worker scratch arenas reused across run()/sweep()
-  /// calls; slabs warm up once and every later propagation is
-  /// allocation-free.  workspaces_[w] belongs to pool worker w.
-  std::vector<wave::Workspace> workspaces_;
   bool analyzed_ = false;
 };
 

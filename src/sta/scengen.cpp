@@ -47,6 +47,12 @@ uint64_t mix(uint64_t h, double v) noexcept {
 /// would otherwise share a content key.
 constexpr uint64_t kScaledBumpTag = 0x7363616c65644257ull;  // "scaledBW"
 
+/// Sigma of the Gaussian bump as a fraction of the victim slew (the
+/// make_aggressor_scenario shape).  The window filter and materialize()
+/// both read it, so a window-killed candidate is one whose bump really
+/// misses the victim transition.
+constexpr double kBumpSigmaFactor = 0.5;
+
 }  // namespace
 
 DrivesPredicate make_drives_predicate(const liberty::Library& library) {
@@ -133,7 +139,6 @@ ScenarioSpace make_scenario_space(
   space.strengths = std::move(strengths);
   space.vdd = sta.library().nom_voltage;
   space.waveform_samples = options.waveform_samples;
-  space.bump_sigma_factor = options.bump_sigma_factor;
   space.window_slop = options.window_slop;
   // The generated bump pushes against a falling victim transition (the
   // paper's Figure 1 worst case), so victim timing is read at kFall.
@@ -417,11 +422,11 @@ void ScenarioGenerator::refresh_event(uint32_t event) {
 bool ScenarioGenerator::window_feasible(uint32_t pair,
                                         uint32_t alignment) const {
   const auto& p = space_->pairs[pair];
-  // The generated bump is a Gaussian of sigma = bump_sigma_factor ×
+  // The generated bump is a Gaussian of sigma = kBumpSigmaFactor ×
   // victim_slew centred (victim_arrival + alignment); its support is
   // taken as ±3σ (beyond that the bump is < 0.02% of its peak and
   // cannot move a crossing).
-  const double sigma = space_->bump_sigma_factor * p.victim_slew;
+  const double sigma = kBumpSigmaFactor * p.victim_slew;
   const double half_width = 3.0 * sigma;
   const double center = p.victim_arrival + space_->alignments[alignment];
   const double slop = space_->window_slop;
@@ -526,15 +531,6 @@ NoiseScenario ScenarioGenerator::materialize(const Candidate& c) const {
   const double alignment = space_->alignments[c.alignment];
   const double strength = space_->strengths[c.strength];
   const std::vector<uint32_t> members = space_->event_members(c.pair);
-  if (members.size() == 1 && space_->bump_shape == BumpShape::kGaussian) {
-    // The historical single-aggressor path, taken verbatim so k = 1
-    // Gaussian spaces materialize bitwise-identical scenarios.
-    const auto& pair = space_->pairs[members[0]];
-    return make_aggressor_scenario(
-        pair.victim_name, pair.victim_arrival, pair.victim_slew, space_->vdd,
-        space_->polarity, alignment, strength * pair.coupling_scale,
-        space_->waveform_samples);
-  }
   NoiseScenario s;
   {
     std::ostringstream name;
@@ -545,6 +541,15 @@ NoiseScenario ScenarioGenerator::materialize(const Candidate& c) const {
            << "ps,strength=" << strength * pair.coupling_scale << "V";
     }
     s.name = name.str();
+  }
+  if (space_->bump_shape == BumpShape::kGaussian) {
+    // A zero slew is a zero-width bump (NaN samples).
+    for (const uint32_t m : members) {
+      const auto& pair = space_->pairs[m];
+      util::require(pair.victim_slew > 0.0, "materialize: pair ", m,
+                    " (victim ", pair.victim_name,
+                    ") has non-positive victim slew ", pair.victim_slew);
+    }
   }
   const double sign =
       space_->polarity == wave::Polarity::kFalling ? 1.0 : -1.0;
@@ -567,8 +572,9 @@ NoiseScenario ScenarioGenerator::materialize(const Candidate& c) const {
       done[j] = 1;
       const double center = pair.victim_arrival + alignment;
       if (space_->bump_shape == BumpShape::kGaussian) {
-        // The make_aggressor_scenario bump, term for term.
-        const double sigma = 0.5 * pair.victim_slew;
+        // The make_aggressor_scenario bump, term for term: a k = 1
+        // event materializes that scenario bitwise.
+        const double sigma = kBumpSigmaFactor * pair.victim_slew;
         const double amp = strength * pair.coupling_scale;
         for (size_t n = 0; n < t.size(); ++n) {
           v[n] += sign * amp *
@@ -819,7 +825,7 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
       ctx.corner = &group_corners[c];
       ctx.corner_key = group_corners[c].key();
       ctx.method = method;
-      evaluate(baselines[c], ctx, &pool, {workspaces_.data(), pool.size()});
+      evaluate(baselines[c], ctx, &pool);
     }
     group_proto.corner_baselines = &baselines;
     if (per_corner) {

@@ -145,9 +145,6 @@ struct ScenarioSpaceOptions {
   /// Samples per generated scenario waveform (make_aggressor_scenario's
   /// `samples`; small keeps million-point materialization cheap).
   size_t waveform_samples = 64;
-  /// Bump sigma as a fraction of the victim slew — MUST match the
-  /// generated waveform shape (make_aggressor_scenario uses 0.5).
-  double bump_sigma_factor = 0.5;
   /// Extra slack added to every window-overlap test [s] (0 = exact
   /// envelope overlap; > 0 keeps marginal candidates).
   double window_slop = 0.0;
@@ -159,8 +156,8 @@ struct ScenarioSpaceOptions {
 /// Bump-shape source of a ScenarioSpace: how the aggressor coupling
 /// bump superposed on the victim waveform is synthesized.
 enum class BumpShape : uint8_t {
-  /// Analytic Gaussian stand-in (sigma = bump_sigma_factor ×
-  /// victim_slew) — the historical default, bitwise compatible with
+  /// Analytic Gaussian stand-in (sigma = ½ × victim_slew) — the
+  /// historical default, bitwise compatible with
   /// make_aggressor_scenario().
   kGaussian = 0,
   /// Physically derived shape from a coupled-line transient
@@ -200,9 +197,6 @@ struct ScenarioSpace {
   wave::Polarity polarity = wave::Polarity::kFalling;
   /// Samples per generated scenario waveform.
   size_t waveform_samples = 64;
-  /// Bump sigma as a fraction of the victim slew (see
-  /// ScenarioSpaceOptions::bump_sigma_factor).
-  double bump_sigma_factor = 0.5;
   /// Extra slack on every window-overlap test [s].
   double window_slop = 0.0;
   /// Maximum aggressors per compound event: events are all k-subsets of
@@ -466,10 +460,12 @@ class ScenarioGenerator {
   /// alignments[c.alignment] after that member's victim arrival,
   /// superposed on the member victim's clean ramp — one NoiseScenario
   /// entry per distinct victim net, in ascending-member first-
-  /// occurrence order.  A singleton Gaussian candidate takes exactly
-  /// the make_aggressor_scenario() path (bitwise-identical waveform and
-  /// name), so eager enumeration can build the identical scenario.
-  /// Compound names join the member descriptors with '+'.
+  /// occurrence order.  A singleton Gaussian candidate reproduces
+  /// make_aggressor_scenario() bitwise (waveform, name and key), so
+  /// eager enumeration can build the identical scenario.  Compound
+  /// names join the member descriptors with '+'.  Throws util::Error
+  /// naming the pair when a Gaussian member's victim_slew is not
+  /// positive.
   [[nodiscard]] NoiseScenario materialize(const Candidate& c) const;
 
   /// Stage-1 window test of one (member pair, alignment) cell: the bump

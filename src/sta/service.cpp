@@ -150,7 +150,6 @@ StaService::StaService(netlist::Netlist netlist,
   if (config_.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.threads);
   }
-  workspaces_.resize(pool_ != nullptr ? pool_->size() : 1);
 
   auto nl = std::make_shared<netlist::Netlist>(std::move(netlist));
   auto eng = std::make_unique<StaEngine>(*nl, *library_);
@@ -373,7 +372,6 @@ void StaService::evaluate_snapshot(PreparedSnapshot& snap,
   }
   snap.baselines_.resize(n_corners);
   for (auto& state : snap.baselines_) state = states_->take();
-  std::span<wave::Workspace> wss(workspaces_.data(), workspaces_.size());
 
   bool delta = previous != nullptr && plan != nullptr;
   if (delta && snap.netlist_.get() != previous->netlist_.get()) {
@@ -395,10 +393,10 @@ void StaService::evaluate_snapshot(PreparedSnapshot& snap,
     }
     const std::vector<const StaEngine::DeltaPlan*> plans(n_corners, plan);
     eng.evaluate_points_delta(snap.baselines_, contexts, bases, plans,
-                              pool_.get(), wss);
+                              pool_.get());
   } else {
     for (size_t c = 0; c < n_corners; ++c) {
-      eng.evaluate(snap.baselines_[c], contexts[c], pool_.get(), wss);
+      eng.evaluate(snap.baselines_[c], contexts[c], pool_.get());
     }
   }
 

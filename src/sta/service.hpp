@@ -263,7 +263,6 @@ class StaService {
 
   /// Writer-path resources, used only under writer_mutex_.
   std::unique_ptr<util::ThreadPool> pool_;
-  std::vector<wave::Workspace> workspaces_;
   std::mutex writer_mutex_;
 
   /// The published head; head_mutex_ guards only the shared_ptr swap.

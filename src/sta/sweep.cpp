@@ -386,13 +386,11 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     }
   }
 
-  // The engine's own pool, with one scratch arena per worker: Γeff fits
-  // draw their sampling buffers from the running worker's arena, so
-  // after the slabs warm up the whole sweep propagates without touching
-  // the heap.  Arenas are pure scratch — results are bitwise
+  // The engine's own pool.  Γeff fits draw their sampling buffers from
+  // the running thread's arena, so after the slabs warm up the whole
+  // sweep propagates without touching the heap; results are bitwise
   // independent of which worker evaluates which point.
   util::ThreadPool& pool = worker_pool(spec.threads);
-  const std::span<wave::Workspace> wss(workspaces_.data(), pool.size());
 
   // Endpoint axis metadata (both modes).
   r.endpoint_names_.reserve(endpoint_ports_.size());
@@ -457,7 +455,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       ctx.corner_key = r.corners_[c].key();
       ctx.method = method;
       ctx.cache = r.cache_.get();
-      evaluate(owned_baselines[c], ctx, &pool, wss);
+      evaluate(owned_baselines[c], ctx, &pool);
     }
   }
   const std::vector<TimingState>& baselines =
@@ -694,8 +692,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       wave_plans[i] = &plans[plan_of[p % n_scenarios]];
     }
     const std::span<TimingState> wave_states(wave_buf.data(), n);
-    evaluate_points_delta(wave_states, wave_ctx, wave_base, wave_plans,
-                          &pool, wss);
+    evaluate_points_delta(wave_states, wave_ctx, wave_base, wave_plans, &pool);
     for (size_t i = 0; i < n; ++i) {
       const size_t p = wave_points[i];
       const double ws = worst_slack_in(wave_buf[i]);

@@ -11,8 +11,9 @@
 /// Which worker runs which index is timing-dependent — fine for
 /// callers whose tasks write disjoint state and read only shared
 /// immutable inputs: every task sees the same inputs regardless of
-/// interleaving, so results stay bitwise-deterministic.  Callers hand
-/// each worker its own scratch arena through the worker index.
+/// interleaving, so results stay bitwise-deterministic.  Each worker is
+/// its own thread, so task bodies draw scratch from
+/// util::thread_scratch() without sharing an arena.
 ///
 /// A pool of size 1 runs everything inline on the calling thread and
 /// spawns no workers at all.

@@ -28,4 +28,9 @@ std::span<double> Workspace::alloc(size_t n) {
   return {base, n};
 }
 
+Workspace& thread_scratch() noexcept {
+  thread_local Workspace ws;
+  return ws;
+}
+
 }  // namespace waveletic::util

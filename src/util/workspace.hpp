@@ -4,14 +4,18 @@
 /// Bump arena of doubles for numeric scratch buffers — the backing
 /// store of the allocation-free propagation hot path.
 ///
-/// Ownership model: one Workspace per worker thread (the levelized STA
-/// engine keeps one per ThreadPool worker).  `alloc()` bumps a cursor;
-/// `scope()` returns an RAII mark that rewinds the cursor on
-/// destruction, so nested fits reuse the same slabs.  Slabs are never
-/// freed before the Workspace dies and their addresses are stable under
-/// moves, which lets views outlive intermediate scopes within a fit.
+/// Ownership model: one Workspace per thread, reached through
+/// thread_scratch().  Every fit draws its scratch from the arena of the
+/// thread it runs on, so no caller threads an arena through an API.
+/// `alloc()` bumps a cursor; `scope()` returns an RAII mark that
+/// rewinds the cursor on destruction, so nested fits reuse the same
+/// slabs.  Slabs are never freed before the Workspace dies and their
+/// addresses are stable under moves, which lets views outlive
+/// intermediate scopes within a fit — and a caller's live allocation
+/// survive any fit it calls, since that fit rewinds only to its own
+/// mark.
 ///
-/// Not thread-safe: a Workspace belongs to exactly one worker.
+/// Not thread-safe: a Workspace belongs to exactly one thread.
 ///
 /// The waveform layer re-exports this as wave::Workspace (kernels.hpp);
 /// the la fitting layer draws its Gauss–Newton scratch from it too.
@@ -71,7 +75,7 @@ class Workspace {
   [[nodiscard]] Scope scope() noexcept { return Scope(*this); }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  /// Heap allocations performed so far — the number a warmed workspace
+  /// Heap allocations performed so far — the number a warmed arena
   /// must stop increasing (asserted by bench_runtime and tests).
   [[nodiscard]] uint64_t heap_allocations() const noexcept {
     return stats_.slab_allocations;
@@ -90,5 +94,10 @@ class Workspace {
   size_t used_ = 0;  ///< doubles consumed in that slab
   Stats stats_;
 };
+
+/// The calling thread's scratch arena (thread_local, created empty on
+/// first use and freed when the thread exits).  Open a scope before
+/// allocating from it; results never depend on what the arena held.
+[[nodiscard]] Workspace& thread_scratch() noexcept;
 
 }  // namespace waveletic::util

@@ -13,10 +13,11 @@
 ///  - `WaveView` — a non-owning (time, value) span pair with the same
 ///    linear-interpolation semantics as `Waveform` (flat extension
 ///    outside the grid).  Implicitly constructible from a `Waveform`.
-///  - `Workspace` — a per-worker bump arena of doubles.  `alloc()` is
-///    pointer arithmetic; slabs are retained across `Scope` resets, so
-///    a warmed workspace serves every later request without touching
-///    the heap.  Slab addresses are stable under `Workspace` moves.
+///  - `Workspace` — a bump arena of doubles, one per thread
+///    (`util::thread_scratch()`).  `alloc()` is pointer arithmetic;
+///    slabs are retained across `Scope` resets, so a warmed arena
+///    serves every later request without touching the heap.  Kernels
+///    take the arena as an explicit parameter.
 ///  - Batched kernels (`sample_into`, `resample_into`, `combine_into`,
 ///    `derivative_into`, `smoothed_into`, …) — destination-buffer
 ///    variants of the hot `Waveform` operations.  `sample_into`
@@ -88,9 +89,10 @@ struct WaveView {
   }
 };
 
-/// The per-worker scratch arena behind every batched kernel.  The class
-/// lives in util (util::Workspace) so the la fitting layer can share
-/// it; this alias is the waveform-facing name.
+/// The scratch arena behind every batched kernel; fits pass the
+/// calling thread's util::thread_scratch().  The class lives in util so
+/// the la fitting layer can share it; this alias is the waveform-facing
+/// name.
 using Workspace = util::Workspace;
 
 // ---------------------------------------------------------------------------

@@ -134,7 +134,9 @@ TEST(Lsf3, MatchesUnweightedLeastSquares) {
   EXPECT_FALSE(fit.degenerate_fallback);
   EXPECT_GT(fit.ramp.a(), 0.0);
   // The helper and the method agree.
-  const auto helper = co::lsf3_fit(noisy, kVdd, input.samples);
+  auto& ws = wu::thread_scratch();
+  const auto scope = ws.scope();
+  const auto helper = co::lsf3_fit(noisy, kVdd, input.samples, ws);
   EXPECT_NEAR(fit.ramp.t50(), helper.ramp.t50(), 1e-15);
 }
 

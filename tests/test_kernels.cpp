@@ -1,14 +1,19 @@
 // Batched waveform kernels: bitwise identity of the merge-scan and
 // destination-buffer kernels against the scalar Waveform reference,
-// Workspace arena reuse semantics, workspace-vs-legacy bitwise equality
-// of every Γeff technique, and a threaded sweep with per-worker
-// workspaces staying bitwise-equal to the legacy allocating evaluation.
+// Workspace arena reuse semantics, every Γeff technique bitwise
+// independent of what its thread's arena held before, heap-free fits
+// and evaluations on a warm thread, and a threaded sweep bitwise-equal
+// to serial evaluate().
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <random>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/method.hpp"
@@ -19,6 +24,7 @@
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
 #include "util/thread_pool.hpp"
+#include "util/workspace.hpp"
 #include "wave/kernels.hpp"
 #include "wave/metrics.hpp"
 #include "wave/ramp.hpp"
@@ -294,7 +300,7 @@ TEST(Workspace, LargeRequestGetsOwnSlabAndSurvivesMove) {
 }
 
 // ---------------------------------------------------------------------------
-// Methods: workspace path vs legacy allocating path, bitwise
+// Methods: a cold thread arena vs a warm one holding stale data, bitwise
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -321,7 +327,7 @@ struct MethodFixture {
     noisy = wv::Waveform(std::move(t), std::move(v));
   }
 
-  [[nodiscard]] co::MethodInput input(wv::Workspace* ws) const {
+  [[nodiscard]] co::MethodInput input() const {
     co::MethodInput mi;
     mi.noisy_in = &noisy;
     mi.noiseless_in = &clean_in;
@@ -329,43 +335,109 @@ struct MethodFixture {
     mi.in_polarity = wv::Polarity::kRising;
     mi.out_polarity = wv::Polarity::kRising;
     mi.vdd = 1.2;
-    mi.workspace = ws;
     return mi;
+  }
+};
+
+/// Fills the first slabs of this thread's arena with NaN and rewinds:
+/// every later scratch request reads stale garbage unless it writes
+/// before it reads.
+void poison_thread_scratch() {
+  auto& ws = wu::thread_scratch();
+  const auto scope = ws.scope();
+  for (int i = 0; i < 4; ++i) {
+    const auto s = ws.alloc(size_t{1} << 14);
+    std::fill(s.begin(), s.end(), std::numeric_limits<double>::quiet_NaN());
+  }
+}
+
+/// Runs `f` on a fresh thread, whose arena starts empty.
+template <class F>
+auto on_cold_thread(F f) {
+  decltype(f()) out{};
+  std::thread th([&] {
+    EXPECT_EQ(wu::thread_scratch().heap_allocations(), 0u);
+    out = f();
+  });
+  th.join();
+  return out;
+}
+
+/// Fits `method` on a cold thread and on this thread over a poisoned
+/// warm arena, and checks the two ramps bitwise.
+void expect_cold_equals_stale(const co::EquivalentWaveformMethod& method,
+                              const co::MethodInput& mi) {
+  const auto cold = on_cold_thread([&] { return method.fit(mi); });
+  (void)method.fit(mi);  // warm this thread's slabs …
+  poison_thread_scratch();  // … and leave garbage in them
+  const auto stale = method.fit(mi);
+  EXPECT_TRUE(BitEq(cold.ramp.a(), stale.ramp.a())) << method.name()
+                                                    << " slope";
+  EXPECT_TRUE(BitEq(cold.ramp.b(), stale.ramp.b())) << method.name()
+                                                    << " intercept";
+  EXPECT_EQ(cold.degenerate_fallback, stale.degenerate_fallback)
+      << method.name();
+}
+
+/// A chain tree with aggressor bumps on two chains (noisy net sinks
+/// force Γeff fits during propagation).
+struct NoisyChainFixture {
+  const lb::Library& lib = tu::vcl013();
+  nl::Netlist netlist = nl::make_chain_tree(8);
+  st::StaEngine sta{netlist, lib};
+  std::vector<st::NoiseScenario> scenarios;
+
+  NoisyChainFixture() {
+    tu::constrain_chain_tree(sta, 8);
+    sta.run();
+    for (int s = 0; s < 6; ++s) {
+      scenarios.push_back(tu::chain_bump_scenario(
+          sta, s % 2, (s - 3) * 10e-12, 0.25 + 0.05 * s));
+    }
+    sta.prepare();
+  }
+
+  /// Serial evaluate() of scenario `s` with no Γeff memo.
+  [[nodiscard]] st::TimingState evaluate(size_t s) const {
+    const auto table = sta.compile_edge_annotations(&scenarios[s]);
+    st::StaEngine::EvalContext ctx;
+    ctx.edge_noise = table.data();
+    ctx.method = &sta.noise_method();
+    st::TimingState state;
+    sta.evaluate(state, ctx);
+    return state;
   }
 };
 
 }  // namespace
 
-TEST(Kernels, AllMethodsBitwiseIdenticalWithAndWithoutWorkspace) {
+TEST(Kernels, AllMethodsBitwiseIdenticalOnColdAndStaleArenas) {
   const MethodFixture f;
-  wv::Workspace ws;
   for (const auto& method : co::all_methods()) {
-    const auto legacy = method->fit(f.input(nullptr));
-    const auto pooled = method->fit(f.input(&ws));
-    EXPECT_TRUE(BitEq(legacy.ramp.a(), pooled.ramp.a()))
-        << method->name() << " slope";
-    EXPECT_TRUE(BitEq(legacy.ramp.b(), pooled.ramp.b()))
-        << method->name() << " intercept";
-    EXPECT_EQ(legacy.degenerate_fallback, pooled.degenerate_fallback)
-        << method->name();
+    expect_cold_equals_stale(*method, f.input());
   }
 }
 
 TEST(Kernels, WarmedWorkspaceMakesFitsHeapFree) {
+  // On a cold thread the first fit sizes the arena; a fit that leaked
+  // scratch past its scope would outgrow it within the repeats.
   const MethodFixture f;
-  const co::SgdpMethod method;
-  wv::Workspace ws;
-  (void)method.fit(f.input(&ws));  // warm the slabs
-  const uint64_t warm = ws.heap_allocations();
-  for (int i = 0; i < 10; ++i) (void)method.fit(f.input(&ws));
-  EXPECT_EQ(ws.heap_allocations(), warm)
-      << "repeated fits must reuse the warmed arena";
+  for (const auto& method : co::all_methods()) {
+    const auto slabs = on_cold_thread([&] {
+      (void)method->fit(f.input());  // warm the slabs
+      const uint64_t warm = wu::thread_scratch().heap_allocations();
+      for (int i = 0; i < 100; ++i) (void)method->fit(f.input());
+      return std::pair{warm, wu::thread_scratch().heap_allocations()};
+    });
+    EXPECT_EQ(slabs.second, slabs.first)
+        << method->name() << ": repeated fits must reuse the warmed arena";
+  }
 }
 
-TEST(Kernels, FallingPolarityBitwiseWithAndWithoutWorkspace) {
+TEST(Kernels, FallingPolarityBitwiseOnColdAndStaleArenas) {
   const MethodFixture rising;
   // Flip everything to falling so normalized_rising_view takes the
-  // flip-into-workspace path.
+  // flip-into-arena path.
   const double vdd = 1.2;
   const auto noisy_f = rising.noisy.flipped(vdd);
   const auto in_f = rising.clean_in.flipped(vdd);
@@ -377,60 +449,54 @@ TEST(Kernels, FallingPolarityBitwiseWithAndWithoutWorkspace) {
   mi.in_polarity = wv::Polarity::kFalling;
   mi.out_polarity = wv::Polarity::kFalling;
   mi.vdd = vdd;
-  const co::SgdpMethod method;
-  const auto legacy = method.fit(mi);
-  wv::Workspace ws;
-  mi.workspace = &ws;
-  const auto pooled = method.fit(mi);
-  EXPECT_TRUE(BitEq(legacy.ramp.a(), pooled.ramp.a()));
-  EXPECT_TRUE(BitEq(legacy.ramp.b(), pooled.ramp.b()));
+  expect_cold_equals_stale(co::SgdpMethod{}, mi);
+}
+
+TEST(Kernels, SerialEvaluateOnWarmThreadAllocatesNoSlab) {
+  const NoisyChainFixture f;
+  const auto slabs = on_cold_thread([&] {
+    for (size_t s = 0; s < f.scenarios.size(); ++s) (void)f.evaluate(s);
+    const uint64_t warm = wu::thread_scratch().heap_allocations();
+    for (size_t s = 0; s < f.scenarios.size(); ++s) (void)f.evaluate(s);
+    return std::pair{warm, wu::thread_scratch().heap_allocations()};
+  });
+  EXPECT_GT(slabs.first, 0u) << "the fixture must fit noisy nets";
+  EXPECT_EQ(slabs.second, slabs.first)
+      << "evaluate() on a warm thread must not grow its arena";
+}
+
+TEST(Kernels, CallerAllocationSurvivesEvaluateOnSameThread) {
+  const NoisyChainFixture f;
+  const auto cold = on_cold_thread([&] { return f.evaluate(0); });
+  auto& ws = wu::thread_scratch();
+  const auto scope = ws.scope();
+  const auto mine = ws.alloc(4096);
+  for (size_t i = 0; i < mine.size(); ++i) mine[i] = static_cast<double>(i);
+  const auto nested = f.evaluate(0);  // fits noisy nets on this thread
+  for (size_t i = 0; i < mine.size(); ++i) {
+    ASSERT_EQ(mine[i], static_cast<double>(i)) << "caller slot " << i;
+  }
+  EXPECT_TRUE(tu::states_bitwise_equal(cold, nested, &f.sta));
+  // The fits rewound to their own marks: the next request continues
+  // right after the caller's buffer.
+  EXPECT_EQ(ws.alloc(1).data(), mine.data() + mine.size());
 }
 
 // ---------------------------------------------------------------------------
-// Threaded sweep with per-worker workspaces == serial evaluate()
+// Threaded sweep == serial evaluate()
 // ---------------------------------------------------------------------------
 
-TEST(Kernels, ThreadedSweepWithWorkspacesBitwiseEqualsLegacyEvaluate) {
-  const lb::Library& lib = tu::vcl013();
-  const auto netlist = nl::make_chain_tree(8);
-  st::StaEngine sta(netlist, lib);
-  tu::constrain_chain_tree(sta, 8);
-  sta.run();
-
-  // Scenarios: aggressor bumps on two chains.
-  std::vector<st::NoiseScenario> scenarios;
-  for (int s = 0; s < 6; ++s) {
-    scenarios.push_back(tu::chain_bump_scenario(sta, s % 2, (s - 3) * 10e-12,
-                                                0.25 + 0.05 * s));
-  }
-
-  // Threaded sweep: per-worker workspaces, shared Γeff memo.
+TEST(Kernels, ThreadedSweepBitwiseEqualsSerialEvaluate) {
+  NoisyChainFixture f;
+  // Threaded sweep: pool workers fit on their own arenas, shared memo.
   st::SweepSpec spec;
-  spec.scenarios = scenarios;
+  spec.scenarios = f.scenarios;
   spec.threads = 4;
-  auto result = sta.sweep(spec);
+  auto result = f.sta.sweep(spec);
 
-  // Oracle: serial evaluate() with no caller workspace (it supplies a
-  // call-local arena).
-  sta.prepare();
-  for (size_t s = 0; s < scenarios.size(); ++s) {
-    const auto table = sta.compile_edge_annotations(&scenarios[s]);
-    st::StaEngine::EvalContext ctx;
-    ctx.edge_noise = table.data();
-    ctx.method = &sta.noise_method();
-    ctx.workspace = nullptr;
-    st::TimingState state;
-    sta.evaluate(state, ctx);
-    for (size_t vtx = 0; vtx < state.size(); ++vtx) {
-      for (int rf = 0; rf < 2; ++rf) {
-        const auto& legacy = state[vtx].timing[rf];
-        const auto& pooled = result.state(s)[vtx].timing[rf];
-        EXPECT_EQ(legacy.valid, pooled.valid);
-        EXPECT_TRUE(BitEq(legacy.arrival, pooled.arrival))
-            << "scenario " << s << " vertex " << vtx;
-        EXPECT_TRUE(BitEq(legacy.slew, pooled.slew));
-        EXPECT_TRUE(BitEq(legacy.required, pooled.required));
-      }
-    }
+  for (size_t s = 0; s < f.scenarios.size(); ++s) {
+    EXPECT_TRUE(tu::states_bitwise_equal(f.evaluate(s), result.state(s),
+                                         &f.sta))
+        << "scenario " << s;
   }
 }

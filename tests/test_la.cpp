@@ -174,18 +174,20 @@ TEST(GaussNewton, SolvesLinearProblemInOneStep) {
   // r_k = a*t_k + b - v_k : quadratic objective, GN converges in 1 step.
   std::vector<double> t{0.0, 1.0, 2.0, 3.0};
   std::vector<double> v{1.0, 3.0, 5.0, 7.0};
-  const auto fn = [&](std::span<const double> x, la::Vector& r,
-                      la::Matrix& jac) {
+  const auto fn = [&](std::span<const double> x, std::span<double> r,
+                      la::MatrixRef jac) {
     for (size_t k = 0; k < t.size(); ++k) {
       r[k] = x[0] * t[k] + x[1] - v[k];
       jac(k, 0) = t[k];
       jac(k, 1) = 1.0;
     }
   };
-  const auto res = la::gauss_newton(fn, {0.0, 0.0}, t.size());
+  la::Vector x{0.0, 0.0};
+  const auto res =
+      la::gauss_newton_into(fn, x, t.size(), {}, wu::thread_scratch());
   EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(res.x[0], 2.0, 1e-8);
-  EXPECT_NEAR(res.x[1], 1.0, 1e-8);
+  EXPECT_NEAR(x[0], 2.0, 1e-8);
+  EXPECT_NEAR(x[1], 1.0, 1e-8);
   EXPECT_NEAR(res.objective, 0.0, 1e-14);
 }
 
@@ -196,17 +198,18 @@ TEST(GaussNewton, FitsExponentialDecay) {
     t.push_back(0.1 * i);
     y.push_back(std::exp(-1.7 * 0.1 * i));
   }
-  const auto fn = [&](std::span<const double> x, la::Vector& r,
-                      la::Matrix& jac) {
+  const auto fn = [&](std::span<const double> x, std::span<double> r,
+                      la::MatrixRef jac) {
     for (size_t k = 0; k < t.size(); ++k) {
       const double e = std::exp(-x[0] * t[k]);
       r[k] = e - y[k];
       jac(k, 0) = -t[k] * e;
     }
   };
-  const auto res = la::gauss_newton(fn, {0.5}, t.size(),
-                                    {.max_iterations = 30});
-  EXPECT_NEAR(res.x[0], 1.7, 1e-6);
+  la::Vector x{0.5};
+  (void)la::gauss_newton_into(fn, x, t.size(), {.max_iterations = 30},
+                              wu::thread_scratch());
+  EXPECT_NEAR(x[0], 1.7, 1e-6);
 }
 
 TEST(GaussNewton, NeverIncreasesObjective) {
@@ -216,8 +219,8 @@ TEST(GaussNewton, NeverIncreasesObjective) {
   for (int trial = 0; trial < 10; ++trial) {
     const double x0 = rng.uniform(-2.0, 2.0);
     const double y0 = rng.uniform(-1.0, 3.0);
-    const auto fn = [&](std::span<const double> x, la::Vector& r,
-                        la::Matrix& jac) {
+    const auto fn = [&](std::span<const double> x, std::span<double> r,
+                        la::MatrixRef jac) {
       r[0] = 10.0 * (x[1] - x[0] * x[0]);
       r[1] = 1.0 - x[0];
       jac(0, 0) = -20.0 * x[0];
@@ -225,21 +228,26 @@ TEST(GaussNewton, NeverIncreasesObjective) {
       jac(1, 0) = -1.0;
       jac(1, 1) = 0.0;
     };
-    la::Vector start{x0, y0};
+    la::Vector x{x0, y0};
     double obj0;
     {
       la::Vector r(2);
       la::Matrix j(2, 2);
-      fn(start, r, j);
+      fn(x, r, j);
       obj0 = r[0] * r[0] + r[1] * r[1];
     }
-    const auto res = la::gauss_newton(fn, start, 2, {.max_iterations = 50});
+    const auto res = la::gauss_newton_into(fn, x, 2, {.max_iterations = 50},
+                                           wu::thread_scratch());
     EXPECT_LE(res.objective, obj0 + 1e-12);
   }
 }
 
 TEST(GaussNewton, RejectsDegenerateSetup) {
-  const auto fn = [](std::span<const double>, la::Vector&, la::Matrix&) {};
-  EXPECT_THROW(la::gauss_newton(fn, {}, 3), wu::Error);
-  EXPECT_THROW(la::gauss_newton(fn, {1.0, 2.0}, 1), wu::Error);
+  const auto fn = [](std::span<const double>, std::span<double>,
+                     la::MatrixRef) {};
+  auto& ws = wu::thread_scratch();
+  la::Vector none;
+  la::Vector two{1.0, 2.0};
+  EXPECT_THROW((void)la::gauss_newton_into(fn, none, 3, {}, ws), wu::Error);
+  EXPECT_THROW((void)la::gauss_newton_into(fn, two, 1, {}, ws), wu::Error);
 }

@@ -357,14 +357,9 @@ TEST(Lanes, EvaluatePointsDeltaMatchesSerialEvaluate) {
 
   for (const int threads : {0, 2}) {
     std::unique_ptr<wu::ThreadPool> pool;
-    std::vector<wv::Workspace> wss;
-    if (threads > 0) {
-      pool = std::make_unique<wu::ThreadPool>(threads);
-      wss.resize(static_cast<size_t>(threads));
-    }
+    if (threads > 0) pool = std::make_unique<wu::ThreadPool>(threads);
     std::vector<st::TimingState> got(n);
-    sta.evaluate_points_delta(got, contexts, baselines, plan_ptrs, pool.get(),
-                              std::span<wv::Workspace>(wss.data(), wss.size()));
+    sta.evaluate_points_delta(got, contexts, baselines, plan_ptrs, pool.get());
     for (size_t p = 0; p < n; ++p) {
       EXPECT_TRUE(tu::states_bitwise_equal(ref[p], got[p], &sta))
           << "threads=" << threads << " point " << p;

@@ -757,5 +757,24 @@ TEST(Compound, GenStatsCheckCatchesFunnelDrift) {
   EXPECT_FALSE(g.check());
 }
 
+TEST(Compound, NonPositiveVictimSlewGaussianNamesThePair) {
+  // A zero slew gives the Gaussian bump zero width: materialize() must
+  // reject it naming the pair instead of emitting NaN samples.
+  ScenarioSpace space = wide_space(2, 1, 1, 1);
+  space.pairs[1].victim_slew = 0.0;
+  ScenarioGenerator gen(space);
+  const ScenarioSpace::Coordinates coords{1, 0, 0};
+  const ScenarioGenerator::Candidate cand{space.encode(coords), coords.pair,
+                                          coords.alignment, coords.strength};
+  try {
+    (void)gen.materialize(cand);
+    FAIL() << "zero victim slew accepted";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pair 1 (victim v1)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace waveletic
