@@ -28,7 +28,6 @@
 #include <limits>
 #include <memory>
 #include <new>
-#include <span>
 #include <sstream>
 #include <vector>
 
@@ -48,7 +47,6 @@
 #include "sta/sweep.hpp"
 #include "util/thread_pool.hpp"
 #include "wave/kernels.hpp"
-#include "wave/lanes.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counting hook (this binary only): makes "zero
@@ -486,7 +484,7 @@ const SparseFixture& sparse_fixture() {
 }
 
 // ---------------------------------------------------------------------------
-// Dense-cone lane workload: a deep ~900-vertex random DAG where each
+// Dense-cone workload: a deep ~900-vertex random DAG where each
 // chosen victim drives a cone covering ≥ 10% of the graph.  64
 // scenarios = the 4 largest-cone victims × 16 alignment/strength
 // variants, so plan dedup collapses the sweep onto 4 cones and every
@@ -495,11 +493,11 @@ const SparseFixture& sparse_fixture() {
 // sparse sweep above.)
 // ---------------------------------------------------------------------------
 
-struct DenseLaneFixture {
+struct DenseConeFixture {
   waveletic::liberty::Library lib;
   nl::Netlist netlist;
 
-  DenseLaneFixture()
+  DenseConeFixture()
       : lib(cl::build_vcl013_library_fast()),
         netlist(nl::make_random_dag(2026, 14, 14, 22)) {}
 
@@ -558,8 +556,8 @@ struct DenseLaneFixture {
   }
 };
 
-const DenseLaneFixture& dense_lane_fixture() {
-  static const DenseLaneFixture f;
+const DenseConeFixture& dense_cone_fixture() {
+  static const DenseConeFixture f;
   return f;
 }
 
@@ -726,8 +724,6 @@ std::vector<double> looped_serial_slacks(
 struct SweepFigures {
   double scenarios_per_sec = 0.0;
   double speedup_vs_looped = 0.0;
-  double lane_scenarios_per_sec = 0.0;
-  double lane_speedup_vs_scalar = 0.0;
   bool bitwise = false;
 };
 
@@ -990,70 +986,45 @@ SweepFigures report_sweep_speedups() {
       compound_funnel.window_killed + compound_funnel.correlation_killed +
       compound_funnel.set_killed);
 
-  // Kernel-width A/B on the dense 64-scenario delta sweep (the
-  // dense-cone random-DAG fixture: 4 victims × 16 variants, every cone
-  // ≥ 10% of the ~900-vertex graph).  wave::LaneWidthGuard(1) pins the
-  // scalar waveform kernels; unpinned, the sweep's Γeff fits use the
-  // widest available kernel width (4 on AVX2 builds).  Every point
-  // runs scalar evaluate_delta() at either width and the two runs must
-  // match bitwise per point — the lane determinism contract.
-  // Best-of-5 interleaved, under two noise methods: P1 (propagation-
-  // bound, its fits barely touch the kernels) and SGDP (the default,
-  // whose Newton Γeff fits do).  On scalar-only builds/CPUs both runs
-  // take the same path and the speedup is ~1.0.
-  const int lane_width = wv::active_lane_width();
-  const int kLaneScenarios = 64;
-  size_t lane_vertices = 0;
-  double t_lane_scalar = std::numeric_limits<double>::infinity();
-  double t_lane_wide = std::numeric_limits<double>::infinity();
-  double t_lane_sgdp_scalar = std::numeric_limits<double>::infinity();
-  double t_lane_sgdp_wide = std::numeric_limits<double>::infinity();
-  bool lane_identical = true;
+  // Dense 64-scenario delta sweep (the dense-cone random-DAG fixture:
+  // 4 victims × 16 variants, every cone ≥ 10% of the ~900-vertex
+  // graph), best-of-5 under two noise methods: P1 (propagation-bound,
+  // its fits barely touch the waveform kernels) and SGDP (the default,
+  // whose Newton Γeff fits do).  The P1 run is cross-checked bitwise
+  // against looped serial evaluate().
+  const int kDenseScenarios = 64;
+  size_t dense_vertices = 0;
+  double t_dense = std::numeric_limits<double>::infinity();
+  double t_dense_sgdp = std::numeric_limits<double>::infinity();
+  bool dense_identical = true;
   {
     static waveletic::core::P1Method p1;
-    const auto& df = dense_lane_fixture();
-    const auto dense_scenarios = df.scenarios(kLaneScenarios);
+    const auto& df = dense_cone_fixture();
+    const auto dense_scenarios = df.scenarios(kDenseScenarios);
     st::StaEngine sta(df.netlist, df.lib);
     df.constrain(sta);
-    lane_vertices = sta.vertex_count();
+    dense_vertices = sta.vertex_count();
     st::SweepSpec spec;
     spec.scenarios = dense_scenarios;
     spec.threads = static_cast<int>(hw);
-    st::SweepResult r_scalar, r_wide, r_sgdp_scalar, r_sgdp_wide;
-    const auto scalar_sweep = [&](st::SweepResult& out) {
-      wv::LaneWidthGuard scalar(1);
-      return wall_seconds([&] { out = sta.sweep(spec); });
-    };
+    st::SweepResult r_dense;
     for (int rep = 0; rep < 5; ++rep) {
       spec.method = &p1;
-      t_lane_scalar = std::min(t_lane_scalar, scalar_sweep(r_scalar));
-      t_lane_wide = std::min(
-          t_lane_wide, wall_seconds([&] { r_wide = sta.sweep(spec); }));
+      t_dense = std::min(t_dense,
+                         wall_seconds([&] { r_dense = sta.sweep(spec); }));
       spec.method = nullptr;  // engine default (SGDP)
-      t_lane_sgdp_scalar =
-          std::min(t_lane_sgdp_scalar, scalar_sweep(r_sgdp_scalar));
-      t_lane_sgdp_wide =
-          std::min(t_lane_sgdp_wide,
-                   wall_seconds([&] { r_sgdp_wide = sta.sweep(spec); }));
+      t_dense_sgdp = std::min(
+          t_dense_sgdp, wall_seconds([&] { (void)sta.sweep(spec); }));
     }
-    // Cross-check on this fixture: looped serial evaluate() must agree
-    // exactly with the baseline+delta path the width A/B runs on.
     const auto looped = looped_serial_slacks(sta, dense_scenarios, &p1);
-    for (size_t p = 0; p < r_scalar.size(); ++p) {
-      lane_identical = lane_identical &&
-                       std::bit_cast<uint64_t>(r_scalar.worst_slack(p)) ==
-                           std::bit_cast<uint64_t>(r_wide.worst_slack(p)) &&
-                       std::bit_cast<uint64_t>(r_sgdp_scalar.worst_slack(p)) ==
-                           std::bit_cast<uint64_t>(r_sgdp_wide.worst_slack(p)) &&
-                       r_scalar.worst_slack(p) == looped[p];
+    for (size_t p = 0; p < r_dense.size(); ++p) {
+      dense_identical = dense_identical && r_dense.worst_slack(p) == looped[p];
     }
-    if (!lane_identical) std::printf("LANE SWEEP MISMATCH — BUG\n");
+    if (!dense_identical) std::printf("DENSE SWEEP MISMATCH — BUG\n");
   }
-  const double lane_speedup = t_lane_scalar / t_lane_wide;
-  const double lane_sgdp_speedup = t_lane_sgdp_scalar / t_lane_sgdp_wide;
 
   bool identical = endpoint_matches_full && sparse_identical &&
-                   gen_identical && compound_identical && lane_identical;
+                   gen_identical && compound_identical && dense_identical;
   for (int i = 0; i < kScenarios; ++i) {
     identical = identical && looped_slack[i] == swept1_slack[i] &&
                 looped_slack[i] == sweptN_slack[i];
@@ -1131,19 +1102,15 @@ SweepFigures report_sweep_speedups() {
               compound_prewave_killed >= 0.5
                   ? ""
                   : "  [pre-waveform kills below 50% target]");
-  std::printf("dense delta sweep, kernel width A/B (dense-cone fixture: "
-              "%zu vertices, %d scenarios on 4 cones, width %d):\n",
-              lane_vertices, kLaneScenarios, lane_width);
-  std::printf("  P1    width 1 (scalar):        %8.1f ms  (%.1f "
+  std::printf("dense delta sweep (dense-cone fixture: %zu vertices, %d "
+              "scenarios on 4 cones):\n",
+              dense_vertices, kDenseScenarios);
+  std::printf("  P1:                            %8.1f ms  (%.1f "
               "scenarios/sec)\n",
-              t_lane_scalar * 1e3, kLaneScenarios / t_lane_scalar);
-  std::printf("  P1    width auto:              %8.1f ms  (%.1f "
-              "scenarios/sec, %.2fx vs scalar)\n",
-              t_lane_wide * 1e3, kLaneScenarios / t_lane_wide, lane_speedup);
-  std::printf("  SGDP  width 1 -> width auto:   %8.1f ms -> %.1f ms  "
-              "(%.2fx)\n",
-              t_lane_sgdp_scalar * 1e3, t_lane_sgdp_wide * 1e3,
-              lane_sgdp_speedup);
+              t_dense * 1e3, kDenseScenarios / t_dense);
+  std::printf("  SGDP:                          %8.1f ms  (%.1f "
+              "scenarios/sec)\n",
+              t_dense_sgdp * 1e3, kDenseScenarios / t_dense_sgdp);
   std::printf("result memory per point: full %zu B -> endpoint-only %zu B "
               "(%.1fx reduction)%s  [worst slack %.4g]\n",
               full_bytes, endpoint_bytes,
@@ -1215,13 +1182,10 @@ SweepFigures report_sweep_speedups() {
                  "  \"gen_compound_chunks\": %llu,\n"
                  "  \"gen_compound_peak_resident_scenarios\": %llu,\n"
                  "  \"gen_compound_bitwise_identical\": %s,\n"
-                 "  \"lane_width\": %d,\n"
-                 "  \"lane_dense_vertices\": %zu,\n"
-                 "  \"lane_scalar_scenarios_per_sec\": %.1f,\n"
-                 "  \"lane_scenarios_per_sec\": %.1f,\n"
-                 "  \"lane_speedup_vs_scalar\": %.2f,\n"
-                 "  \"lane_sgdp_speedup_vs_scalar\": %.2f,\n"
-                 "  \"lane_bitwise_identical\": %s,\n"
+                 "  \"dense_vertices\": %zu,\n"
+                 "  \"dense_scenarios_per_sec\": %.1f,\n"
+                 "  \"dense_sgdp_scenarios_per_sec\": %.1f,\n"
+                 "  \"dense_bitwise_identical\": %s,\n"
                  "  \"cache_hits\": %llu,\n"
                  "  \"cache_misses\": %llu,\n"
                  "  \"cache_hit_rate\": %.4f,\n"
@@ -1267,11 +1231,9 @@ SweepFigures report_sweep_speedups() {
                  static_cast<unsigned long long>(compound_funnel.chunks),
                  static_cast<unsigned long long>(
                      compound_funnel.peak_resident_scenarios),
-                 compound_identical ? "true" : "false", lane_width,
-                 lane_vertices,
-                 kLaneScenarios / t_lane_scalar, kLaneScenarios / t_lane_wide,
-                 lane_speedup, lane_sgdp_speedup,
-                 lane_identical ? "true" : "false",
+                 compound_identical ? "true" : "false", dense_vertices,
+                 kDenseScenarios / t_dense, kDenseScenarios / t_dense_sgdp,
+                 dense_identical ? "true" : "false",
                  static_cast<unsigned long long>(statsN.hits),
                  static_cast<unsigned long long>(statsN.misses), hit_rate,
                  identical ? "true" : "false");
@@ -1281,8 +1243,6 @@ SweepFigures report_sweep_speedups() {
   SweepFigures figures;
   figures.scenarios_per_sec = kScenarios / t_sweepN;
   figures.speedup_vs_looped = t_looped / t_sweepN;
-  figures.lane_scenarios_per_sec = kLaneScenarios / t_lane_wide;
-  figures.lane_speedup_vs_scalar = lane_speedup;
   figures.bitwise = identical;
   return figures;
 }
@@ -1318,180 +1278,6 @@ void report_kernel_summary(const SweepFigures& sweep) {
   const double batched_ns =
       t_batched * 1e9 / (static_cast<double>(kReps) * grid_n);
   const double sample_speedup = scalar_ns / batched_ns;
-
-  // Lane-layer A/B: each batched kernel pinned to the W=1 scalar oracle
-  // vs the widest compiled width via LaneWidthGuard, preceded by an
-  // untimed pass that cross-checks the two outputs bitwise.  On
-  // scalar-only builds/CPUs the "w4" column re-runs W=1, so the JSON
-  // keys stay comparable and the speedups report ~1.0.
-  const bool lane_avx2 = wv::lane_width_available(4);
-  const int lane_width = lane_avx2 ? 4 : 1;
-  bool lane_bitwise = true;
-  auto bits_equal = [](std::span<const double> a, std::span<const double> b) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const int kLaneReps = 100000;
-
-  // sample_into: the 64-point grids over the 512-sample noisy wave.
-  std::vector<double> lane_a(grid_n), lane_b(grid_n);
-  for (const auto& grid : kf.grids) {
-    {
-      wv::LaneWidthGuard g(1);
-      wv::sample_into(kf.wave, grid, lane_a);
-    }
-    {
-      wv::LaneWidthGuard g(lane_width);
-      wv::sample_into(kf.wave, grid, lane_b);
-    }
-    lane_bitwise = lane_bitwise && bits_equal(lane_a, lane_b);
-  }
-  auto time_sample = [&](int w) {
-    wv::LaneWidthGuard guard(w);
-    return wall_seconds([&] {
-      for (int r = 0; r < kLaneReps; ++r) {
-        const auto& grid =
-            kf.grids[static_cast<size_t>(r) % kf.grids.size()];
-        wv::sample_into(kf.wave, grid, lane_a);
-        sink += lane_a[grid_n / 2];
-      }
-    });
-  };
-  const double lane_sample_w1_ns =
-      time_sample(1) * 1e9 / (static_cast<double>(kLaneReps) * grid_n);
-  const double lane_sample_w4_ns =
-      time_sample(lane_width) * 1e9 /
-      (static_cast<double>(kLaneReps) * grid_n);
-
-  // resample_into: uniform 64-point windows cycled over the grid spans.
-  std::vector<double> rs_t(grid_n), rs_v(grid_n);
-  std::vector<double> rs_t2(grid_n), rs_v2(grid_n);
-  for (const auto& grid : kf.grids) {
-    {
-      wv::LaneWidthGuard g(1);
-      wv::resample_into(kf.wave, grid.front(), grid.back(), rs_t, rs_v);
-    }
-    {
-      wv::LaneWidthGuard g(lane_width);
-      wv::resample_into(kf.wave, grid.front(), grid.back(), rs_t2, rs_v2);
-    }
-    lane_bitwise = lane_bitwise && bits_equal(rs_t, rs_t2) &&
-                   bits_equal(rs_v, rs_v2);
-  }
-  auto time_resample = [&](int w) {
-    wv::LaneWidthGuard guard(w);
-    return wall_seconds([&] {
-      for (int r = 0; r < kLaneReps; ++r) {
-        const auto& grid =
-            kf.grids[static_cast<size_t>(r) % kf.grids.size()];
-        wv::resample_into(kf.wave, grid.front(), grid.back(), rs_t, rs_v);
-        sink += rs_v[grid_n / 2];
-      }
-    });
-  };
-  const double lane_resample_w1_ns =
-      time_resample(1) * 1e9 / (static_cast<double>(kLaneReps) * grid_n);
-  const double lane_resample_w4_ns =
-      time_resample(lane_width) * 1e9 /
-      (static_cast<double>(kLaneReps) * grid_n);
-
-  // combine_into: union-grid pointwise combination (the Γeff inner
-  // loop's shape); ns per merged output sample.
-  const auto lane_other = kf.wave.shifted(13e-12);
-  wv::Workspace lane_ws;
-  size_t combine_n = 0;
-  {
-    const auto scope = lane_ws.scope();
-    std::vector<double> c_t, c_v;
-    {
-      wv::LaneWidthGuard g(1);
-      const auto c = wv::combine_into(kf.wave, 0.7, lane_other, 0.3, lane_ws);
-      combine_n = c.size();
-      c_t.assign(c.time.begin(), c.time.end());
-      c_v.assign(c.value.begin(), c.value.end());
-    }
-    {
-      wv::LaneWidthGuard g(lane_width);
-      const auto c = wv::combine_into(kf.wave, 0.7, lane_other, 0.3, lane_ws);
-      lane_bitwise = lane_bitwise && bits_equal(c_t, c.time) &&
-                     bits_equal(c_v, c.value);
-    }
-  }
-  const int kCombineReps = 20000;
-  auto time_combine = [&](int w) {
-    wv::LaneWidthGuard guard(w);
-    return wall_seconds([&] {
-      for (int r = 0; r < kCombineReps; ++r) {
-        const auto scope = lane_ws.scope();
-        const auto c =
-            wv::combine_into(kf.wave, 0.7, lane_other, 0.3, lane_ws);
-        sink += c.value[c.size() / 2];
-      }
-    });
-  };
-  const double lane_combine_w1_ns =
-      time_combine(1) * 1e9 /
-      (static_cast<double>(kCombineReps) * combine_n);
-  const double lane_combine_w4_ns =
-      time_combine(lane_width) * 1e9 /
-      (static_cast<double>(kCombineReps) * combine_n);
-
-  // Crossing scans: first/last/count over a ladder of levels, several
-  // of them planted exactly on sample values; ns per wave sample
-  // scanned per level.
-  std::vector<double> lane_levels;
-  for (int i = 0; i <= 15; ++i) {
-    lane_levels.push_back(-0.3 + 1.5 * i / 15.0);
-  }
-  for (size_t i = 0; i < 4; ++i) {
-    lane_levels.push_back(kf.wave.values()[37 * (i + 1)]);
-  }
-  for (const double level : lane_levels) {
-    std::optional<double> f1, l1, f2, l2;
-    size_t n1 = 0, n2 = 0;
-    {
-      wv::LaneWidthGuard g(1);
-      f1 = wv::first_crossing(kf.wave, level);
-      l1 = wv::last_crossing(kf.wave, level);
-      n1 = wv::crossing_count(kf.wave, level);
-    }
-    {
-      wv::LaneWidthGuard g(lane_width);
-      f2 = wv::first_crossing(kf.wave, level);
-      l2 = wv::last_crossing(kf.wave, level);
-      n2 = wv::crossing_count(kf.wave, level);
-    }
-    lane_bitwise =
-        lane_bitwise && n1 == n2 && f1.has_value() == f2.has_value() &&
-        l1.has_value() == l2.has_value() &&
-        (!f1 || std::bit_cast<uint64_t>(*f1) == std::bit_cast<uint64_t>(*f2)) &&
-        (!l1 || std::bit_cast<uint64_t>(*l1) == std::bit_cast<uint64_t>(*l2));
-  }
-  const int kCrossReps = 4000;
-  auto time_crossings = [&](int w) {
-    wv::LaneWidthGuard guard(w);
-    return wall_seconds([&] {
-      for (int r = 0; r < kCrossReps; ++r) {
-        for (const double level : lane_levels) {
-          const auto first = wv::first_crossing(kf.wave, level);
-          sink += first.value_or(0.0) +
-                  static_cast<double>(wv::crossing_count(kf.wave, level));
-        }
-      }
-    });
-  };
-  const double cross_points = static_cast<double>(kCrossReps) *
-                              static_cast<double>(lane_levels.size()) *
-                              static_cast<double>(kf.wave.size());
-  const double lane_crossings_w1_ns = time_crossings(1) * 1e9 / cross_points;
-  const double lane_crossings_w4_ns =
-      time_crossings(lane_width) * 1e9 / cross_points;
-  if (!lane_bitwise) std::printf("LANE KERNEL MISMATCH — BUG\n");
 
   // Heap allocations per Γeff fit on a warm thread arena (the paper's
   // P = 35, SGDP).
@@ -1539,20 +1325,6 @@ void report_kernel_summary(const SweepFigures& sweep) {
   std::printf("sample_into (batched): %7.2f ns/point  (%.2fx)%s\n",
               batched_ns, sample_speedup,
               sample_speedup >= 3.0 ? "" : "  [below 3x target]");
-  std::printf("lane kernels, W=1 vs W=%d (ns/point, bitwise %s):\n",
-              lane_width, lane_bitwise ? "identical" : "MISMATCH — BUG");
-  std::printf("  sample_into:    %6.2f -> %6.2f  (%.2fx)\n",
-              lane_sample_w1_ns, lane_sample_w4_ns,
-              lane_sample_w1_ns / lane_sample_w4_ns);
-  std::printf("  resample_into:  %6.2f -> %6.2f  (%.2fx)\n",
-              lane_resample_w1_ns, lane_resample_w4_ns,
-              lane_resample_w1_ns / lane_resample_w4_ns);
-  std::printf("  combine_into:   %6.2f -> %6.2f  (%.2fx)\n",
-              lane_combine_w1_ns, lane_combine_w4_ns,
-              lane_combine_w1_ns / lane_combine_w4_ns);
-  std::printf("  crossing scans: %6.2f -> %6.2f  (%.2fx)\n",
-              lane_crossings_w1_ns, lane_crossings_w4_ns,
-              lane_crossings_w1_ns / lane_crossings_w4_ns);
   std::printf("allocations per SGDP fit:   workspace %6.1f\n",
               fit_allocs_ws);
   std::printf("allocations per propagate:  workspace %6.1f%s\n",
@@ -1571,44 +1343,17 @@ void report_kernel_summary(const SweepFigures& sweep) {
                  "  \"sample_scalar_ns_per_point\": %.3f,\n"
                  "  \"sample_batched_ns_per_point\": %.3f,\n"
                  "  \"sample_into_speedup\": %.2f,\n"
-                 "  \"lane_width\": %d,\n"
-                 "  \"lane_sample_w1_ns_per_point\": %.3f,\n"
-                 "  \"lane_sample_w4_ns_per_point\": %.3f,\n"
-                 "  \"lane_sample_speedup\": %.2f,\n"
-                 "  \"lane_resample_w1_ns_per_point\": %.3f,\n"
-                 "  \"lane_resample_w4_ns_per_point\": %.3f,\n"
-                 "  \"lane_resample_speedup\": %.2f,\n"
-                 "  \"lane_combine_w1_ns_per_point\": %.3f,\n"
-                 "  \"lane_combine_w4_ns_per_point\": %.3f,\n"
-                 "  \"lane_combine_speedup\": %.2f,\n"
-                 "  \"lane_crossings_w1_ns_per_point\": %.3f,\n"
-                 "  \"lane_crossings_w4_ns_per_point\": %.3f,\n"
-                 "  \"lane_crossings_speedup\": %.2f,\n"
-                 "  \"lane_kernels_bitwise_identical\": %s,\n"
                  "  \"fit_allocs_workspace\": %.1f,\n"
                  "  \"propagate_allocs_workspace\": %.1f,\n"
                  "  \"sweep_scenarios_per_sec\": %.1f,\n"
                  "  \"sweep_speedup_vs_looped\": %.2f,\n"
-                 "  \"sweep_lane_scenarios_per_sec\": %.1f,\n"
-                 "  \"sweep_lane_speedup_vs_scalar\": %.2f,\n"
                  "  \"bitwise_identical\": %s\n"
                  "}\n",
                  grid_n, kf.wave.size(),
                  wu::ThreadPool::hardware_threads(), scalar_ns, batched_ns,
-                 sample_speedup, lane_width, lane_sample_w1_ns,
-                 lane_sample_w4_ns, lane_sample_w1_ns / lane_sample_w4_ns,
-                 lane_resample_w1_ns, lane_resample_w4_ns,
-                 lane_resample_w1_ns / lane_resample_w4_ns,
-                 lane_combine_w1_ns, lane_combine_w4_ns,
-                 lane_combine_w1_ns / lane_combine_w4_ns,
-                 lane_crossings_w1_ns, lane_crossings_w4_ns,
-                 lane_crossings_w1_ns / lane_crossings_w4_ns,
-                 lane_bitwise ? "true" : "false", fit_allocs_ws,
-                 prop_allocs_ws,
+                 sample_speedup, fit_allocs_ws, prop_allocs_ws,
                  sweep.scenarios_per_sec, sweep.speedup_vs_looped,
-                 sweep.lane_scenarios_per_sec,
-                 sweep.lane_speedup_vs_scalar,
-                 (sweep.bitwise && lane_bitwise) ? "true" : "false");
+                 sweep.bitwise ? "true" : "false");
     std::fclose(f_json);
     std::printf("wrote %s\n", json_path);
   }

@@ -53,6 +53,27 @@ constexpr uint64_t kScaledBumpTag = 0x7363616c65644257ull;  // "scaledBW"
 /// misses the victim transition.
 constexpr double kBumpSigmaFactor = 0.5;
 
+/// Rejects the space knobs that would otherwise fail silently: a NaN
+/// slop makes every window comparison false (no candidate is ever
+/// window-killed), and fewer than 2 samples only fails later, inside
+/// materialize(), without naming the field.
+void check_space_knobs(const char* who, double window_slop,
+                       size_t waveform_samples) {
+  util::require(std::isfinite(window_slop) && window_slop >= 0.0, who,
+                ": window_slop ", window_slop, " must be finite and >= 0");
+  util::require(waveform_samples >= 2, who, ": waveform_samples ",
+                waveform_samples, " is below 2");
+}
+
+/// Rejects a non-finite alignment or strength grid value, naming the
+/// grid and the index.
+void check_grid_finite(const char* grid, const std::vector<double>& values) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    util::require(std::isfinite(values[i]), "ScenarioGenerator: ", grid, " ",
+                  values[i], " at index ", i, " is not finite");
+  }
+}
+
 }  // namespace
 
 DrivesPredicate make_drives_predicate(const liberty::Library& library) {
@@ -133,6 +154,8 @@ ScenarioSpace make_scenario_space(
     std::vector<double> strengths, const ScenarioSpaceOptions& options) {
   util::require(options.cm_reference > 0.0,
                 "make_scenario_space: cm_reference must be > 0");
+  check_space_knobs("make_scenario_space", options.window_slop,
+                    options.waveform_samples);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   ScenarioSpace space;
   space.alignments = std::move(alignments);
@@ -325,6 +348,10 @@ ScenarioGenerator::ScenarioGenerator(const ScenarioSpace& space,
     : space_(&space), correlation_(correlation), bump_cache_(bump_cache) {
   util::require(space.max_aggressors >= 1,
                 "ScenarioGenerator: max_aggressors must be >= 1");
+  check_space_knobs("ScenarioGenerator", space.window_slop,
+                    space.waveform_samples);
+  check_grid_finite("alignment", space.alignments);
+  check_grid_finite("strength", space.strengths);
   util::require(space.num_events() <= std::numeric_limits<uint32_t>::max(),
                 "ScenarioGenerator: event count overflows uint32");
   if (space.bump_shape == BumpShape::kCoupledLine) {

@@ -252,7 +252,9 @@ struct ScenarioSpace {
 /// cannot couple in this corner).  `sta` must have been run() — the
 /// windows come from its corner baseline TimingState.  Deterministic:
 /// pairs keep candidate order; the victim sink is the latest-arrival
-/// valid sink in netlist pin order.
+/// valid sink in netlist pin order.  Throws util::Error, naming the
+/// field, on a non-finite or negative window_slop or fewer than 2
+/// waveform_samples.
 [[nodiscard]] ScenarioSpace make_scenario_space(
     const StaEngine& sta, const netlist::Netlist& netlist,
     std::span<const interconnect::CouplingCandidate> candidates,
@@ -437,7 +439,10 @@ class ScenarioGenerator {
   /// shape store (must outlive the generator); null makes the generator
   /// own a private one, reproducing the historical per-generator
   /// caching.  Cache traffic is counted in stats()
-  /// (bump_cache_hits/misses) either way.
+  /// (bump_cache_hits/misses) either way.  Throws util::Error, naming
+  /// the field and value, on a non-finite or negative window_slop, a
+  /// non-finite alignment or strength, or fewer than 2
+  /// waveform_samples.
   explicit ScenarioGenerator(const ScenarioSpace& space,
                              const CorrelationRule* correlation = nullptr,
                              CoupledBumpCache* bump_cache = nullptr);

@@ -37,7 +37,7 @@
 /// its in-edges in a fixed order after all of its predecessors, and
 /// cache hits return bitwise what the fit would produce — so every
 /// point is bitwise identical to a serial evaluate() of its (corner,
-/// scenario), at any thread count and kernel lane width.  Serial
+/// scenario), at any thread count.  Serial
 /// evaluate() is the test oracle (tests/sta_test_util.hpp).
 ///
 /// Result storage: the default keeps a full TimingState per point.  For

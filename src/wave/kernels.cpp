@@ -1,33 +1,10 @@
 #include "wave/kernels.hpp"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "util/error.hpp"
-#include "wave/kernels_lanes.hpp"
 
 namespace waveletic::wave {
-
-namespace {
-
-// Crossing-scan dispatch: the W=4 entry point takes a type-erased emit
-// callback (vector skip makes emissions rare, so the indirect call is
-// off the hot path); W=1 runs the header template directly.
-template <class Emit>
-void scan_crossings_dispatch(WaveView w, double level, Emit&& emit) {
-#if defined(WAVELETIC_HAVE_AVX2)
-  if (active_lane_width() == 4) {
-    using E = std::remove_reference_t<Emit>;
-    detail::scan_crossings_w4(
-        w, level, [](void* ctx, double t) { return (*static_cast<E*>(ctx))(t); },
-        &emit);
-    return;
-  }
-#endif
-  scan_crossings(w, level, emit);
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // WaveView
@@ -60,16 +37,21 @@ void sample_into(WaveView wave, std::span<const double> ts,
     return;
   }
   // Forward merge: queries are non-decreasing, so the segment cursor
-  // only ever moves right — O(n + m) total.  The templated core lives
-  // in kernels_lanes.hpp; W=4 gathers the segment endpoints and lerps
-  // four queries per iteration, W=1 is the original scalar loop.
-#if defined(WAVELETIC_HAVE_AVX2)
-  if (active_lane_width() == 4) {
-    detail::sample_core_w4(t, v, n, ts.data(), out.data(), m);
-    return;
+  // only ever moves right — O(n + m) total.
+  const double t_front = t[0];
+  const double t_back = t[n - 1];
+  const double v_front = v[0];
+  const double v_back = v[n - 1];
+  size_t hi = 1;
+  size_t k = 0;
+  for (; k < m; ++k) {
+    const double x = ts[k];
+    if (x >= t_back) break;  // the sorted tail clamps flat, below
+    while (t[hi] <= x) ++hi;
+    const double r = detail::lerp_segment(t, v, hi - 1, hi, x);
+    out[k] = (x <= t_front) ? v_front : r;
   }
-#endif
-  detail::sample_core<1>(t, v, n, ts.data(), out.data(), m);
+  for (; k < m; ++k) out[k] = v_back;
 }
 
 void sample_times_into(double t0, double t1, std::span<double> out) {
@@ -77,13 +59,7 @@ void sample_times_into(double t0, double t1, std::span<double> out) {
   util::require(n >= 2, "sample_times_into: need >= 2 samples");
   util::require(t1 > t0, "sample_times_into: empty interval");
   const double dt = (t1 - t0) / static_cast<double>(n - 1);
-#if defined(WAVELETIC_HAVE_AVX2)
-  if (active_lane_width() == 4) {
-    detail::sample_times_core_w4(t0, dt, out.data(), n);
-    return;
-  }
-#endif
-  detail::sample_times_core<1>(t0, dt, out.data(), n);
+  for (size_t k = 0; k < n; ++k) out[k] = t0 + dt * static_cast<double>(k);
 }
 
 void resample_into(WaveView wave, double t0, double t1,
@@ -137,13 +113,7 @@ void flip_into(WaveView wave, double v_ref, std::span<double> out) {
   const size_t n = wave.size();
   util::require(out.size() == n, "flip_into: length mismatch");
   const double* v = wave.value.data();
-#if defined(WAVELETIC_HAVE_AVX2)
-  if (active_lane_width() == 4) {
-    detail::flip_core_w4(v_ref, v, out.data(), n);
-    return;
-  }
-#endif
-  detail::flip_core<1>(v_ref, v, out.data(), n);
+  for (size_t i = 0; i < n; ++i) out[i] = v_ref - v[i];
 }
 
 size_t merge_grids(std::span<const double> a, std::span<const double> b,
@@ -180,13 +150,8 @@ WaveView combine_into(WaveView a, double ca, WaveView b, double cb,
   const auto out = ws.alloc(g);
   sample_into(a, grid, va);
   sample_into(b, grid, vb);
-#if defined(WAVELETIC_HAVE_AVX2)
-  if (active_lane_width() == 4) {
-    detail::axpby_core_w4(ca, va.data(), cb, vb.data(), out.data(), g);
-    return WaveView(grid, out);
-  }
-#endif
-  detail::axpby_core<1>(ca, va.data(), cb, vb.data(), out.data(), g);
+  // ca*a + cb*b as mul, mul, add — never fused (-ffp-contract=off).
+  for (size_t i = 0; i < g; ++i) out[i] = ca * va[i] + cb * vb[i];
   return WaveView(grid, out);
 }
 
@@ -210,7 +175,7 @@ WaveView shift_into(WaveView wave, double dt, Workspace& ws) {
 
 std::optional<double> first_crossing(WaveView w, double level) {
   std::optional<double> out;
-  scan_crossings_dispatch(w, level, [&](double t) {
+  scan_crossings(w, level, [&](double t) {
     out = t;
     return false;  // stop after the first emission
   });
@@ -219,7 +184,7 @@ std::optional<double> first_crossing(WaveView w, double level) {
 
 std::optional<double> last_crossing(WaveView w, double level) {
   std::optional<double> out;
-  scan_crossings_dispatch(w, level, [&](double t) {
+  scan_crossings(w, level, [&](double t) {
     out = t;
     return true;
   });
@@ -228,7 +193,7 @@ std::optional<double> last_crossing(WaveView w, double level) {
 
 size_t crossing_count(WaveView w, double level) {
   size_t n = 0;
-  scan_crossings_dispatch(w, level, [&](double) {
+  scan_crossings(w, level, [&](double) {
     ++n;
     return true;
   });
@@ -240,7 +205,7 @@ std::span<double> crossings_into(WaveView w, double level, Workspace& ws) {
   // the final-sample rule.
   const auto buf = ws.alloc(w.size() + 1);
   size_t n = 0;
-  scan_crossings_dispatch(w, level, [&](double t) {
+  scan_crossings(w, level, [&](double t) {
     buf[n++] = t;
     return true;
   });

@@ -22,7 +22,7 @@
 ///    `derivative_into`, `smoothed_into`, …) — destination-buffer
 ///    variants of the hot `Waveform` operations.  `sample_into`
 ///    evaluates a sorted grid in O(n + m) with a single forward merge
-///    scan and a branch-light, auto-vectorizable interpolation loop.
+///    scan and a branch-light interpolation loop.
 ///
 /// Determinism contract: every kernel applies the *same per-point
 /// formulas in the same fold order* as the scalar `Waveform` code (both

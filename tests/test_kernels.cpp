@@ -114,6 +114,9 @@ TEST(Kernels, SampleIntoSingleSampleWaveform) {
 }
 
 TEST(Kernels, ResampleIntoMatchesResampledBitwise) {
+  // Waveform::resampled is built on resample_into, so the reference is
+  // the uniform-grid formula plus one binary-search Waveform::at per
+  // sample.
   std::mt19937_64 rng(11);
   for (int round = 0; round < 20; ++round) {
     const auto w = random_waveform(rng, 2 + rng() % 200);
@@ -121,12 +124,28 @@ TEST(Kernels, ResampleIntoMatchesResampledBitwise) {
     const double span = w.t_end() - w.t_begin();
     const double t0 = w.t_begin() - 0.1 * span;
     const double t1 = w.t_end() + 0.1 * span;
-    const auto ref = w.resampled(t0, t1, m);
+    const double dt = (t1 - t0) / static_cast<double>(m - 1);
     std::vector<double> t(m), v(m);
     wv::resample_into(w, t0, t1, t, v);
     for (size_t i = 0; i < m; ++i) {
-      EXPECT_TRUE(BitEq(t[i], ref.time(i)));
-      EXPECT_TRUE(BitEq(v[i], ref.value(i)));
+      EXPECT_TRUE(BitEq(t[i], t0 + dt * static_cast<double>(i)));
+      EXPECT_TRUE(BitEq(v[i], w.at(t[i])));
+    }
+  }
+}
+
+TEST(Kernels, FlipIntoMatchesFlippedBitwise) {
+  std::mt19937_64 rng(17);
+  for (int round = 0; round < 40; ++round) {
+    // Lengths from 1 up, so the 1-3 sample records are covered.
+    const size_t n =
+        1 + (round < 3 ? static_cast<size_t>(round) : rng() % 120);
+    const auto w = random_waveform(rng, n);
+    const auto ref = w.flipped(1.2);
+    std::vector<double> out(n);
+    wv::flip_into(w, 1.2, out);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(BitEq(out[i], ref.value(i))) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -240,25 +259,28 @@ TEST(Kernels, CrossingScansMatchCrossingsList) {
   wv::Workspace ws;
   for (int round = 0; round < 40; ++round) {
     const auto w = random_waveform(rng, 1 + rng() % 120);
-    const double level = 0.5;
-    const auto list = w.crossings(level);
-    const auto first = wv::first_crossing(wv::WaveView(w), level);
-    const auto last = wv::last_crossing(wv::WaveView(w), level);
-    EXPECT_EQ(wv::crossing_count(w, level), list.size());
-    if (list.empty()) {
-      EXPECT_FALSE(first.has_value());
-      EXPECT_FALSE(last.has_value());
-    } else {
-      ASSERT_TRUE(first.has_value());
-      ASSERT_TRUE(last.has_value());
-      EXPECT_TRUE(BitEq(*first, list.front()));
-      EXPECT_TRUE(BitEq(*last, list.back()));
-    }
-    const auto scope = ws.scope();
-    const auto collected = wv::crossings_into(w, level, ws);
-    ASSERT_EQ(collected.size(), list.size());
-    for (size_t i = 0; i < list.size(); ++i) {
-      EXPECT_TRUE(BitEq(collected[i], list[i]));
+    // Levels on exact sample values exercise the touch/dedup rules.
+    for (const double level : {0.5, w.value(0), w.value(w.size() / 2),
+                               w.value(w.size() - 1)}) {
+      const auto list = w.crossings(level);
+      const auto first = wv::first_crossing(wv::WaveView(w), level);
+      const auto last = wv::last_crossing(wv::WaveView(w), level);
+      EXPECT_EQ(wv::crossing_count(w, level), list.size());
+      if (list.empty()) {
+        EXPECT_FALSE(first.has_value());
+        EXPECT_FALSE(last.has_value());
+      } else {
+        ASSERT_TRUE(first.has_value());
+        ASSERT_TRUE(last.has_value());
+        EXPECT_TRUE(BitEq(*first, list.front()));
+        EXPECT_TRUE(BitEq(*last, list.back()));
+      }
+      const auto scope = ws.scope();
+      const auto collected = wv::crossings_into(w, level, ws);
+      ASSERT_EQ(collected.size(), list.size());
+      for (size_t i = 0; i < list.size(); ++i) {
+        EXPECT_TRUE(BitEq(collected[i], list[i]));
+      }
     }
   }
 }

@@ -4,12 +4,15 @@
 /// correctness against hand-computed overlaps, correlation-predicate
 /// rejection (pluggable + built-in structural rule), bitwise identity
 /// of the generated sweep against eager enumeration through sweep(),
-/// prune-seed exactness, and the million-point bounded-memory funnel.
+/// prune-seed exactness, the million-point bounded-memory funnel, and
+/// rejection of malformed space knobs.
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "interconnect/coupled.hpp"
@@ -478,6 +481,73 @@ TEST(ScenGen, EmptyFunnelThrowsOnWorstPoint) {
   EXPECT_EQ(gr.gen_stats().correlation_killed, gr.gen_stats().generated);
   EXPECT_THROW((void)gr.worst_slack(), util::Error);
   EXPECT_THROW((void)gr.worst_point(), util::Error);
+}
+
+/// Expects `f` to throw util::Error whose message contains `needle`
+/// (the offending field and value).
+template <class F>
+void expect_rejected(F&& f, const std::string& needle) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted; expected an error naming '" << needle << "'";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(ScenGen, GeneratorRejectsNonFiniteOrNegativeWindowSlop) {
+  // A NaN slop makes every window comparison false, so without the
+  // check no candidate would ever be window-killed.
+  ScenarioSpace space = tiny_space();
+  space.window_slop = kNaN;
+  expect_rejected([&] { ScenarioGenerator gen(space); }, "window_slop nan");
+  space.window_slop = std::numeric_limits<double>::infinity();
+  expect_rejected([&] { ScenarioGenerator gen(space); }, "window_slop inf");
+  space.window_slop = -1e-12;
+  expect_rejected([&] { ScenarioGenerator gen(space); }, "window_slop -1e-12");
+}
+
+TEST(ScenGen, GeneratorRejectsNonFiniteAlignment) {
+  ScenarioSpace space = tiny_space();
+  space.alignments[1] = kNaN;
+  expect_rejected([&] { ScenarioGenerator gen(space); },
+                  "alignment nan at index 1");
+}
+
+TEST(ScenGen, GeneratorRejectsNonFiniteStrength) {
+  ScenarioSpace space = tiny_space();
+  space.strengths[2] = -std::numeric_limits<double>::infinity();
+  expect_rejected([&] { ScenarioGenerator gen(space); },
+                  "strength -inf at index 2");
+}
+
+TEST(ScenGen, GeneratorRejectsTooFewWaveformSamples) {
+  ScenarioSpace space = tiny_space();
+  space.waveform_samples = 1;
+  expect_rejected([&] { ScenarioGenerator gen(space); },
+                  "waveform_samples 1 is below 2");
+}
+
+TEST(ScenGen, SpaceBuilderRejectsMalformedOptions) {
+  auto f = statest::random_engine(17);
+  f.sta->run();
+  const auto drives = sta::make_drives_predicate(vcl013());
+  const auto candidates = interconnect::infer_coupling_candidates(*f.netlist);
+  const auto build = [&](const sta::ScenarioSpaceOptions& options) {
+    (void)sta::make_scenario_space(*f.sta, *f.netlist, candidates, drives,
+                                   {0.0}, {0.25}, options);
+  };
+  sta::ScenarioSpaceOptions options;
+  options.window_slop = kNaN;
+  expect_rejected([&] { build(options); }, "window_slop nan");
+  options.window_slop = -5e-12;
+  expect_rejected([&] { build(options); }, "window_slop -5e-12");
+  options.window_slop = 0.0;
+  options.waveform_samples = 0;
+  expect_rejected([&] { build(options); }, "waveform_samples 0 is below 2");
 }
 
 }  // namespace

@@ -32,7 +32,6 @@ DEFAULT_HEADERS = [
     "src/sta/edits.hpp",
     "src/sta/macromodel.hpp",
     "src/sta/hiergraph.hpp",
-    "src/wave/lanes.hpp",
     "src/wave/kernels.hpp",
     "src/util/thread_pool.hpp",
 ]
