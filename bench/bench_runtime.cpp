@@ -721,6 +721,31 @@ std::vector<double> looped_serial_slacks(
   return out;
 }
 
+/// Whether every endpoint-level answer of `summary` — worst slack,
+/// critical endpoint and every endpoint arrival — equals the full-state
+/// sweep `full` bitwise, over full's points (summary may hold more,
+/// cycled from the same scenarios).
+bool summaries_match(const st::SweepResult& summary,
+                     const st::SweepResult& full) {
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  bool ok = summary.num_endpoints() == full.num_endpoints() &&
+            summary.size() >= full.size();
+  for (size_t p = 0; ok && p < full.size(); ++p) {
+    const auto cs = summary.critical_endpoint(p);
+    const auto cf = full.critical_endpoint(p);
+    ok = bits(summary.worst_slack(p)) == bits(full.worst_slack(p)) &&
+         cs.endpoint == cf.endpoint && cs.rf == cf.rf &&
+         bits(cs.slack) == bits(cf.slack);
+    for (size_t e = 0; ok && e < full.num_endpoints(); ++e) {
+      for (const auto rf : {st::RiseFall::kRise, st::RiseFall::kFall}) {
+        ok = ok && bits(summary.endpoint_arrival(p, e, rf)) ==
+                       bits(full.endpoint_arrival(p, e, rf));
+      }
+    }
+  }
+  return ok;
+}
+
 struct SweepFigures {
   double scenarios_per_sec = 0.0;
   double speedup_vs_looped = 0.0;
@@ -774,8 +799,8 @@ SweepFigures report_sweep_speedups() {
       run_sweep(static_cast<int>(hw), sweptN_slack, statsN);
 
   // Endpoint-only result storage at sweep scale: 10k points (50
-  // distinct bumps cycled — the Γeff memo absorbs the repeats), chunked
-  // evaluation, per-point memory vs full mode.
+  // distinct bumps cycled — the Γeff memo absorbs the repeats), folded
+  // in place on per-worker state, per-point memory vs full mode.
   const int kEndpointPoints = 10000;
   double t_endpoint = 0.0;
   size_t endpoint_bytes = 0;
@@ -805,12 +830,10 @@ SweepFigures report_sweep_speedups() {
     small.threads = static_cast<int>(hw);
     const auto full = sta.sweep(small);
     full_bytes = full.result_bytes_per_point();
-    // Cross-check: the stored endpoint summaries match full mode
+    // Cross-check: the stored endpoint summaries — worst slack,
+    // critical endpoint, every endpoint arrival — match full mode
     // bitwise (folded into the reported bitwise_identical flag).
-    for (size_t i = 0; i < full.size(); ++i) {
-      endpoint_matches_full = endpoint_matches_full &&
-                              result.worst_slack(i) == full.worst_slack(i);
-    }
+    endpoint_matches_full = summaries_match(result, full);
     if (!endpoint_matches_full) {
       std::printf("ENDPOINT-ONLY MISMATCH — BUG\n");
     }
@@ -819,11 +842,14 @@ SweepFigures report_sweep_speedups() {
   // Sparse-scenario sweep on the ~10k-vertex random DAG: 64 scenarios,
   // ≤ 2 annotated nets each, so looped serial evaluate() walks the
   // whole graph per point while the sweep touches only the tiny cones.
-  // Best-of-3 interleaved; per-point worst slacks must match the looped
-  // oracle bitwise and prune=safe must keep the exact worst point.
+  // Best-of-3 interleaved; per-point worst slacks of the full-state and
+  // the endpoint-only sweep must match the looped oracle bitwise, the
+  // endpoint-only summaries must match the full-state sweep, and
+  // prune=safe must keep the exact worst point.
   const int kSparse = 64;
   double t_sparse_looped = std::numeric_limits<double>::infinity();
   double t_sparse_delta = std::numeric_limits<double>::infinity();
+  double t_sparse_endpoint = std::numeric_limits<double>::infinity();
   double t_sparse_pruned = std::numeric_limits<double>::infinity();
   size_t sparse_vertices = 0;
   waveletic::sta::PruneStats sparse_stats{};
@@ -838,7 +864,7 @@ SweepFigures report_sweep_speedups() {
     spec.scenarios = sparse_scens;
     spec.threads = static_cast<int>(hw);
     std::vector<double> looped;
-    st::SweepResult r_delta, r_pruned;
+    st::SweepResult r_delta, r_endpoint, r_pruned;
     for (int rep = 0; rep < 3; ++rep) {
       t_sparse_looped = std::min(t_sparse_looped, wall_seconds([&] {
         looped = looped_serial_slacks(sta, sparse_scens);
@@ -846,13 +872,21 @@ SweepFigures report_sweep_speedups() {
       spec.prune = st::PruneMode::kOff;
       t_sparse_delta = std::min(
           t_sparse_delta, wall_seconds([&] { r_delta = sta.sweep(spec); }));
+      spec.endpoint_only = true;
+      t_sparse_endpoint = std::min(t_sparse_endpoint, wall_seconds([&] {
+                                     r_endpoint = sta.sweep(spec);
+                                   }));
+      spec.endpoint_only = false;
       spec.prune = st::PruneMode::kSafe;
       t_sparse_pruned = std::min(
           t_sparse_pruned, wall_seconds([&] { r_pruned = sta.sweep(spec); }));
     }
     for (size_t p = 0; p < r_delta.size(); ++p) {
-      sparse_identical = sparse_identical && looped[p] == r_delta.worst_slack(p);
+      sparse_identical = sparse_identical &&
+                         looped[p] == r_delta.worst_slack(p) &&
+                         looped[p] == r_endpoint.worst_slack(p);
     }
+    sparse_identical = sparse_identical && summaries_match(r_endpoint, r_delta);
     const auto wp_delta = r_delta.worst_point();
     const auto wp_pruned = r_pruned.worst_point();
     sparse_identical = sparse_identical &&
@@ -1069,6 +1103,10 @@ SweepFigures report_sweep_speedups() {
               t_sparse_delta * 1e3, kSparse / t_sparse_delta,
               sparse_delta_speedup,
               sparse_delta_speedup >= 2.0 ? "" : "  [below 2x target]");
+  std::printf("  endpoint-only delta:           %8.1f ms  (%.1f "
+              "scenarios/sec, %.2fx vs looped)\n",
+              t_sparse_endpoint * 1e3, kSparse / t_sparse_endpoint,
+              t_sparse_looped / t_sparse_endpoint);
   std::printf("  delta + prune=safe:            %8.1f ms  (%.1f "
               "scenarios/sec, %.0f%% pruned, dirty cone %.1f%%)\n",
               t_sparse_pruned * 1e3, kSparse / t_sparse_pruned,
@@ -1149,6 +1187,7 @@ SweepFigures report_sweep_speedups() {
                  "  \"sparse_looped_scenarios_per_sec\": %.1f,\n"
                  "  \"sparse_delta_scenarios_per_sec\": %.1f,\n"
                  "  \"sparse_delta_speedup\": %.2f,\n"
+                 "  \"sparse_endpoint_scenarios_per_sec\": %.1f,\n"
                  "  \"sparse_pruned_scenarios_per_sec\": %.1f,\n"
                  "  \"sparse_prune_evaluated\": %zu,\n"
                  "  \"sparse_prune_pruned\": %zu,\n"
@@ -1200,7 +1239,7 @@ SweepFigures report_sweep_speedups() {
                      static_cast<double>(endpoint_bytes),
                  sparse_vertices, kSparse, kSparse / t_sparse_looped,
                  kSparse / t_sparse_delta, sparse_delta_speedup,
-                 kSparse / t_sparse_pruned, sparse_stats.evaluated,
+                 kSparse / t_sparse_endpoint, kSparse / t_sparse_pruned, sparse_stats.evaluated,
                  sparse_stats.pruned, sparse_pruned_fraction,
                  sparse_stats.dirty_vertex_fraction,
                  sparse_stats.mean_bound_gap * 1e12,

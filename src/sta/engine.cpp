@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "core/sgdp.hpp"
@@ -15,6 +16,20 @@
 
 namespace waveletic::sta {
 namespace {
+
+/// Appends the index of every set byte of `marks` to `out`, ascending.
+/// Cones are small against the graph, so skipping the zero runs with
+/// memchr keeps a plan's marker scans far below a byte-by-byte walk.
+void append_marked(const std::vector<char>& marks, std::vector<int>& out) {
+  const char* const begin = marks.data();
+  const char* const end = begin + marks.size();
+  for (const char* p = begin;
+       (p = static_cast<const char*>(
+            std::memchr(p, 1, static_cast<size_t>(end - p)))) != nullptr;
+       ++p) {
+    out.push_back(static_cast<int>(p - begin));
+  }
+}
 
 wave::Polarity to_polarity(RiseFall rf) noexcept {
   return rf == RiseFall::kRise ? wave::Polarity::kRising
@@ -911,16 +926,14 @@ void StaEngine::evaluate(TimingState& state, const EvalContext& ctx,
 }
 
 StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
-                                            std::vector<char>& back) const {
+                                            std::vector<char>* back) const {
   const size_t n = vertex_names_.size();
   DeltaPlan plan;
   plan.num_vertices = n;
 
   // Forward closure over out-edges: the transitive fanout cone.
   std::vector<int> stack;
-  for (size_t v = 0; v < n; ++v) {
-    if (dirty[v]) stack.push_back(static_cast<int>(v));
-  }
+  append_marked(dirty, stack);
   while (!stack.empty()) {
     const int v = stack.back();
     stack.pop_back();
@@ -935,28 +948,25 @@ StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
   // Backward closure: required times depend on downstream arrivals, so
   // every vertex with a path INTO the cone (or into an extra backward
   // seed, e.g. a required-edited endpoint) must re-fold its required.
-  for (size_t v = 0; v < n; ++v) {
-    if (dirty[v] && !back[v]) back[v] = 1;
-  }
-  for (size_t v = 0; v < n; ++v) {
-    if (back[v]) stack.push_back(static_cast<int>(v));
-  }
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    for (const auto& [is_cell, idx] : in_edges_[static_cast<size_t>(v)]) {
-      const int from = is_cell ? cell_edges_[idx].from : net_edges_[idx].from;
-      if (!back[static_cast<size_t>(from)]) {
-        back[static_cast<size_t>(from)] = 1;
-        stack.push_back(from);
+  if (back != nullptr) {
+    std::vector<char>& bk = *back;
+    for (size_t v = 0; v < n; ++v) bk[v] |= dirty[v];
+    append_marked(bk, stack);
+    while (!stack.empty()) {
+      const int v = stack.back();
+      stack.pop_back();
+      for (const auto& [is_cell, idx] : in_edges_[static_cast<size_t>(v)]) {
+        const int from =
+            is_cell ? cell_edges_[idx].from : net_edges_[idx].from;
+        if (!bk[static_cast<size_t>(from)]) {
+          bk[static_cast<size_t>(from)] = 1;
+          stack.push_back(from);
+        }
       }
     }
+    append_marked(bk, plan.backward);
   }
-
-  for (size_t v = 0; v < n; ++v) {
-    if (dirty[v]) plan.forward.push_back(static_cast<int>(v));
-    if (back[v]) plan.backward.push_back(static_cast<int>(v));
-  }
+  append_marked(dirty, plan.forward);
   // Order worklists as (level, vertex) forwards and (-level, vertex)
   // backwards.  The lists are built in ascending vertex id, so a
   // stable counting sort over the level key produces exactly what
@@ -999,12 +1009,16 @@ StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
 
 StaEngine::DeltaPlan StaEngine::delta_plan(
     const NoiseScenario& scenario) const {
+  return scenario_plan(scenario, /*with_backward=*/true);
+}
+
+StaEngine::DeltaPlan StaEngine::scenario_plan(const NoiseScenario& scenario,
+                                              bool with_backward) const {
   const size_t n = vertex_names_.size();
   // Seeds: the sink vertex of every net edge of every annotated net —
   // the only places where the compiled edge-annotation table of this
   // scenario can differ from the engine-level base table.
   std::vector<char> dirty(n, 0);
-  std::vector<char> back(n, 0);
   for (const auto& entry : scenario.entries) {
     const int ord = netlist_->net_ordinal(entry.net);
     util::require(ord >= 0, "delta_plan: scenario ", scenario.name,
@@ -1013,7 +1027,9 @@ StaEngine::DeltaPlan StaEngine::delta_plan(
       dirty[static_cast<size_t>(net_edges_[e].to)] = 1;
     }
   }
-  return finish_plan(dirty, back);
+  if (!with_backward) return finish_plan(dirty, nullptr);
+  std::vector<char> back(n, 0);
+  return finish_plan(dirty, &back);
 }
 
 StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
@@ -1079,7 +1095,7 @@ StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
                   " vertices)");
     dirty[static_cast<size_t>(v)] = 1;
   }
-  DeltaPlan plan = finish_plan(dirty, back);
+  DeltaPlan plan = finish_plan(dirty, &back);
   // finish_plan lists endpoints whose ARRIVAL can move; required-time
   // edits move slack without touching arrivals, so add their ports.
   if (!seeds.required_ports.empty()) {
@@ -1143,14 +1159,19 @@ void StaEngine::evaluate_delta(TimingState& state,
                 "evaluate_delta: plan was computed for ", plan.num_vertices,
                 " vertices, engine has ", vertex_names_.size());
   state = baseline;
+  fold_forward(state, plan, ctx);
+  for (const int v : plan.backward) reset_required(state, v);
+  for (const int v : plan.backward) backward_vertex(v, state);
+}
+
+void StaEngine::fold_forward(TimingState& state, const DeltaPlan& plan,
+                             const EvalContext& ctx) const {
   // Every dirty vertex is reset to its initial constraints BEFORE any
   // is folded: relax() is a max, so folding on top of the stale
   // baseline value would be wrong whenever the scenario speeds an
   // arrival up (and would corrupt critical_pred links either way).
   for (const int v : plan.forward) reset_vertex(state, v);
   for (const int v : plan.forward) forward_vertex(v, state, ctx);
-  for (const int v : plan.backward) reset_required(state, v);
-  for (const int v : plan.backward) backward_vertex(v, state);
 }
 
 void StaEngine::evaluate_points_delta(

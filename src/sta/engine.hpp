@@ -32,9 +32,10 @@
 /// concurrently through the const, reentrant evaluation path.  There
 /// is one full-graph routine, evaluate() (chunk-gated level-parallel
 /// when given a pool), used by run(), sweep baselines and service
-/// rebuilds, and one delta routine, evaluate_delta(), which derives
-/// every sweep point and service edit from its corner baseline (see
-/// sweep.hpp).
+/// rebuilds, and one delta fold, which re-propagates a dirty cone on
+/// top of its corner baseline: evaluate_delta() runs it on a copy of
+/// the baseline (full-state sweep points, service edits), endpoint-only
+/// sweeps run it in place (see sweep.hpp).
 ///
 /// Handle-based API: names are resolved ONCE to PinId / NetId / PortId
 /// handles (pin(), net(), port()), and the primary overloads of every
@@ -450,26 +451,30 @@ class StaEngine {
     return liveness_;
   }
 
-  /// Derives one scenario point from a corner baseline: copies
-  /// `baseline` into `state`, resets the plan's dirty vertices to their
-  /// initial constraints, folds them in level order under `ctx` (whose
+  /// Derives one full-state scenario point from a corner baseline:
+  /// copies `baseline` into `state`, then runs the forward fold every
+  /// delta path shares — reset the plan's dirty vertices to their
+  /// initial constraints, fold them in level order under `ctx` (whose
   /// edge_noise table must be the scenario overlay the plan was
-  /// computed for), then resets and re-folds required times over the
-  /// plan's backward set.  Bitwise identical to evaluate() with the
-  /// same context: clean vertices keep baseline values, which full
-  /// propagation would reproduce, and dirty vertices fold the same
-  /// fixed-order in-edges against them.
+  /// computed for) — and finally resets and re-folds required times
+  /// over the plan's backward set.  Bitwise identical to evaluate()
+  /// with the same context: clean vertices keep baseline values, which
+  /// full propagation would reproduce, and dirty vertices fold the same
+  /// fixed-order in-edges against them.  Endpoint-only sweeps run the
+  /// same forward fold in place on a per-worker copy of the baseline
+  /// and skip the copy and the backward fold (see sweep.hpp).
   void evaluate_delta(TimingState& state, const TimingState& baseline,
                       const DeltaPlan& plan, const EvalContext& ctx) const;
 
-  /// Evaluates many scenario points as deltas against per-point corner
-  /// baselines: point p copies *baselines[p] and re-propagates
-  /// *plans[p] under contexts[p].  Points are independent and their
-  /// dirty worklists unbalanced, so they run dynamically scheduled on
-  /// the pool (ThreadPool::parallel_for_dynamic).  Results are bitwise
-  /// identical to evaluate()
-  /// with the same contexts at any thread count.  Throws util::Error
-  /// naming the point when a baseline or plan pointer is null.
+  /// Evaluates many full-state scenario points as deltas against
+  /// per-point corner baselines: point p runs evaluate_delta() of
+  /// *baselines[p] and *plans[p] under contexts[p] into states[p].
+  /// Points are independent and their dirty worklists unbalanced, so
+  /// they run dynamically scheduled on the pool
+  /// (ThreadPool::parallel_for_dynamic).  Results are bitwise identical
+  /// to evaluate() with the same contexts at any thread count.  Throws
+  /// util::Error naming the point when a baseline or plan pointer is
+  /// null.
   void evaluate_points_delta(
       std::span<TimingState> states, std::span<const EvalContext> contexts,
       std::span<const TimingState* const> baselines,
@@ -520,7 +525,12 @@ class StaEngine {
 
   // -- endpoints -----------------------------------------------------------
   /// Output-port ordinals in port order: the endpoint axis that
-  /// endpoint-only sweep results summarize over.
+  /// endpoint-only sweep results summarize over.  Invariant: an
+  /// output-port vertex is never the source of an edge (net edges start
+  /// at input ports and instance outputs, cell arcs at instance
+  /// inputs), so its required time is exactly its set_required()
+  /// constraint — no backward fold can move it.  Endpoint-only sweeps
+  /// rely on this to skip the required-time pass.
   [[nodiscard]] const std::vector<int32_t>& endpoint_ports() const noexcept {
     return endpoint_ports_;
   }
@@ -625,9 +635,22 @@ class StaEngine {
   util::ThreadPool& worker_pool(int threads);
   /// Shared closure step of both delta_plan overloads: `dirty` holds
   /// the forward seeds, `back` extra backward-only seeds; both are
-  /// closed (fanout / fanin) and turned into sorted worklists.
+  /// closed (fanout / fanin) and turned into sorted worklists.  A null
+  /// `back` skips the backward closure and leaves plan.backward empty.
   [[nodiscard]] DeltaPlan finish_plan(std::vector<char>& dirty,
-                                      std::vector<char>& back) const;
+                                      std::vector<char>* back) const;
+  /// delta_plan(scenario), without the backward closure when
+  /// `with_backward` is false: the plan of an endpoint-only sweep
+  /// point, which reads no required time the cone could move (see
+  /// endpoint_ports()).
+  [[nodiscard]] DeltaPlan scenario_plan(const NoiseScenario& scenario,
+                                        bool with_backward) const;
+  /// The forward half of evaluate_delta(): resets the plan's dirty
+  /// vertices of `state` — which must hold the corner baseline at
+  /// every vertex the plan reads — to their initial constraints, then
+  /// folds them in level order under `ctx`.
+  void fold_forward(TimingState& state, const DeltaPlan& plan,
+                    const EvalContext& ctx) const;
   /// init_state() for a single vertex: default timing plus the input /
   /// required constraints of `v` (delta propagation resets dirty
   /// vertices through this so they match a fresh init_state bitwise).

@@ -360,31 +360,25 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   const size_t n_scenarios = scenarios.size();
   const size_t n_points = n_corners * n_scenarios;
 
-  // Compile each scenario's effective annotations (engine base overlaid
-  // by the scenario) into a dense per-net-edge pointer table, shared by
-  // every corner of that scenario.  This is the only place annotations
-  // are *searched*; propagation just indexes.
-  std::vector<std::vector<const NoiseAnnotation*>> tables(n_scenarios);
+  // Every scenario net must exist before anything is evaluated.
+  std::vector<std::vector<int>> scenario_nets(n_scenarios);
   for (size_t s = 0; s < n_scenarios; ++s) {
-    tables[s] = compile_edge_annotations(scenarios[s]);
+    for (const auto& entry : scenarios[s]->entries) {
+      const int ord = netlist_->net_ordinal(entry.net);
+      util::require(ord >= 0, "scenario ", scenarios[s]->name,
+                    " annotates unknown net ", entry.net);
+      scenario_nets[s].push_back(ord);
+    }
   }
 
   r.cache_ = std::make_unique<GammaCache>();
   const core::EquivalentWaveformMethod* method =
       spec.method != nullptr ? spec.method : noise_method_.get();
-
-  std::vector<EvalContext> contexts(n_points);
-  for (size_t c = 0; c < n_corners; ++c) {
-    const uint64_t corner_key = r.corners_[c].key();
-    for (size_t s = 0; s < n_scenarios; ++s) {
-      const size_t p = c * n_scenarios + s;
-      contexts[p].edge_noise = tables[s].data();
-      contexts[p].corner = &r.corners_[c];
-      contexts[p].corner_key = corner_key;
-      contexts[p].method = method;
-      contexts[p].cache = r.cache_.get();
-    }
-  }
+  // The engine-level annotations compiled once into a dense per-net-edge
+  // pointer table: the corner baselines' table, and the table every
+  // point overlays its scenario onto.  This is the only place
+  // annotations are *searched*; propagation just indexes.
+  const auto base_table = compile_edge_annotations(nullptr);
 
   // The engine's own pool.  Γeff fits draw their sampling buffers from
   // the running thread's arena, so after the slabs warm up the whole
@@ -446,7 +440,6 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
                     " (baseline from another engine?)");
     }
   } else {
-    const auto base_table = compile_edge_annotations(nullptr);
     owned_baselines.resize(n_corners);
     for (size_t c = 0; c < n_corners; ++c) {
       EvalContext ctx;
@@ -469,6 +462,8 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   // share one plan: the cone is a pure function of the annotated nets,
   // and plan construction is expensive enough to rival evaluation on
   // small-cone sweeps.  plan_of[s] maps a scenario to its unique plan.
+  // Endpoint-only plans skip the backward closure: those points read
+  // no required time the cone can move (see endpoint_ports()).
   std::vector<DeltaPlan> plans;
   std::vector<size_t> plan_of(n_scenarios);
   {
@@ -476,14 +471,13 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     std::vector<int> key;
     double cone_frac = 0.0;
     for (size_t s = 0; s < n_scenarios; ++s) {
-      key.clear();
-      for (const auto& entry : scenarios[s]->entries) {
-        key.push_back(netlist_->net_ordinal(entry.net));
-      }
+      key = scenario_nets[s];
       std::sort(key.begin(), key.end());
       key.erase(std::unique(key.begin(), key.end()), key.end());
       const auto [it, fresh] = plan_index.try_emplace(key, plans.size());
-      if (fresh) plans.push_back(delta_plan(*scenarios[s]));
+      if (fresh) {
+        plans.push_back(scenario_plan(*scenarios[s], !spec.endpoint_only));
+      }
       plan_of[s] = it->second;
       cone_frac += static_cast<double>(plans[plan_of[s]].forward.size()) /
                    static_cast<double>(std::max<size_t>(vertex_count(), 1));
@@ -652,17 +646,68 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     for (size_t p = 0; p < n_points; ++p) order.push_back(p);
   }
 
-  // Wave size: everything at once in full mode, the endpoint chunk in
-  // endpoint-only mode — but small waves under pruning, so the
-  // worst-seen slack tightens between waves and the tail can early-out.
-  size_t chunk = spec.endpoint_only ? std::max<size_t>(4 * pool.size(), 64)
-                                    : n_points;
-  if (prune) chunk = std::min(chunk, std::max<size_t>(2 * pool.size(), 8));
+  // Per-worker scratch, made on first use and kept for the whole call.
+  // A point overlays its scenario onto the worker's copy of the
+  // engine-level edge table and afterwards restores exactly the edges
+  // it overlaid.  Endpoint-only points fold their forward cone in place
+  // on the worker's copy of the corner baseline, summarize it, and
+  // restore exactly the cone — no per-point baseline copy, no
+  // required-time pass (endpoint required times are their
+  // constraints).  Full-state points derive their state into the
+  // result through evaluate_delta().
+  struct Worker {
+    bool ready = false;
+    std::vector<const NoiseAnnotation*> table;
+    std::vector<TimingState> states;  ///< per corner; empty until used
+  };
+  std::vector<Worker> workers(pool.size());
+  auto run_point = [&](size_t worker, size_t p) {
+    Worker& w = workers[worker];
+    if (!w.ready) {
+      w.table = base_table;
+      w.states.resize(n_corners);
+      w.ready = true;
+    }
+    const size_t c = p / n_scenarios;
+    const size_t s = p % n_scenarios;
+    const auto& entries = scenarios[s]->entries;
+    for (size_t k = 0; k < entries.size(); ++k) {
+      for (const uint32_t e :
+           edges_of_net_[static_cast<size_t>(scenario_nets[s][k])]) {
+        w.table[e] = &entries[k].annotation;
+      }
+    }
+    EvalContext ctx;
+    ctx.edge_noise = w.table.data();
+    ctx.corner = &r.corners_[c];
+    ctx.corner_key = r.corners_[c].key();
+    ctx.method = method;
+    ctx.cache = r.cache_.get();
+    const DeltaPlan& plan = plans[plan_of[s]];
+    if (spec.endpoint_only) {
+      TimingState& state = w.states[c];
+      if (state.size() == 0) state = baselines[c];
+      fold_forward(state, plan, ctx);
+      summarize(p, state);
+      for (const int v : plan.forward) {
+        state[static_cast<size_t>(v)] = baselines[c][static_cast<size_t>(v)];
+      }
+    } else {
+      evaluate_delta(r.states_[p], baselines[c], plan, ctx);
+    }
+    for (const int ord : scenario_nets[s]) {
+      for (const uint32_t e : edges_of_net_[static_cast<size_t>(ord)]) {
+        w.table[e] = base_table[e];
+      }
+    }
+  };
 
-  std::vector<TimingState> wave_buf;
-  std::vector<EvalContext> wave_ctx;
-  std::vector<const TimingState*> wave_base;
-  std::vector<const StaEngine::DeltaPlan*> wave_plans;
+  // Wave size: everything at once, but small waves under pruning, so
+  // the worst-seen slack tightens between waves and the tail can
+  // early-out.
+  const size_t chunk =
+      prune ? std::max<size_t>(2 * pool.size(), 8) : order.size();
+
   std::vector<size_t> wave_points;
   double gap_sum = 0.0;
   double gap_min = kInf;
@@ -680,33 +725,18 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       ++next;
     }
     if (wave_points.empty()) break;
-    const size_t n = wave_points.size();
-    if (wave_buf.size() < n) wave_buf.resize(n);
-    wave_ctx.assign(n, EvalContext{});
-    wave_base.assign(n, nullptr);
-    wave_plans.assign(n, nullptr);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t p = wave_points[i];
-      wave_ctx[i] = contexts[p];
-      wave_base[i] = &baselines[p / n_scenarios];
-      wave_plans[i] = &plans[plan_of[p % n_scenarios]];
-    }
-    const std::span<TimingState> wave_states(wave_buf.data(), n);
-    evaluate_points_delta(wave_states, wave_ctx, wave_base, wave_plans, &pool);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t p = wave_points[i];
-      const double ws = worst_slack_in(wave_buf[i]);
+    pool.parallel_for_dynamic(wave_points.size(), [&](size_t worker,
+                                                      size_t i) {
+      run_point(worker, wave_points[i]);
+    });
+    for (const size_t p : wave_points) {
+      const double ws = spec.endpoint_only ? r.worst_slacks_[p]
+                                           : worst_slack_in(r.states_[p]);
       worst_seen = std::min(worst_seen, ws);
       if (prune) {
         const double gap = ws - r.bounds_[p];
         gap_sum += gap;
         gap_min = std::min(gap_min, gap);
-      }
-      if (spec.endpoint_only) {
-        summarize(p, wave_buf[i]);
-      } else {
-        r.states_[p] = std::move(wave_buf[i]);
-        wave_buf[i] = TimingState{};
       }
       ++r.prune_stats_.evaluated;
     }

@@ -9,8 +9,10 @@
 /// sweep them *per library corner*.  Running each (scenario, corner)
 /// point as its own engine run repeats the levelized walk N×M times.
 /// StaEngine::sweep(SweepSpec) instead prepares the engine once,
-/// compiles every scenario's annotations into dense per-net-edge
-/// pointer tables, and evaluates every point through ONE path:
+/// compiles the engine-level annotations into one dense per-net-edge
+/// pointer table (each worker overlays a point's scenario onto its own
+/// copy and restores exactly the overlaid edges afterwards), and
+/// evaluates every point through ONE path:
 ///
 ///  1. one clean baseline per corner — StaEngine::evaluate(), the
 ///     chunk-gated level-parallel full-graph routine (or
@@ -18,11 +20,12 @@
 ///  2. every scenario point as a *delta* against its corner baseline —
 ///     re-propagating only the transitive fanout cone of its annotated
 ///     nets, the paper's observation that a noise bump perturbs timing
-///     only through the victim's cone.  Every point runs
-///     evaluate_delta() (via evaluate_points_delta()), dynamically
-///     scheduled over the engine's worker pool
-///     (ThreadPool::parallel_for_dynamic), since dirty cones are
-///     unbalanced.
+///     only through the victim's cone.  Every point runs the engine's
+///     one forward delta fold, dynamically scheduled over the engine's
+///     worker pool (ThreadPool::parallel_for_dynamic), since dirty
+///     cones are unbalanced: a full-state point through
+///     evaluate_delta() into its own TimingState, an endpoint-only
+///     point in place (see below).
 ///
 /// All points share a thread-safe Γeff memo (GammaCache) keyed on exact
 /// inputs + the corner key, so fits recur at most once per distinct
@@ -33,7 +36,7 @@
 /// magnitudes) and early-outs points that provably cannot set the
 /// sweep's worst slack — FRAME-style screening before exact analysis.
 ///
-/// Determinism: points write disjoint TimingStates, each vertex folds
+/// Determinism: points write disjoint results, each vertex folds
 /// its in-edges in a fixed order after all of its predecessors, and
 /// cache hits return bitwise what the fit would produce — so every
 /// point is bitwise identical to a serial evaluate() of its (corner,
@@ -43,9 +46,13 @@
 /// Result storage: the default keeps a full TimingState per point.  For
 /// sweep-scale point counts (10k+), `endpoint_only = true` keeps only
 /// {worst slack, critical endpoint, arrival at endpoints} per point —
-/// ~vertex_count× less memory — and evaluates points in bounded-size
-/// chunks (max(4 × threads, 64) points) so transient state stays small
-/// too.
+/// ~vertex_count× less memory — and evaluates points in place: each
+/// worker copies each corner baseline once per call, folds a point's
+/// cone forward on that copy, summarizes it and restores the cone, so a
+/// point costs O(cone + endpoints), not O(vertices).  Those points skip
+/// the backward (required-time) closure and pass: an output port drives
+/// no edge, so its required time is its constraint
+/// (StaEngine::endpoint_ports()).
 
 #include <cstdint>
 #include <limits>
@@ -181,8 +188,9 @@ struct SweepSpec {
   const core::EquivalentWaveformMethod* method = nullptr;
   /// Keep only {worst slack, critical endpoint, endpoint arrivals} per
   /// point instead of a full TimingState — ~vertex_count× less result
-  /// memory for 10k+-point sweeps.  Full-state accessors (state(),
-  /// view(), timing(), critical_path()) then throw.
+  /// memory for 10k+-point sweeps, and each point folds in place at
+  /// O(cone + endpoints) cost.  Full-state accessors (state(), view(),
+  /// timing(), critical_path()) then throw.
   bool endpoint_only = false;
   /// Scenario pruning (see PruneMode).
   PruneMode prune = PruneMode::kOff;
@@ -428,7 +436,7 @@ class SweepResult {
                                      ///< endpoint-only mode
   bool endpoint_only_ = false;
   std::vector<std::string> endpoint_names_;  ///< output ports, port order
-  // Endpoint-only storage, filled per evaluated chunk:
+  // Endpoint-only storage, filled as points are evaluated:
   std::vector<double> worst_slacks_;              ///< per point
   std::vector<CriticalEndpoint> critical_;        ///< per point
   std::vector<double> endpoint_arrivals_;  ///< [point][endpoint][rf]

@@ -3,24 +3,35 @@
 // query), delta sweeps bitwise identical to the serial evaluate()
 // oracle on randomized netlists at 1/2/4 threads with scenarios
 // touching one/few/all nets and engine-level annotation overlays,
-// endpoint-only agreement across chunk boundaries, prune=safe
+// endpoint-only agreement with full-state sweeps, prune=safe
 // exactness (worst_slack/worst_point/critical_endpoint never change),
-// bound validity, and pruned/reused accessor errors.
+// bound validity, and pruned/reused accessor errors.  Endpoint-only
+// sweeps fold every point in place on per-worker state: the residue
+// tests show no point leaks into the next (cone restore, edge-table
+// restore to the engine-level annotation), a failing fit leaves the
+// engine reusable, and the output-port invariant that lets those
+// points skip the required-time pass holds on every fixture family.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "liberty/parser.hpp"
 #include "netlist/generators.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist/verilog.hpp"
 #include "sta/engine.hpp"
 #include "sta/sweep.hpp"
 #include "sta_test_util.hpp"
 #include "util/error.hpp"
 
+namespace co = waveletic::core;
 namespace lb = waveletic::liberty;
 namespace nl = waveletic::netlist;
 namespace st = waveletic::sta;
@@ -75,6 +86,159 @@ std::vector<st::NoiseScenario> mixed_scenarios(const tu::EngineFixture& f) {
   scenarios.push_back(all_nets_scenario(f));
   return scenarios;
 }
+
+uint64_t bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Bitwise equality of every endpoint-level answer of two sweeps of the
+/// same spec, point by point, over the points neither one pruned.
+::testing::AssertionResult summaries_bitwise_equal(const st::SweepResult& a,
+                                                   const st::SweepResult& b) {
+  if (a.size() != b.size() || a.num_endpoints() != b.num_endpoints()) {
+    return ::testing::AssertionFailure() << "result shapes differ";
+  }
+  for (size_t p = 0; p < a.size(); ++p) {
+    if (a.pruned(p) || b.pruned(p)) continue;
+    const auto ca = a.critical_endpoint(p);
+    const auto cb = b.critical_endpoint(p);
+    if (bits(a.worst_slack(p)) != bits(b.worst_slack(p)) ||
+        ca.endpoint != cb.endpoint || ca.rf != cb.rf ||
+        bits(ca.slack) != bits(cb.slack)) {
+      return ::testing::AssertionFailure()
+             << "point " << p << ": worst slack " << a.worst_slack(p)
+             << " vs " << b.worst_slack(p) << ", critical endpoint "
+             << ca.endpoint << " vs " << cb.endpoint;
+    }
+    for (size_t e = 0; e < a.num_endpoints(); ++e) {
+      for (const auto rf : {st::RiseFall::kRise, st::RiseFall::kFall}) {
+        if (bits(a.endpoint_arrival(p, e, rf)) !=
+            bits(b.endpoint_arrival(p, e, rf))) {
+          return ::testing::AssertionFailure()
+                 << "point " << p << ": arrival at " << a.endpoint_name(e)
+                 << " (" << st::to_string(rf) << ") "
+                 << a.endpoint_arrival(p, e, rf) << " vs "
+                 << b.endpoint_arrival(p, e, rf);
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Scenarios that stress in-place endpoint-only folding on a random
+/// DAG, and the engine-level annotations they run over:
+///  - `down` annotates a net that the engine also annotates, and `up`
+///    annotates a net whose cone strictly contains `down`'s (nested
+///    cones) but leaves the engine net alone, so `up` must see the
+///    engine-level annotation again right after `down` overrode it;
+///  - `down` also runs right after `up`, so its smaller cone leaves
+///    endpoints that `up` moved outside of it;
+///  - a second engine-level net no scenario touches;
+///  - one-net bumps, an overlapping few-net merge, and bumps that speed
+///    the falling victim transition up instead of delaying it.
+std::vector<st::NoiseScenario> residue_scenarios(tu::EngineFixture& f) {
+  const auto singles = tu::random_scenarios(f, 12);
+  const auto& sta = *f.sta;
+  // Nested pair: down's cone is a strict subset of up's.
+  size_t up = singles.size();
+  size_t down = singles.size();
+  std::vector<std::vector<int>> cones;
+  for (const auto& sc : singles) {
+    cones.push_back(sta.delta_plan(sc).forward);
+    std::sort(cones.back().begin(), cones.back().end());
+  }
+  for (size_t a = 0; a < singles.size() && up == singles.size(); ++a) {
+    for (size_t b = 0; b < singles.size(); ++b) {
+      const auto& sa = cones[a];
+      const auto& sb = cones[b];
+      if (sb.size() < sa.size() && !sb.empty() &&
+          std::includes(sa.begin(), sa.end(), sb.begin(), sb.end())) {
+        up = a;
+        down = b;
+        break;
+      }
+    }
+  }
+  EXPECT_LT(up, singles.size()) << "fixture has no nested cone pair";
+  if (up == singles.size()) return {};
+
+  // Engine-level annotations: down's net (shifted so the override by
+  // `down` and the engine value differ) and one net nobody sweeps.
+  const auto& de = singles[down].entries[0];
+  f.sta->annotate_noisy_net(de.net, de.annotation.waveform.shifted(9e-12),
+                            de.annotation.polarity);
+  for (size_t i = singles.size(); i-- > 0;) {
+    if (i == up || i == down) continue;
+    const auto& e = singles[i].entries[0];
+    f.sta->annotate_noisy_net(e.net, e.annotation.waveform.shifted(-6e-12),
+                              e.annotation.polarity);
+    break;
+  }
+
+  std::vector<st::NoiseScenario> out;
+  out.push_back(singles[down]);
+  out.push_back(singles[up]);
+  out.push_back(singles[down]);
+  for (size_t i = 0; i < singles.size(); ++i) {
+    if (i != up && i != down) out.push_back(singles[i]);
+  }
+  st::NoiseScenario merged;
+  merged.name = "merged";
+  for (size_t i = 0; i < 4; ++i) {
+    const auto& e = singles[i].entries[0];
+    merged.annotate(e.net, e.annotation.waveform, e.annotation.polarity);
+  }
+  out.push_back(std::move(merged));
+  // Speed-up bumps: a dip just before the falling 50% crossing pulls
+  // the crossing earlier, so the refolded arrivals fall below the
+  // baseline's.
+  st::StaEngine clean(*f.netlist, tu::vcl013());
+  tu::constrain_ports(clean, *f.netlist);
+  clean.run();
+  int fast = 0;
+  for (const auto& inst : f.netlist->instances()) {
+    if (fast == 3) break;
+    const auto& t = clean.timing(inst.name + "/A", st::RiseFall::kFall);
+    if (!t.valid || t.slew <= 0.0) continue;
+    auto sc = st::make_aggressor_scenario(
+        inst.pins.at("A"), t.arrival, t.slew, tu::vcl013().nom_voltage,
+        wv::Polarity::kFalling, -0.4 * t.slew, -0.35);
+    sc.name = "speedup-" + std::to_string(fast++);
+    out.push_back(std::move(sc));
+  }
+  out.push_back(singles[up]);
+  out.push_back(singles[down]);
+  return out;
+}
+
+/// Throws util::Error from its k-th fit (counted across threads) and
+/// otherwise forwards to SGDP.
+class ThrowOnKthFit final : public co::EquivalentWaveformMethod {
+ public:
+  explicit ThrowOnKthFit(int k) : k_(k) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "throw-on-kth-fit";
+  }
+  [[nodiscard]] co::Fit fit(const co::MethodInput& input) const override {
+    if (calls_.fetch_add(1) + 1 == k_) {
+      throw wu::Error("ThrowOnKthFit: injected failure");
+    }
+    return inner_->fit(input);
+  }
+  [[nodiscard]] bool needs_noiseless() const noexcept override {
+    return inner_->needs_noiseless();
+  }
+  [[nodiscard]] std::unique_ptr<co::EquivalentWaveformMethod> clone()
+      const override {
+    return std::make_unique<ThrowOnKthFit>(k_);
+  }
+  [[nodiscard]] int calls() const noexcept { return calls_.load(); }
+
+ private:
+  int k_;
+  mutable std::atomic<int> calls_{0};
+  std::unique_ptr<co::EquivalentWaveformMethod> inner_ =
+      co::make_method("SGDP");
+};
 
 }  // namespace
 
@@ -202,8 +366,8 @@ TEST(StaDelta, EndpointOnlyDeltaAgreesWithFullBitwise) {
   const auto f = tu::random_engine(13);
   st::SweepSpec spec;
   spec.corners = two_corners();
-  // 130 points at one thread: three 64-point endpoint-only chunks, the
-  // last one partial.
+  // 130 points at one thread: every endpoint-only point folds in place
+  // on the one worker's state, right after the point before it.
   spec.scenarios = tu::random_scenarios(f, 65);
   spec.threads = 1;
   const auto full = f.sta->sweep(spec);
@@ -419,4 +583,115 @@ TEST(StaDelta, ConeWithoutEndpointsIsReusedExactlyFromBaseline) {
   const auto full = sta.sweep(spec);
   EXPECT_TRUE(tu::states_bitwise_equal(
       tu::serial_point(sta, st::Corner{}, nullptr), full.state(0), &sta));
+}
+
+TEST(StaDelta, EndpointOnlySweepsLeaveNoResidueBetweenPoints) {
+  for (const uint64_t seed : {3ull, 19ull}) {
+    auto f = tu::random_engine(seed, 6, 6, 7);
+    const auto scenarios = residue_scenarios(f);
+    ASSERT_FALSE(scenarios.empty()) << "seed " << seed;
+    ASSERT_GT(f.sta->noisy_net_count(), 1u);
+
+    st::SweepSpec spec;
+    spec.corners = two_corners();
+    spec.scenarios = scenarios;
+    spec.threads = 1;
+    const auto full = f.sta->sweep(spec);  // full-state reference
+    ASSERT_TRUE(tu::sweep_matches_serial(*f.sta, spec, full))
+        << "seed " << seed;
+    // The speed-up bumps really speed some endpoint up.
+    bool faster = false;
+    for (size_t p = 0; p < full.size(); ++p) {
+      if (full.scenario_name(p % full.num_scenarios()).rfind("speedup", 0) !=
+          0) {
+        continue;
+      }
+      const auto base = tu::serial_point(*f.sta, full.corner(p /
+                                         full.num_scenarios()), nullptr);
+      for (size_t e = 0; e < full.num_endpoints(); ++e) {
+        const auto pin = f.sta->pin(full.endpoint_name(e));
+        faster = faster ||
+                 full.endpoint_arrival(p, e, st::RiseFall::kFall) <
+                     f.sta->timing_in(base, pin, st::RiseFall::kFall).arrival;
+      }
+    }
+    EXPECT_TRUE(faster) << "seed " << seed << ": no speed-up bump lands";
+
+    spec.endpoint_only = true;
+    for (const auto prune : {st::PruneMode::kOff, st::PruneMode::kSafe}) {
+      spec.prune = prune;
+      for (const int threads : {1, 2, 4}) {
+        spec.threads = threads;
+        const auto first = f.sta->sweep(spec);
+        const auto second = f.sta->sweep(spec);  // same engine, again
+        for (const auto* r : {&first, &second}) {
+          EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, *r))
+              << "seed " << seed << " prune " << st::to_string(prune)
+              << " threads " << threads;
+          EXPECT_TRUE(summaries_bitwise_equal(*r, full))
+              << "seed " << seed << " prune " << st::to_string(prune)
+              << " threads " << threads;
+        }
+        EXPECT_TRUE(summaries_bitwise_equal(first, second));
+      }
+    }
+    f.sta->clear_noisy_nets();
+  }
+}
+
+TEST(StaDelta, FailingFitLeavesTheEngineReusable) {
+  auto f = tu::random_engine(23);
+  const auto scenarios = tu::random_scenarios(f, 24);
+  st::SweepSpec spec;
+  spec.corners = two_corners();
+  spec.scenarios = scenarios;
+  spec.endpoint_only = true;
+  for (const int threads : {1, 2}) {
+    spec.threads = threads;
+    ThrowOnKthFit thrower(7);
+    spec.method = &thrower;
+    try {
+      (void)f.sta->sweep(spec);
+      FAIL() << "expected the injected util::Error";
+    } catch (const wu::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("injected"), std::string::npos);
+    }
+    EXPECT_GE(thrower.calls(), 7);
+
+    spec.method = nullptr;
+    const auto after = f.sta->sweep(spec);
+    auto fresh = tu::random_engine(23);
+    const auto want = fresh.sta->sweep(spec);
+    EXPECT_TRUE(summaries_bitwise_equal(after, want)) << "threads " << threads;
+    EXPECT_TRUE(tu::sweep_matches_serial(*f.sta, spec, after));
+  }
+}
+
+TEST(StaDelta, OutputPortVerticesAreNeverEdgeSources) {
+  // A vertex's forward closure is the vertex alone exactly when it has
+  // no out-edge.  Endpoint-only sweeps skip the required-time pass
+  // because this holds for every output port (see endpoint_ports()).
+  const auto check = [](const nl::Netlist& net, const lb::Library& lib,
+                        const std::string& what) {
+    st::StaEngine sta(net, lib);
+    ASSERT_FALSE(sta.endpoint_ports().empty()) << what;
+    for (const int32_t p : sta.endpoint_ports()) {
+      const auto& name = net.ports()[static_cast<size_t>(p)].name;
+      st::StaEngine::EditSeeds seeds;
+      seeds.vertices = {sta.pin(name).index};
+      const auto plan = sta.delta_plan(seeds);
+      EXPECT_EQ(plan.forward, seeds.vertices)
+          << what << ": output port " << name << " drives an edge";
+    }
+  };
+  check(nl::make_random_dag(29, 6, 6, 7), tu::vcl013(), "random DAG");
+  check(nl::make_chain_tree(5), tu::vcl013(), "chain tree");
+  nl::StitchOptions opt;
+  opt.copies = 3;
+  opt.topology = nl::StitchTopology::kChain;
+  check(nl::stitch_blocks_flat(nl::make_random_dag(31, 4, 4, 5), opt),
+        tu::vcl013(), "stitched chain");
+  const std::string golden = std::string(WAVELETIC_TEST_DIR) + "/golden";
+  const auto lib = lb::parse_liberty_file(golden + "/golden.lib");
+  check(nl::parse_verilog_file(golden + "/golden.v"), lib, "golden.v");
 }
