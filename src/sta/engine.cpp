@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "core/sgdp.hpp"
@@ -17,18 +16,74 @@
 namespace waveletic::sta {
 namespace {
 
-/// Appends the index of every set byte of `marks` to `out`, ascending.
-/// Cones are small against the graph, so skipping the zero runs with
-/// memchr keeps a plan's marker scans far below a byte-by-byte walk.
-void append_marked(const std::vector<char>& marks, std::vector<int>& out) {
-  const char* const begin = marks.data();
-  const char* const end = begin + marks.size();
-  for (const char* p = begin;
-       (p = static_cast<const char*>(
-            std::memchr(p, 1, static_cast<size_t>(end - p)))) != nullptr;
-       ++p) {
-    out.push_back(static_cast<int>(p - begin));
+/// Vertex marks of one plan construction, in a per-thread array: plans
+/// are built concurrently (delta_plan() is const; service readers call
+/// it from their own threads), and each thread reuses its array.  Every
+/// marked vertex is listed per bit, and the destructor clears exactly
+/// the listed entries, so the array is all-zero between plans and a
+/// plan never fills or scans anything V-sized.
+class PlanMarks {
+ public:
+  static constexpr unsigned char kForward = 1;
+  static constexpr unsigned char kBackward = 2;
+
+  explicit PlanMarks(size_t vertices) : marks_(thread_marks()) {
+    if (marks_.size() < vertices) marks_.resize(vertices, 0);
   }
+  PlanMarks(const PlanMarks&) = delete;
+  PlanMarks& operator=(const PlanMarks&) = delete;
+  ~PlanMarks() {
+    for (const auto& list : listed_) {
+      for (const int v : list) marks_[static_cast<size_t>(v)] = 0;
+    }
+  }
+
+  /// Marks `v` with `bit`; true (and `v` appended to listed(bit)) when
+  /// it did not carry the bit yet.
+  bool mark(int v, unsigned char bit) {
+    unsigned char& m = marks_[static_cast<size_t>(v)];
+    if ((m & bit) != 0) return false;
+    m |= bit;
+    listed_[bit == kForward ? 0 : 1].push_back(v);
+    return true;
+  }
+  /// Every vertex marked with `bit`, in marking order.
+  [[nodiscard]] const std::vector<int>& listed(unsigned char bit) const {
+    return listed_[bit == kForward ? 0 : 1];
+  }
+
+ private:
+  static std::vector<unsigned char>& thread_marks() {
+    thread_local std::vector<unsigned char> marks;
+    return marks;
+  }
+  std::vector<unsigned char>& marks_;
+  std::vector<int> listed_[2];
+};
+
+/// `list` sorted by (level, vertex), or by (descending level, vertex):
+/// the serial forward and backward propagation orders.  Keys pack the
+/// level above the vertex id into one integer, so one sort of plain
+/// integers orders a cone.
+std::vector<int> sorted_by_level(const std::vector<int>& list,
+                                 const std::vector<int>& vertex_level,
+                                 bool descending) {
+  std::vector<uint64_t> keys;
+  keys.reserve(list.size());
+  for (const int v : list) {
+    const auto level =
+        static_cast<uint32_t>(vertex_level[static_cast<size_t>(v)]);
+    keys.push_back(
+        (static_cast<uint64_t>(descending ? ~level : level) << 32) |
+        static_cast<uint32_t>(v));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<int> out;
+  out.reserve(keys.size());
+  for (const uint64_t k : keys) {
+    out.push_back(static_cast<int>(k & 0xffffffffu));
+  }
+  return out;
 }
 
 wave::Polarity to_polarity(RiseFall rf) noexcept {
@@ -109,7 +164,8 @@ StaEngine::StaEngine(const netlist::Netlist& nl, const liberty::Library& lib)
   const size_t n_nets = nl.nets().size();
   output_loads_.assign(ports_.size(), 0.0);
   net_parasitics_.assign(n_nets, {0.0, 0.0});
-  net_loads_.assign(n_nets, 0.0);
+  net_loads_.resize(n_nets);
+  for (size_t i = 0; i < n_nets; ++i) net_loads_[i] = net_load(i);
   // Sized once; pointers into net_annotations_ slots stay stable.
   net_annotations_.assign(n_nets, std::nullopt);
 }
@@ -175,6 +231,9 @@ void StaEngine::copy_config_from(const StaEngine& other) {
   corner_ = other.corner_;
   noise_method_ = other.noise_method_->clone();
   threads_ = other.threads_;
+  // Pin caps come from this engine's graph (a retype or reroute moves
+  // them), parasitics and port loads from `other`.
+  for (size_t i = 0; i < nets.size(); ++i) net_loads_[i] = net_load(i);
   analyzed_ = false;
 }
 
@@ -279,12 +338,17 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
     if (inserted) g.vertex_names.push_back(name);
     return it->second;
   };
-  // Vertices + port records for ports.
+  // Vertices + port records for ports.  Ports are interned first, so
+  // port p is vertex p and every constraint sits below ports.size().
   for (const auto& port : nl.ports()) {
     const int v = vertex(port.name);
     g.ports.push_back({port.name, v, port.direction});
   }
-  // Vertices + cell arc edges for instances.
+  const size_t n_nets = nl.nets().size();
+  // Vertices + cell arc edges for instances.  Each input pin adds its
+  // cap to its net's load in this (instance, pin-map) visit order — the
+  // fold order net_load() has always used, so loads stay bitwise.
+  g.net_pin_cap.assign(n_nets, 0.0);
   for (const auto& inst : nl.instances()) {
     const liberty::Cell* cell = lib.find_cell(inst.cell);
     util::require(cell != nullptr, "instance ", inst.name,
@@ -294,6 +358,10 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
       util::require(pin != nullptr, "instance ", inst.name,
                     ": cell ", inst.cell, " has no pin ", pin_name);
       vertex(inst.name + "/" + pin_name);
+      if (pin->direction == liberty::PinDirection::kInput) {
+        g.net_pin_cap[static_cast<size_t>(nl.net_ordinal(net))] +=
+            pin->capacitance;
+      }
     }
     // One edge per (input pin -> output pin) timing arc.
     for (const auto& pin : cell->pins) {
@@ -312,7 +380,6 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
       }
     }
   }
-  const size_t n_nets = nl.nets().size();
   g.edges_of_net.assign(n_nets, {});
   g.arcs_of_net.assign(n_nets, {});
   g.sink_load_edges_of_net.assign(n_nets, {});
@@ -400,9 +467,18 @@ std::shared_ptr<const StaEngine::Graph> StaEngine::make_graph(
   g.sorted_vertex_names = g.vertex_names;
   std::sort(g.sorted_vertex_names.begin(), g.sorted_vertex_names.end());
   levelize(g);
+  g.endpoint_of_vertex.assign(n, -1);
+  g.net_output_port.assign(n_nets, -1);
+  g.port_net.assign(g.ports.size(), -1);
   for (size_t p = 0; p < g.ports.size(); ++p) {
-    if (g.ports[p].direction == netlist::PortDirection::kOutput) {
-      g.endpoint_ports.push_back(static_cast<int32_t>(p));
+    if (g.ports[p].direction != netlist::PortDirection::kOutput) continue;
+    g.endpoint_of_vertex[static_cast<size_t>(g.ports[p].vertex)] =
+        static_cast<int32_t>(g.endpoint_ports.size());
+    g.endpoint_ports.push_back(static_cast<int32_t>(p));
+    const int ord = nl.net_ordinal(g.ports[p].name);
+    if (ord >= 0) {
+      g.port_net[p] = ord;
+      g.net_output_port[static_cast<size_t>(ord)] = static_cast<int32_t>(p);
     }
   }
   return graph;
@@ -445,68 +521,11 @@ void StaEngine::levelize(Graph& g) {
   g.vertex_level = std::move(level);
 }
 
-void StaEngine::compute_loads() {
-  // Load on each net = sink pin caps + annotated wire cap + port load.
-  // One pass over instance pins instead of pins_on_net() per net: each
-  // input pin adds its cap to its net, in the SAME (instance, pin)
-  // visit order the per-net walk produces, so the per-net sums fold in
-  // the identical order and stay bitwise equal — the contract
-  // recompute_net_loads() relies on for single-net refreshes.  Net
-  // ordinals were resolved onto the edges at construction, so this —
-  // the per-prepare() path — does no name parsing and no linear
-  // instance searches (prepare() used to be quadratic in the netlist
-  // size and dominated sweeps over 10k-vertex graphs).
-  const auto& nets = netlist_->nets();
-  std::vector<double> net_load(nets.size(), 0.0);
-  for (const auto& inst : netlist_->instances()) {
-    const liberty::Cell* cell = library_->find_cell(inst.cell);
-    for (const auto& [pin_name, net] : inst.pins) {
-      const liberty::Pin* pin = cell->find_pin(pin_name);
-      if (pin->direction == liberty::PinDirection::kInput) {
-        net_load[static_cast<size_t>(netlist_->net_ordinal(net))] +=
-            pin->capacitance;
-      }
-    }
-  }
-  for (size_t i = 0; i < nets.size(); ++i) {
-    net_load[i] += net_parasitics_[i].first;
-  }
-  for (size_t p = 0; p < ports_.size(); ++p) {
-    if (ports_[p].direction != netlist::PortDirection::kOutput) continue;
-    const int ord = netlist_->net_ordinal(ports_[p].name);
-    if (ord >= 0) net_load[static_cast<size_t>(ord)] += output_loads_[p];
-  }
-  net_loads_ = std::move(net_load);
-}
-
-void StaEngine::recompute_net_loads(std::span<const int32_t> nets) {
-  const auto& names = netlist_->nets();
-  for (const int32_t ord : nets) {
-    util::require(ord >= 0 && static_cast<size_t>(ord) < names.size(),
-                  "recompute_net_loads: net ordinal ", ord,
-                  " out of range (", names.size(), " nets)");
-    const std::string& net = names[static_cast<size_t>(ord)];
-    // Fold in the exact compute_loads() order — sink pin caps in
-    // (instance, pin-map) order, then parasitic cap, then port load —
-    // so the per-net sum is bitwise identical to a full prepare().
-    double load = 0.0;
-    for (const auto& ref : netlist_->pins_on_net(net)) {
-      const liberty::Cell* cell = library_->find_cell(ref.instance->cell);
-      const liberty::Pin* pin = cell->find_pin(ref.pin);
-      if (pin->direction == liberty::PinDirection::kInput) {
-        load += pin->capacitance;
-      }
-    }
-    load += net_parasitics_[static_cast<size_t>(ord)].first;
-    // ports_ follows the netlist's port order, so the port ordinal
-    // indexes output_loads_ directly.
-    const int p = netlist_->port_ordinal(net);
-    if (p >= 0 && ports_[static_cast<size_t>(p)].direction ==
-                      netlist::PortDirection::kOutput) {
-      load += output_loads_[static_cast<size_t>(p)];
-    }
-    net_loads_[static_cast<size_t>(ord)] = load;
-  }
+double StaEngine::net_load(size_t ord) const noexcept {
+  double load = graph_->net_pin_cap[ord] + net_parasitics_[ord].first;
+  const int32_t port = graph_->net_output_port[ord];
+  if (port >= 0) load += output_loads_[static_cast<size_t>(port)];
+  return load;
 }
 
 void StaEngine::set_input(PortId port, double arrival, double slew) {
@@ -550,6 +569,10 @@ void StaEngine::set_output_load(PortId port, double cap) {
                 "set_output_load: load cap must be finite and >= 0, got ", cap,
                 " on port ", ports_[i].name);
   output_loads_[i] = cap;
+  const int32_t ord = graph_->port_net[i];
+  if (ord >= 0) {
+    net_loads_[static_cast<size_t>(ord)] = net_load(static_cast<size_t>(ord));
+  }
   analyzed_ = false;
 }
 
@@ -580,6 +603,7 @@ void StaEngine::set_net_parasitics(NetId net, double cap, double delay) {
                 "set_net_parasitics: wire delay must be finite and >= 0, got ",
                 delay, " on net ", netlist_->nets()[i]);
   net_parasitics_[i] = {cap, delay};
+  net_loads_[i] = net_load(i);
   analyzed_ = false;
 }
 
@@ -679,8 +703,6 @@ void StaEngine::set_threads(int threads) {
   threads_ = threads;
   pool_.reset();
 }
-
-void StaEngine::prepare() { compute_loads(); }
 
 void StaEngine::init_state(TimingState& state) const {
   state.reset(vertex_names_.size());
@@ -925,85 +947,47 @@ void StaEngine::evaluate(TimingState& state, const EvalContext& ctx,
   }
 }
 
-StaEngine::DeltaPlan StaEngine::finish_plan(std::vector<char>& dirty,
-                                            std::vector<char>* back) const {
+StaEngine::DeltaPlan StaEngine::finish_plan(std::span<const int> seeds,
+                                            std::span<const int> back_seeds,
+                                            bool with_backward) const {
   const size_t n = vertex_names_.size();
   DeltaPlan plan;
   plan.num_vertices = n;
+  PlanMarks marks(n);
 
-  // Forward closure over out-edges: the transitive fanout cone.
-  std::vector<int> stack;
-  append_marked(dirty, stack);
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    for (const auto& [is_cell, idx] : out_edges_[static_cast<size_t>(v)]) {
-      const int to = is_cell ? cell_edges_[idx].to : net_edges_[idx].to;
-      if (!dirty[static_cast<size_t>(to)]) {
-        dirty[static_cast<size_t>(to)] = 1;
-        stack.push_back(to);
-      }
+  // Forward closure over out-edges: the transitive fanout cone.  The
+  // listed cone doubles as the work stack (a vertex is listed once).
+  for (const int v : seeds) marks.mark(v, PlanMarks::kForward);
+  const std::vector<int>& cone = marks.listed(PlanMarks::kForward);
+  for (size_t i = 0; i < cone.size(); ++i) {
+    for (const auto& [is_cell, idx] :
+         out_edges_[static_cast<size_t>(cone[i])]) {
+      marks.mark(is_cell ? cell_edges_[idx].to : net_edges_[idx].to,
+                 PlanMarks::kForward);
     }
   }
   // Backward closure: required times depend on downstream arrivals, so
   // every vertex with a path INTO the cone (or into an extra backward
   // seed, e.g. a required-edited endpoint) must re-fold its required.
-  if (back != nullptr) {
-    std::vector<char>& bk = *back;
-    for (size_t v = 0; v < n; ++v) bk[v] |= dirty[v];
-    append_marked(bk, stack);
-    while (!stack.empty()) {
-      const int v = stack.back();
-      stack.pop_back();
-      for (const auto& [is_cell, idx] : in_edges_[static_cast<size_t>(v)]) {
-        const int from =
-            is_cell ? cell_edges_[idx].from : net_edges_[idx].from;
-        if (!bk[static_cast<size_t>(from)]) {
-          bk[static_cast<size_t>(from)] = 1;
-          stack.push_back(from);
-        }
+  if (with_backward) {
+    for (const int v : cone) marks.mark(v, PlanMarks::kBackward);
+    for (const int v : back_seeds) marks.mark(v, PlanMarks::kBackward);
+    const std::vector<int>& fanin = marks.listed(PlanMarks::kBackward);
+    for (size_t i = 0; i < fanin.size(); ++i) {
+      for (const auto& [is_cell, idx] :
+           in_edges_[static_cast<size_t>(fanin[i])]) {
+        marks.mark(is_cell ? cell_edges_[idx].from : net_edges_[idx].from,
+                   PlanMarks::kBackward);
       }
     }
-    append_marked(bk, plan.backward);
+    plan.backward = sorted_by_level(fanin, vertex_level_, /*descending=*/true);
   }
-  append_marked(dirty, plan.forward);
-  // Order worklists as (level, vertex) forwards and (-level, vertex)
-  // backwards.  The lists are built in ascending vertex id, so a
-  // stable counting sort over the level key produces exactly what
-  // std::stable_sort with a level comparator did — in O(cone + levels)
-  // instead of O(cone log cone), with no merge buffer allocation.
-  // Plan construction showed up beside evaluation itself in sweep
-  // profiles, so this path is deliberately allocation-lean.
-  const auto by_level = [this](std::vector<int>& list, bool descending) {
-    if (list.size() < 2) return;
-    int lo = vertex_level_[static_cast<size_t>(list[0])];
-    int hi = lo;
-    for (const int v : list) {
-      const int l = vertex_level_[static_cast<size_t>(v)];
-      lo = std::min(lo, l);
-      hi = std::max(hi, l);
-    }
-    const size_t n_levels = static_cast<size_t>(hi - lo) + 1;
-    std::vector<int> counts(n_levels + 1, 0);
-    const auto key = [&](int v) {
-      const int l = vertex_level_[static_cast<size_t>(v)];
-      return static_cast<size_t>(descending ? hi - l : l - lo);
-    };
-    for (const int v : list) ++counts[key(v) + 1];
-    for (size_t k = 1; k < counts.size(); ++k) counts[k] += counts[k - 1];
-    std::vector<int> sorted(list.size());
-    for (const int v : list) sorted[static_cast<size_t>(counts[key(v)]++)] = v;
-    list = std::move(sorted);
-  };
-  by_level(plan.forward, /*descending=*/false);
-  by_level(plan.backward, /*descending=*/true);
-
-  for (size_t e = 0; e < endpoint_ports_.size(); ++e) {
-    const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
-    if (dirty[static_cast<size_t>(v)]) {
-      plan.endpoints.push_back(static_cast<int32_t>(e));
-    }
+  plan.forward = sorted_by_level(cone, vertex_level_, /*descending=*/false);
+  for (const int v : cone) {
+    const int32_t e = graph_->endpoint_of_vertex[static_cast<size_t>(v)];
+    if (e >= 0) plan.endpoints.push_back(e);
   }
+  std::sort(plan.endpoints.begin(), plan.endpoints.end());
   return plan;
 }
 
@@ -1014,29 +998,26 @@ StaEngine::DeltaPlan StaEngine::delta_plan(
 
 StaEngine::DeltaPlan StaEngine::scenario_plan(const NoiseScenario& scenario,
                                               bool with_backward) const {
-  const size_t n = vertex_names_.size();
   // Seeds: the sink vertex of every net edge of every annotated net —
   // the only places where the compiled edge-annotation table of this
   // scenario can differ from the engine-level base table.
-  std::vector<char> dirty(n, 0);
+  std::vector<int> seeds;
   for (const auto& entry : scenario.entries) {
     const int ord = netlist_->net_ordinal(entry.net);
     util::require(ord >= 0, "delta_plan: scenario ", scenario.name,
                   " annotates unknown net ", entry.net);
     for (const uint32_t e : edges_of_net_[static_cast<size_t>(ord)]) {
-      dirty[static_cast<size_t>(net_edges_[e].to)] = 1;
+      seeds.push_back(net_edges_[e].to);
     }
   }
-  if (!with_backward) return finish_plan(dirty, nullptr);
-  std::vector<char> back(n, 0);
-  return finish_plan(dirty, &back);
+  return finish_plan(seeds, {}, with_backward);
 }
 
 StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
   const size_t n = vertex_names_.size();
   const size_t n_nets = netlist_->nets().size();
-  std::vector<char> dirty(n, 0);
-  std::vector<char> back(n, 0);
+  std::vector<int> dirty;
+  std::vector<int> back;
   const auto check_net = [&](int32_t ord, const char* what) {
     util::require(ord >= 0 && static_cast<size_t>(ord) < n_nets,
                   "delta_plan: ", what, " net ordinal ", ord,
@@ -1047,24 +1028,24 @@ StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
   for (const int32_t ord : seeds.load_nets) {
     check_net(ord, "load-edit");
     for (const uint32_t e : graph_->arcs_of_net[static_cast<size_t>(ord)]) {
-      dirty[static_cast<size_t>(cell_edges_[e].to)] = 1;
+      dirty.push_back(cell_edges_[e].to);
     }
     for (const uint32_t e :
          graph_->sink_load_edges_of_net[static_cast<size_t>(ord)]) {
-      dirty[static_cast<size_t>(net_edges_[e].to)] = 1;
+      dirty.push_back(net_edges_[e].to);
     }
   }
   // Wire-delay and annotation changes surface at the net's sinks.
   for (const int32_t ord : seeds.delay_nets) {
     check_net(ord, "delay-edit");
     for (const uint32_t e : edges_of_net_[static_cast<size_t>(ord)]) {
-      dirty[static_cast<size_t>(net_edges_[e].to)] = 1;
+      dirty.push_back(net_edges_[e].to);
     }
   }
   for (const int32_t ord : seeds.noise_nets) {
     check_net(ord, "noise-edit");
     for (const uint32_t e : edges_of_net_[static_cast<size_t>(ord)]) {
-      dirty[static_cast<size_t>(net_edges_[e].to)] = 1;
+      dirty.push_back(net_edges_[e].to);
     }
   }
   for (const int32_t p : seeds.arrival_ports) {
@@ -1075,7 +1056,7 @@ StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
     util::require(rec.direction == netlist::PortDirection::kInput,
                   "delta_plan: arrival-edit port ", rec.name,
                   " is not an input port");
-    dirty[static_cast<size_t>(rec.vertex)] = 1;
+    dirty.push_back(rec.vertex);
   }
   // Required-time edits change no arrival: the port vertex joins only
   // the backward closure (and the endpoint list, below).
@@ -1087,25 +1068,21 @@ StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
     util::require(rec.direction == netlist::PortDirection::kOutput,
                   "delta_plan: required-edit port ", rec.name,
                   " is not an output port");
-    back[static_cast<size_t>(rec.vertex)] = 1;
+    back.push_back(rec.vertex);
   }
   for (const int v : seeds.vertices) {
     util::require(v >= 0 && static_cast<size_t>(v) < n,
                   "delta_plan: seed vertex ", v, " out of range (", n,
                   " vertices)");
-    dirty[static_cast<size_t>(v)] = 1;
+    dirty.push_back(v);
   }
-  DeltaPlan plan = finish_plan(dirty, &back);
+  DeltaPlan plan = finish_plan(dirty, back, /*with_backward=*/true);
   // finish_plan lists endpoints whose ARRIVAL can move; required-time
   // edits move slack without touching arrivals, so add their ports.
-  if (!seeds.required_ports.empty()) {
-    for (const int32_t p : seeds.required_ports) {
-      for (size_t e = 0; e < endpoint_ports_.size(); ++e) {
-        if (endpoint_ports_[e] == p) {
-          plan.endpoints.push_back(static_cast<int32_t>(e));
-          break;
-        }
-      }
+  if (!back.empty()) {
+    for (const int v : back) {
+      plan.endpoints.push_back(
+          graph_->endpoint_of_vertex[static_cast<size_t>(v)]);
     }
     std::sort(plan.endpoints.begin(), plan.endpoints.end());
     plan.endpoints.erase(
@@ -1118,6 +1095,7 @@ StaEngine::DeltaPlan StaEngine::delta_plan(const EditSeeds& seeds) const {
 void StaEngine::reset_vertex(TimingState& state, int v) const {
   auto& vt = state[static_cast<size_t>(v)];
   vt = VertexTiming{};
+  if (static_cast<size_t>(v) >= ports_.size()) return;  // unconstrained
   const auto ic = input_constraints_.find(v);
   if (ic != input_constraints_.end()) {
     for (size_t rf = 0; rf < 2; ++rf) {
@@ -1139,6 +1117,7 @@ void StaEngine::reset_required(TimingState& state, int v) const {
   auto& vt = state[static_cast<size_t>(v)];
   vt.timing[0].required = std::numeric_limits<double>::infinity();
   vt.timing[1].required = std::numeric_limits<double>::infinity();
+  if (static_cast<size_t>(v) >= ports_.size()) return;  // unconstrained
   const auto rq = required_.find(v);
   if (rq != required_.end()) {
     vt.timing[0].required = rq->second;
@@ -1201,7 +1180,6 @@ void StaEngine::evaluate_points_delta(
 }
 
 void StaEngine::run() {
-  prepare();
   const auto edge_noise = compile_edge_annotations();
   EvalContext ctx;
   ctx.edge_noise = edge_noise.data();

@@ -42,9 +42,10 @@
 /// constraint setter and result accessor take handles — they index
 /// dense arrays, no string hashing anywhere on a resolved path.  The
 /// string overloads are thin resolve-then-forward wrappers.  Noise
-/// annotations live in a dense NetId-indexed table that prepare-time
-/// compilation (compile_edge_annotations()) turns into a per-net-edge
-/// pointer array, so propagate_net_edge() performs ZERO map lookups.
+/// annotations live in a dense NetId-indexed table that
+/// compile_edge_annotations() turns, once per run or sweep, into a
+/// per-net-edge pointer array, so propagate_net_edge() performs ZERO
+/// map lookups.
 
 #include <array>
 #include <cstdint>
@@ -315,9 +316,12 @@ class StaEngine {
   [[nodiscard]] std::vector<const NoiseAnnotation*> compile_edge_annotations(
       const NoiseScenario* overlay = nullptr) const;
 
-  /// Recomputes edge loads from the current constraints and makes the
-  /// engine ready for const evaluation.  run() and sweep() call this.
-  void prepare();
+  /// A no-op kept for compatibility.  Net loads are always current:
+  /// construction fills them and every setter that changes one
+  /// (set_output_load(), set_net_parasitics(), copy_config_from())
+  /// refreshes exactly the nets it touches, so a constructed engine is
+  /// ready for const evaluation at any time.
+  void prepare() {}
 
   /// Topological levels, computed once at construction: levels()[0] are
   /// sources; every vertex depends only on strictly lower levels.
@@ -344,8 +348,7 @@ class StaEngine {
   /// contiguous kLevelChunk-vertex chunks that run as pool tasks;
   /// narrower levels run inline.  Every vertex folds its in-edges in a
   /// fixed order after all of its predecessors, so the result is
-  /// bitwise identical at any thread count.  prepare() must
-  /// have run.
+  /// bitwise identical at any thread count.
   void evaluate(TimingState& state, const EvalContext& ctx,
                 util::ThreadPool* pool = nullptr) const;
 
@@ -439,12 +442,6 @@ class StaEngine {
   /// and no annotation; vertex-keyed constraints are remapped through
   /// port ordinals.  Throws when the net/port axes differ.
   void copy_config_from(const StaEngine& other);
-  /// Recomputes net_loads_ for just `nets` (ordinals), folding each
-  /// net's sink pin caps + parasitic cap + port load in the exact
-  /// order compute_loads() uses — bitwise identical to a full
-  /// prepare() for every net in the list.  prepare() must have run
-  /// (on this engine or the engine it was forked from).
-  void recompute_net_loads(std::span<const int32_t> nets);
   /// Liveness token released at destruction; SweepResult/TimingView
   /// watch it through weak_ptr and throw instead of dangling.
   [[nodiscard]] std::shared_ptr<const void> liveness() const noexcept {
@@ -611,6 +608,20 @@ class StaEngine {
     std::vector<std::vector<int>> levels;
     std::vector<int> vertex_level;
     std::vector<int32_t> endpoint_ports;
+    /// Vertex → endpoint ordinal (index into endpoint_ports), -1 for
+    /// every vertex that is not an output port: plans list their dirty
+    /// endpoints from their cone instead of scanning every endpoint.
+    std::vector<int32_t> endpoint_of_vertex;
+    /// Net ordinal → sum of the input-pin caps on the net, folded in
+    /// (instance, pin-map) order from 0.0: the structural part of the
+    /// net's load (see net_load()).
+    std::vector<double> net_pin_cap;
+    /// Net ordinal → ordinal of the output port named after the net,
+    /// or -1 (the port whose set_output_load() adds to the net's load).
+    std::vector<int32_t> net_output_port;
+    /// Port ordinal → ordinal of the net an output port loads, or -1
+    /// (input ports, and output ports without a net).
+    std::vector<int32_t> port_net;
   };
   /// Builds the structure layer (validate + vertices + edges + levels)
   /// — the expensive part of construction that forks skip.
@@ -628,17 +639,24 @@ class StaEngine {
   [[nodiscard]] int check(PortId port) const;
   [[nodiscard]] util::Error unknown_vertex_error(
       const std::string& name) const;
-  void compute_loads();
+  /// The load of net `ord`: its sink pin caps + parasitic cap + output
+  /// port load, folded in that order — the one load formula every
+  /// setter refreshes net_loads_ through.
+  [[nodiscard]] double net_load(size_t ord) const noexcept;
   /// The engine's worker pool resized to `threads` (≤ 0 selects the
   /// hardware concurrency).  run(), sweep() and the generated sweep
   /// share it.
   util::ThreadPool& worker_pool(int threads);
-  /// Shared closure step of both delta_plan overloads: `dirty` holds
-  /// the forward seeds, `back` extra backward-only seeds; both are
-  /// closed (fanout / fanin) and turned into sorted worklists.  A null
-  /// `back` skips the backward closure and leaves plan.backward empty.
-  [[nodiscard]] DeltaPlan finish_plan(std::vector<char>& dirty,
-                                      std::vector<char>* back) const;
+  /// Shared closure step of both delta_plan overloads: `seeds` are the
+  /// forward (arrival-dirty) seed vertices, `back_seeds` extra
+  /// backward-only seeds; both may repeat.  The fanout closure of
+  /// `seeds` and, when `with_backward`, the fanin closure of that cone
+  /// plus `back_seeds` become the sorted worklists.  Marks live in a
+  /// per-thread array that the plan clears entry by entry, so a plan
+  /// costs O(cone), however large the graph.
+  [[nodiscard]] DeltaPlan finish_plan(std::span<const int> seeds,
+                                      std::span<const int> back_seeds,
+                                      bool with_backward) const;
   /// delta_plan(scenario), without the backward closure when
   /// `with_backward` is false: the plan of an endpoint-only sweep
   /// point, which reads no required time the cone could move (see
@@ -702,9 +720,10 @@ class StaEngine {
   std::vector<double> output_loads_;  ///< by port ordinal (0 = none)
   /// Dense per-net tables indexed by NetId::index.
   std::vector<std::pair<double, double>> net_parasitics_;  ///< (cap, delay)
-  /// Per-net capacitive load (sink pin caps + parasitic cap + port
-  /// load), filled by prepare() / recompute_net_loads() and read by
-  /// propagation.
+  /// Per-net capacitive load, net_load() of every net: filled at
+  /// construction, refreshed per net by set_output_load() and
+  /// set_net_parasitics() and in full by copy_config_from(), so it is
+  /// always current and propagation reads it directly.
   std::vector<double> net_loads_;
   std::vector<std::optional<NoiseAnnotation>> net_annotations_;
   size_t noisy_net_count_ = 0;

@@ -83,7 +83,7 @@ class HierDesign {
   [[nodiscard]] size_t stitched_vertex_count() const noexcept {
     return flat_vertices_;
   }
-  /// Actual vertex count of the hierarchical graph (after prepare()).
+  /// Actual vertex count of the hierarchical graph.
   [[nodiscard]] size_t hier_vertex_count() const noexcept {
     return engine_->vertex_count();
   }

@@ -728,7 +728,6 @@ void apply_rewindow(const StaEngine& sta, const TimingState& base,
 
 ScenarioSpace rewindow_scenario_space(StaEngine& sta, const Corner& corner,
                                       ScenarioSpace space) {
-  sta.prepare();
   const auto edge_noise = sta.compile_edge_annotations();
   StaEngine::EvalContext ctx;
   ctx.edge_noise = edge_noise.data();
@@ -838,7 +837,6 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
     std::optional<ScenarioSpace> rewindowed;
     SweepSpec group_proto = proto;
     std::vector<TimingState> baselines;
-    prepare();
     const auto base_table = compile_edge_annotations(nullptr);
     const core::EquivalentWaveformMethod* method =
         gspec.method != nullptr ? gspec.method : noise_method_.get();

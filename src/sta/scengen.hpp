@@ -584,11 +584,10 @@ struct GeneratedSweepSpec {
 /// stored pin names (hand-built spaces) keep their windows; pairs whose
 /// corner timing is invalid get an empty aggressor window, so every
 /// alignment of theirs is window-killed — candidate indices stay stable
-/// across corners by construction.  Calls prepare() and evaluates one
-/// corner baseline of its own, hence the non-const engine; when the
-/// caller already holds that baseline (sweep(GeneratedSweepSpec) always
-/// does), prefer the overload below, which skips the redundant
-/// full-graph pass.
+/// across corners by construction.  Evaluates one corner baseline of
+/// its own; when the caller already holds that baseline
+/// (sweep(GeneratedSweepSpec) always does), prefer the overload below,
+/// which skips the redundant full-graph pass.
 [[nodiscard]] ScenarioSpace rewindow_scenario_space(StaEngine& sta,
                                                     const Corner& corner,
                                                     ScenarioSpace space);

@@ -153,7 +153,6 @@ StaService::StaService(netlist::Netlist netlist,
 
   auto nl = std::make_shared<netlist::Netlist>(std::move(netlist));
   auto eng = std::make_unique<StaEngine>(*nl, *library_);
-  eng->prepare();
 
   auto snap = new_snapshot();
   snap->version_ = 1;
@@ -304,14 +303,6 @@ PublishReport StaService::apply(const EditBatch& batch) {
   sort_unique(seeds.arrival_ports);
   sort_unique(seeds.required_ports);
   sort_unique(seeds.vertices);
-
-  // Loads: a rebuild re-derives every net load from the carried-over
-  // configuration (prepare()); a fork recomputes only the dirty nets.
-  if (structural) {
-    eng->prepare();
-  } else {
-    eng->recompute_net_loads(seeds.load_nets);
-  }
 
   const StaEngine::DeltaPlan plan = eng->delta_plan(seeds);
   const size_t vertices = eng->vertex_count();

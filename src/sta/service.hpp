@@ -30,7 +30,7 @@
 /// The next snapshot is then published by swapping one shared_ptr under
 /// a short mutex; apply() calls are serialized by a writer mutex.
 /// Bitwise contract: every published snapshot's baselines are bitwise
-/// identical to a from-scratch StaEngine + prepare() + evaluate() on
+/// identical to a from-scratch StaEngine + evaluate() on
 /// the edited netlist with the same configuration, at any thread count
 /// (tests/test_sta_service.cpp holds this per edit class and for mixed
 /// batches).

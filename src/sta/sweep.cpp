@@ -214,8 +214,18 @@ double SweepResult::endpoint_arrival(size_t point, size_t endpoint,
                 " endpoints)");
   require_not_pruned("endpoint_arrival", point);
   if (status(point) == PointStatus::kSummary) {
-    return endpoint_arrivals_[(point * endpoint_names_.size() + endpoint) * 2 +
-                              static_cast<size_t>(rf)];
+    // Cone endpoints carry the point's own arrivals; every other
+    // endpoint kept its corner baseline arrival.
+    const auto& cone = plan_endpoints_[scenario_plan_[point % num_scenarios()]];
+    const auto e = static_cast<int32_t>(endpoint);
+    const auto it = std::lower_bound(cone.begin(), cone.end(), e);
+    if (it != cone.end() && *it == e) {
+      return cone_arrivals_[arrival_offsets_[point] +
+                            static_cast<size_t>(it - cone.begin()) * 2 +
+                            static_cast<size_t>(rf)];
+    }
+    return base_arrivals_[((point / num_scenarios()) * endpoint_names_.size() +
+                           endpoint) * 2 + static_cast<size_t>(rf)];
   }
   const StaEngine& eng = live_engine("endpoint_arrival");
   return eng.timing_in(states_[point], eng.pin(endpoint_names_[endpoint]), rf)
@@ -235,9 +245,16 @@ SweepResult::CriticalEndpoint SweepResult::critical_endpoint(
 
 size_t SweepResult::result_bytes_per_point() const noexcept {
   if (endpoint_only_) {
-    return sizeof(double)                               // worst slack
-           + sizeof(CriticalEndpoint)                   // critical endpoint
-           + endpoint_names_.size() * 2 * sizeof(double);  // arrivals
+    size_t shared = cone_arrivals_.size() * sizeof(double) +
+                    base_arrivals_.size() * sizeof(double) +
+                    scenario_plan_.size() * sizeof(uint32_t);
+    for (const auto& cone : plan_endpoints_) {
+      shared += cone.size() * sizeof(int32_t);
+    }
+    return sizeof(double)              // worst slack
+           + sizeof(CriticalEndpoint)  // critical endpoint
+           + sizeof(size_t)            // arrival offset
+           + shared / std::max<size_t>(size(), 1);
   }
   for (const auto& s : states_) {  // first materialized point (pruned
     if (s.size() != 0) return s.size() * sizeof(VertexTiming);  // ones
@@ -332,8 +349,6 @@ std::vector<PathStep> TimingView::critical_path() const {
 // ---------------------------------------------------------------------------
 
 SweepResult StaEngine::sweep(const SweepSpec& spec) {
-  prepare();
-
   SweepResult r;
   r.engine_ = this;
   r.engine_liveness_ = liveness();
@@ -398,22 +413,6 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   r.endpoint_only_ = spec.endpoint_only;
   r.prune_ = spec.prune;
   r.prune_stats_.points = n_points;
-
-  // Writes one evaluated state's endpoint summary — exactly the fields
-  // the full-state accessors would derive, so both modes agree bitwise.
-  auto summarize = [&](size_t p, const TimingState& state) {
-    r.worst_slacks_[p] = worst_slack_in(state);
-    const auto we = worst_endpoint_in(state);
-    r.critical_[p] =
-        SweepResult::CriticalEndpoint{we.endpoint, we.rf, we.slack};
-    for (size_t e = 0; e < n_endpoints; ++e) {
-      const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
-      for (size_t rf = 0; rf < 2; ++rf) {
-        r.endpoint_arrivals_[(p * n_endpoints + e) * 2 + rf] =
-            state[static_cast<size_t>(v)].timing[rf].arrival;
-      }
-    }
-  };
 
   // -------------------------------------------------------------------------
   // Baseline + delta evaluation (and optional slack-bound pruning).
@@ -486,6 +485,78 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
         cone_frac / static_cast<double>(n_scenarios);
   }
 
+  // Endpoint summaries (endpoint-only points, and the bounds of pruned
+  // sweeps) read only a point's cone.  Outside the cone a point's
+  // endpoints keep their corner baseline timing, so the worst of them
+  // is the first entry outside the cone of the corner's baseline
+  // endpoint entries in worst_endpoint_in() order.  A cone holds at
+  // most k endpoints (2k entries), so the worst 2k + 1 entries always
+  // include it.
+  const auto ranks_before = [](const WorstEndpoint& a,
+                               const WorstEndpoint& b) {
+    if (a.constrained != b.constrained) return a.constrained;
+    const double ma = a.constrained ? a.slack : -a.arrival;
+    const double mb = b.constrained ? b.slack : -b.arrival;
+    if (ma < mb) return true;
+    if (mb < ma) return false;
+    if (a.endpoint != b.endpoint) return a.endpoint < b.endpoint;
+    return a.rf < b.rf;
+  };
+  const auto endpoint_vertex = [this](int32_t e) {
+    return static_cast<size_t>(
+        ports_[static_cast<size_t>(endpoint_ports_[static_cast<size_t>(e)])]
+            .vertex);
+  };
+  const auto entry_of = [](int32_t e, int rf, const PinTiming& t) {
+    return WorstEndpoint{e, static_cast<RiseFall>(rf),
+                         std::isfinite(t.required), t.slack(), t.arrival};
+  };
+  std::vector<std::vector<WorstEndpoint>> worst_base(n_corners);
+  if (spec.endpoint_only || prune) {
+    size_t max_cone = 0;
+    for (const auto& plan : plans) {
+      max_cone = std::max(max_cone, plan.endpoints.size());
+    }
+    if (spec.endpoint_only) {
+      r.base_arrivals_.resize(n_corners * n_endpoints * 2);
+    }
+    for (size_t c = 0; c < n_corners; ++c) {
+      auto& entries = worst_base[c];
+      entries.reserve(2 * n_endpoints);
+      for (size_t e = 0; e < n_endpoints; ++e) {
+        const auto& vt = baselines[c][endpoint_vertex(static_cast<int32_t>(e))];
+        for (int rf = 0; rf < 2; ++rf) {
+          if (spec.endpoint_only) {
+            r.base_arrivals_[(c * n_endpoints + e) * 2 +
+                             static_cast<size_t>(rf)] = vt.timing[rf].arrival;
+          }
+          if (vt.timing[rf].valid) {
+            entries.push_back(
+                entry_of(static_cast<int32_t>(e), rf, vt.timing[rf]));
+          }
+        }
+      }
+      const size_t keep = 2 * max_cone + 1;
+      if (keep < entries.size()) {
+        std::nth_element(entries.begin(),
+                         entries.begin() + static_cast<std::ptrdiff_t>(keep),
+                         entries.end(), ranks_before);
+        entries.resize(keep);
+      }
+      std::sort(entries.begin(), entries.end(), ranks_before);
+    }
+  }
+  // The first worst baseline entry of corner `c` outside `cone`
+  // (endpoint -1 when every valid entry lies inside it).
+  const auto worst_outside = [&](size_t c, const std::vector<int32_t>& cone) {
+    for (const auto& entry : worst_base[c]) {
+      if (!std::binary_search(cone.begin(), cone.end(), entry.endpoint)) {
+        return entry;
+      }
+    }
+    return WorstEndpoint{};
+  };
+
   // Result storage.
   r.status_.assign(n_points, spec.endpoint_only
                                  ? SweepResult::PointStatus::kSummary
@@ -493,12 +564,45 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   if (spec.endpoint_only) {
     // Summary storage is an endpoint-only concern: full-state results
     // answer every accessor from their TimingStates (pruning only
-    // needs bounds_, allocated below).
+    // needs bounds_, allocated below).  A point keeps arrivals only
+    // for its cone's endpoints; the rest read base_arrivals_.
     r.worst_slacks_.assign(n_points, kInf);
     r.critical_.assign(n_points, {});
-    r.endpoint_arrivals_.assign(n_points * n_endpoints * 2, -kInf);
+    r.plan_endpoints_.reserve(plans.size());
+    for (const auto& plan : plans) r.plan_endpoints_.push_back(plan.endpoints);
+    r.scenario_plan_.assign(plan_of.begin(), plan_of.end());
+    r.arrival_offsets_.resize(n_points);
+    size_t offset = 0;
+    for (size_t p = 0; p < n_points; ++p) {
+      r.arrival_offsets_[p] = offset;
+      offset += 2 * plans[plan_of[p % n_scenarios]].endpoints.size();
+    }
+    r.cone_arrivals_.assign(offset, -kInf);
   }
   if (!spec.endpoint_only) r.states_.assign(n_points, TimingState{});
+
+  // Writes an endpoint-only point's summary from `state`, which differs
+  // from its corner baseline only inside `cone`: the worst of the cone's
+  // endpoints and of the worst baseline entry outside it — exactly what
+  // worst_endpoint_in() and worst_slack_in() of the whole state give,
+  // so both modes agree bitwise — plus the cone's arrivals.
+  auto summarize = [&](size_t p, size_t c, const std::vector<int32_t>& cone,
+                       const TimingState& state) {
+    WorstEndpoint best = worst_outside(c, cone);
+    double* arrivals = r.cone_arrivals_.data() + r.arrival_offsets_[p];
+    for (const int32_t e : cone) {
+      const auto& vt = state[endpoint_vertex(e)];
+      for (int rf = 0; rf < 2; ++rf) {
+        *arrivals++ = vt.timing[rf].arrival;
+        if (!vt.timing[rf].valid) continue;
+        const WorstEndpoint entry = entry_of(e, rf, vt.timing[rf]);
+        if (best.endpoint < 0 || ranks_before(entry, best)) best = entry;
+      }
+    }
+    r.worst_slacks_[p] = best.constrained ? best.slack : kInf;
+    r.critical_[p] =
+        SweepResult::CriticalEndpoint{best.endpoint, best.rf, best.slack};
+  };
 
   // Evaluation order: ascending points, or — under pruning — points
   // sorted most-critical-first by their slack lower bound, with
@@ -513,25 +617,6 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
   double worst_seen = prune ? spec.prune_seed_slack : kInf;
   if (prune) {
     r.bounds_.assign(n_points, -kInf);
-    // Per-corner baseline endpoint summaries feed bounds and reuse.
-    std::vector<double> base_ws(n_corners);
-    std::vector<WorstEndpoint> base_we(n_corners);
-    std::vector<double> base_ep_slack(n_corners * n_endpoints, kInf);
-    for (size_t c = 0; c < n_corners; ++c) {
-      base_ws[c] = worst_slack_in(baselines[c]);
-      base_we[c] = worst_endpoint_in(baselines[c]);
-      for (size_t e = 0; e < n_endpoints; ++e) {
-        const int v = ports_[static_cast<size_t>(endpoint_ports_[e])].vertex;
-        double best = kInf;
-        for (size_t rf = 0; rf < 2; ++rf) {
-          const auto& t = baselines[c][static_cast<size_t>(v)].timing[rf];
-          if (t.valid && std::isfinite(t.required)) {
-            best = std::min(best, t.slack());
-          }
-        }
-        base_ep_slack[c * n_endpoints + e] = best;
-      }
-    }
     // Conservative per-(corner, scenario) push-out bound: how much
     // later any arrival inside the cone can get versus the corner
     // baseline, from the annotation magnitudes.  At every annotated net
@@ -602,7 +687,8 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     for (size_t c = 0; c < n_corners; ++c) {
       for (size_t s = 0; s < n_scenarios; ++s) {
         const size_t p = c * n_scenarios + s;
-        if (plans[plan_of[s]].endpoints.empty() && spec.endpoint_only) {
+        const std::vector<int32_t>& cone = plans[plan_of[s]].endpoints;
+        if (cone.empty() && spec.endpoint_only) {
           // The cone misses every endpoint, so every endpoint summary
           // of this point IS the corner baseline's — recorded exactly,
           // no propagation (the hierarchical-reuse fast path).  Only in
@@ -612,9 +698,9 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
           // equals its exact worst slack, so it still prunes whenever
           // it cannot matter.
           r.status_[p] = SweepResult::PointStatus::kSummary;
-          summarize(p, baselines[c]);
-          r.bounds_[p] = base_ws[c];  // exact, not just a bound
-          worst_seen = std::min(worst_seen, base_ws[c]);
+          summarize(p, c, cone, baselines[c]);
+          r.bounds_[p] = r.worst_slacks_[p];  // exact, not just a bound
+          worst_seen = std::min(worst_seen, r.worst_slacks_[p]);
           ++r.prune_stats_.reused;
           continue;
         }
@@ -622,19 +708,17 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
         // cone keep their exact baseline slack; endpoints inside it can
         // degrade by at most the scenario's push-out bound.
         double in_min = kInf;
-        double out_min = kInf;
-        size_t k = 0;
-        for (size_t e = 0; e < n_endpoints; ++e) {
-          const bool inside = k < plans[plan_of[s]].endpoints.size() &&
-                              plans[plan_of[s]].endpoints[k] ==
-                                  static_cast<int32_t>(e);
-          if (inside) {
-            ++k;
-            in_min = std::min(in_min, base_ep_slack[c * n_endpoints + e]);
-          } else {
-            out_min = std::min(out_min, base_ep_slack[c * n_endpoints + e]);
+        for (const int32_t e : cone) {
+          const auto& vt = baselines[c][endpoint_vertex(e)];
+          for (int rf = 0; rf < 2; ++rf) {
+            const auto& t = vt.timing[rf];
+            if (t.valid && std::isfinite(t.required)) {
+              in_min = std::min(in_min, t.slack());
+            }
           }
         }
+        const WorstEndpoint outside = worst_outside(c, cone);
+        const double out_min = outside.constrained ? outside.slack : kInf;
         r.bounds_[p] = std::min(out_min, in_min - push_out[p]);
         order.push_back(p);
       }
@@ -688,7 +772,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       TimingState& state = w.states[c];
       if (state.size() == 0) state = baselines[c];
       fold_forward(state, plan, ctx);
-      summarize(p, state);
+      summarize(p, c, plan.endpoints, state);
       for (const int v : plan.forward) {
         state[static_cast<size_t>(v)] = baselines[c][static_cast<size_t>(v)];
       }

@@ -8,11 +8,11 @@
 /// alignments, strengths, switching-window corners — and modern flows
 /// sweep them *per library corner*.  Running each (scenario, corner)
 /// point as its own engine run repeats the levelized walk N×M times.
-/// StaEngine::sweep(SweepSpec) instead prepares the engine once,
-/// compiles the engine-level annotations into one dense per-net-edge
-/// pointer table (each worker overlays a point's scenario onto its own
-/// copy and restores exactly the overlaid edges afterwards), and
-/// evaluates every point through ONE path:
+/// StaEngine::sweep(SweepSpec) instead compiles the engine-level
+/// annotations into one dense per-net-edge pointer table (each worker
+/// overlays a point's scenario onto its own copy and restores exactly
+/// the overlaid edges afterwards), and evaluates every point through
+/// ONE path:
 ///
 ///  1. one clean baseline per corner — StaEngine::evaluate(), the
 ///     chunk-gated level-parallel full-graph routine (or
@@ -46,10 +46,13 @@
 /// Result storage: the default keeps a full TimingState per point.  For
 /// sweep-scale point counts (10k+), `endpoint_only = true` keeps only
 /// {worst slack, critical endpoint, arrival at endpoints} per point —
-/// ~vertex_count× less memory — and evaluates points in place: each
-/// worker copies each corner baseline once per call, folds a point's
-/// cone forward on that copy, summarizes it and restores the cone, so a
-/// point costs O(cone + endpoints), not O(vertices).  Those points skip
+/// far less memory: a point stores arrivals only for the endpoints in
+/// its cone, the rest read one baseline row per corner — and evaluates
+/// points in place: each worker copies each corner baseline once per
+/// call, folds a point's cone forward on that copy, summarizes it and
+/// restores the cone.  A summary reads only the cone's endpoints plus a
+/// per-corner list of the worst baseline endpoints, so a point costs
+/// O(cone + its endpoints), however large the graph.  Those points skip
 /// the backward (required-time) closure and pass: an output port drives
 /// no edge, so its required time is its constraint
 /// (StaEngine::endpoint_ports()).
@@ -187,9 +190,9 @@ struct SweepSpec {
   /// Technique override; null uses the engine's configured method.
   const core::EquivalentWaveformMethod* method = nullptr;
   /// Keep only {worst slack, critical endpoint, endpoint arrivals} per
-  /// point instead of a full TimingState — ~vertex_count× less result
-  /// memory for 10k+-point sweeps, and each point folds in place at
-  /// O(cone + endpoints) cost.  Full-state accessors (state(), view(),
+  /// point instead of a full TimingState — far less result memory for
+  /// 10k+-point sweeps, and each point folds in place at O(cone + its
+  /// endpoints) cost.  Full-state accessors (state(), view(),
   /// timing(), critical_path()) then throw.
   bool endpoint_only = false;
   /// Scenario pruning (see PruneMode).
@@ -274,7 +277,8 @@ class TimingView {
 /// Two storage modes (SweepSpec::endpoint_only):
 ///  - full (default): one TimingState per point; every accessor works.
 ///  - endpoint-only: per point only {worst slack, critical endpoint,
-///    arrival at every endpoint × transition} — the full-state
+///    arrival at every endpoint × transition of its cone}, other
+///    endpoints reading the corner baseline — the full-state
 ///    accessors (state(), view(), timing(), critical_path()) throw a
 ///    clear error; everything endpoint-level (worst_slack(),
 ///    worst_point(), critical_endpoint(), endpoint_arrival()) agrees
@@ -353,7 +357,11 @@ class SweepResult {
   /// Name of one endpoint (an output port), by endpoint ordinal.
   [[nodiscard]] const std::string& endpoint_name(size_t endpoint) const;
   /// Arrival of (endpoint, transition) at `point` (-inf when the
-  /// transition never became valid).
+  /// transition never became valid).  An endpoint-only point stores
+  /// arrivals only for the endpoints inside its fanout cone; every
+  /// other endpoint reads the point's corner baseline row, which the
+  /// result holds once per corner — the same bits, since a point moves
+  /// no arrival outside its cone.
   [[nodiscard]] double endpoint_arrival(size_t point, size_t endpoint,
                                         RiseFall rf) const;
   /// The critical endpoint of a point: argmin slack over constrained
@@ -385,8 +393,13 @@ class SweepResult {
     return prune_stats_;
   }
 
-  /// Approximate owned bytes of result storage per point — the figure
-  /// endpoint-only mode shrinks by ~vertex_count×.
+  /// Approximate owned bytes of result storage per point.  Full state:
+  /// one TimingState (vertex_count() × sizeof(VertexTiming)).
+  /// Endpoint-only: the point's own summary — worst slack, critical
+  /// endpoint, an arrival offset and the (rise, fall) arrivals of the
+  /// endpoints in its cone — plus its share of what the points share:
+  /// the per-corner baseline arrival rows and the per-plan cone
+  /// endpoint lists, divided over all points.
   [[nodiscard]] size_t result_bytes_per_point() const noexcept;
 
   /// The corner at ordinal `i` of the corner axis.
@@ -437,9 +450,19 @@ class SweepResult {
   bool endpoint_only_ = false;
   std::vector<std::string> endpoint_names_;  ///< output ports, port order
   // Endpoint-only storage, filled as points are evaluated:
-  std::vector<double> worst_slacks_;              ///< per point
-  std::vector<CriticalEndpoint> critical_;        ///< per point
-  std::vector<double> endpoint_arrivals_;  ///< [point][endpoint][rf]
+  std::vector<double> worst_slacks_;        ///< per point
+  std::vector<CriticalEndpoint> critical_;  ///< per point
+  /// Corner baseline arrivals, [corner][endpoint][rf]: the arrival of
+  /// every endpoint outside a point's cone.
+  std::vector<double> base_arrivals_;
+  /// Sorted cone endpoint ordinals per distinct plan, and the plan of
+  /// each scenario (scenarios annotating the same nets share one).
+  std::vector<std::vector<int32_t>> plan_endpoints_;
+  std::vector<uint32_t> scenario_plan_;  ///< per scenario
+  /// Per point, the offset of its cone arrivals in cone_arrivals_:
+  /// [cone endpoint][rf], in plan_endpoints_ order.
+  std::vector<size_t> arrival_offsets_;
+  std::vector<double> cone_arrivals_;
   // Pruning state (empty status_ means every point is kFull):
   std::vector<PointStatus> status_;  ///< per point
   PruneMode prune_ = PruneMode::kOff;

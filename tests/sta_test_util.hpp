@@ -102,6 +102,47 @@ inline EngineFixture random_engine(uint64_t seed, int inputs = 6,
   return f;
 }
 
+/// `chains` identical inverter chains a<i> → c<i>_1 → … → y<i> of
+/// `length` INVX1 gates g<i>_1 … g<i>_<length> each, plus one gate on
+/// a0 that drives the dangling net "dead".  Every chain is constrained
+/// alike, so its output ties bitwise with every other output in the
+/// baseline, and a net's fanout cone has the same size at any chain
+/// count.  Outputs y0 … y<constrained − 1> get a required time; the
+/// rest stay unconstrained.
+inline EngineFixture parallel_chains(
+    int chains, int length, int constrained,
+    const liberty::Library& library = vcl013()) {
+  EngineFixture f;
+  f.netlist = std::make_unique<netlist::Netlist>();
+  netlist::Netlist& n = *f.netlist;
+  for (int i = 0; i < chains; ++i) {
+    n.add_port("a" + std::to_string(i), netlist::PortDirection::kInput);
+  }
+  for (int i = 0; i < chains; ++i) {
+    n.add_port("y" + std::to_string(i), netlist::PortDirection::kOutput);
+  }
+  for (int i = 0; i < chains; ++i) {
+    const std::string id = std::to_string(i);
+    for (int k = 1; k <= length; ++k) {
+      const std::string in =
+          k == 1 ? "a" + id : "c" + id + "_" + std::to_string(k - 1);
+      const std::string out =
+          k == length ? "y" + id : "c" + id + "_" + std::to_string(k);
+      n.add_instance({"g" + id + "_" + std::to_string(k), "INVX1",
+                      {{"A", in}, {"Y", out}}});
+    }
+  }
+  n.add_instance({"gdead", "INVX1", {{"A", "a0"}, {"Y", "dead"}}});
+  f.sta = std::make_unique<sta::StaEngine>(n, library);
+  for (int i = 0; i < chains; ++i) {
+    const std::string id = std::to_string(i);
+    f.sta->set_input("a" + id, 0.05e-9, 80e-12);
+    f.sta->set_output_load("y" + id, 5e-15);
+    if (i < constrained) f.sta->set_required("y" + id, 1e-9);
+  }
+  return f;
+}
+
 /// Scenarios for a random-DAG fixture: aggressor bumps on the first
 /// few gate output nets that actually have a falling victim transition
 /// at their sinks (derived from a clean run of `fixture`).

@@ -1,9 +1,10 @@
-// Seeded mutation tests of the liberty and Verilog parsers: truncated,
-// byte-flipped and huge-number mutants of the golden inputs
-// (tests/golden/golden.{lib,v}) must each either parse or throw
-// util::Error — never crash, never throw anything else.  Like every
-// suite this runs in the ASan/UBSan job, which turns an out-of-bounds
-// read or an absurd allocation into a failure.
+// Seeded mutation tests of the liberty, Verilog and SPICE parsers:
+// truncated, byte-flipped and huge-number (NaN, ±inf, overflowing
+// counts) mutants of the golden inputs (tests/golden/golden.{lib,v})
+// and of the SPICE decks of tests/test_spice_parser.cpp must each
+// either parse or throw util::Error — never crash, never throw anything
+// else.  Like every suite this runs in the ASan/UBSan job, which turns
+// an out-of-bounds read or an absurd allocation into a failure.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +18,13 @@
 
 #include "liberty/parser.hpp"
 #include "netlist/verilog.hpp"
+#include "spice/parser.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace lb = waveletic::liberty;
 namespace nl = waveletic::netlist;
+namespace sp = waveletic::spice;
 namespace wu = waveletic::util;
 
 namespace {
@@ -136,4 +139,43 @@ TEST(ParserMutants, VerilogMutantsParseOrThrowUtilError) {
       [](std::string_view t) { return nl::parse_verilog(t); }, "golden.v");
   EXPECT_GT(counts.parsed, 0);
   EXPECT_GT(counts.errors, 0);
+}
+
+TEST(ParserMutants, SpiceMutantsParseOrThrowUtilError) {
+  // The decks of tests/test_spice_parser.cpp: sources (dc, pwl, pulse),
+  // continuation lines, comments, models and MOSFETs, flat and nested
+  // subcircuits, and a .tran card.
+  const std::vector<std::string> decks = {
+      "* simple divider\nv1 top 0 dc 1.0\nr1 top mid 1k\nr2 mid 0 3k\n",
+      "c1 a 0 4.8f\nr1 a 0 8.5\n",
+      "v1 in 0 pwl(0 0, 1n 1.2, 2n 0)\nr1 in 0 1k\n",
+      "v1 in 0 pulse(0 1.2 1n 0.1n 0.1n 2n 5n)\nr1 in 0 1k\n",
+      "v1 in 0 pwl(0 0\n+ 1n 1.2\n+ 2n 0)\nr1 in 0 1k\n",
+      "* full-line comment\nr1 a 0 100 ; trailing comment\n\n"
+      "r2 a 0 100 $ dollar comment\n",
+      ".subckt divider top bottom\nr1 top mid 1k\nr2 mid bottom 1k\n.ends\n"
+      "v1 a 0 dc 2.0\nx1 a 0 divider\nx2 a 0 divider\n",
+      ".subckt leaf a b\nr1 a b 2k\n.ends\n.subckt pair x y\nxl x m leaf\n"
+      "xr m y leaf\n.ends\nv1 in 0 dc 1.0\nxp in 0 pair\n",
+      "r1 a 0 1\n.tran 1p 5n method=be\n",
+      "* transistor-level inverter with explicit caps\n"
+      ".model n1 nmos (vth=0.35 alpha=1.3 kc=600 kv=0.9 lambda=0.05)\n"
+      ".model p1 pmos (vth=0.32 alpha=1.3 kc=270 kv=0.9 lambda=0.05)\n"
+      ".subckt inv in out vdd\nmp out in vdd vdd p1 w=1.04u\n"
+      "mn out in 0 0 n1 w=0.52u\ncg in 0 1.5f\ncd out 0 1.0f\n.ends\n"
+      "vdd vdd 0 dc 1.2\nvin in 0 pwl(0 0 0.9n 0 1.05n 1.2)\n"
+      "x1 in out vdd inv\ncl out 0 10f\n.tran 1p 3n\n",
+  };
+  MutantCounts total;
+  for (size_t d = 0; d < decks.size(); ++d) {
+    ASSERT_NO_THROW((void)sp::parse_deck(decks[d])) << "deck " << d;
+    const auto counts = run_mutants(
+        decks[d], 0x5b1ce000ull + d, 200,
+        [](std::string_view t) { return sp::parse_deck(t); },
+        "spice deck " + std::to_string(d));
+    total.parsed += counts.parsed;
+    total.errors += counts.errors;
+  }
+  EXPECT_GT(total.parsed, 0);
+  EXPECT_GT(total.errors, 0);
 }

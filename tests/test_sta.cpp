@@ -7,7 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <ctime>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "charlib/characterize.hpp"
 #include "core/method.hpp"
@@ -15,6 +19,8 @@
 #include "netlist/generators.hpp"
 #include "netlist/verilog.hpp"
 #include "sta/engine.hpp"
+#include "sta/sweep.hpp"
+#include "sta_test_util.hpp"
 #include "util/error.hpp"
 #include "wave/metrics.hpp"
 #include "wave/ramp.hpp"
@@ -26,6 +32,7 @@ namespace nl = waveletic::netlist;
 namespace st = waveletic::sta;
 namespace wv = waveletic::wave;
 namespace wu = waveletic::util;
+namespace tu = waveletic::statest;
 
 namespace {
 
@@ -311,4 +318,137 @@ TEST(Sta, ConstructionScalesLinearly) {
   }
   EXPECT_LE(t_4n / t_n, 6.0) << "t(N) = " << t_n * 1e3
                              << " ms, t(4N) = " << t_4n * 1e3 << " ms";
+}
+
+TEST(Sta, EndpointOnlySweepPointsScaleWithTheirCone) {
+  // Endpoint-only sweep points with equal cones on banks of N and 4N
+  // parallel chains: CPU time per point, best of 3 runs each, sizes
+  // interleaved (see ConstructionScalesLinearly).  Each point annotates
+  // its own chain, so it builds its own plan, and P1 keeps its one Γeff
+  // fit cheap.  A point whose cost follows its cone takes about as long
+  // at both sizes; one that clears a V-sized marker or walks every
+  // endpoint takes about 4x as long at 4N.  The baselines are given, so
+  // the per-call full-graph pass stays out of the timed sweep.
+  (void)tu::vcl013();  // characterize outside the timed region
+  constexpr int kPoints = 256;
+  const auto p1 = co::make_method("P1");
+  struct Bank {
+    tu::EngineFixture f;
+    std::vector<st::TimingState> baselines;
+    st::SweepSpec spec;
+  };
+  const auto make_bank = [&](int chains) {
+    auto b = std::make_unique<Bank>();
+    b->f = tu::parallel_chains(chains, 6, chains);
+    const st::StaEngine& sta = *b->f.sta;
+    b->baselines.push_back(tu::serial_point(sta, st::Corner{}, nullptr));
+    b->spec.threads = 1;
+    b->spec.endpoint_only = true;
+    b->spec.method = p1.get();
+    b->spec.corner_baselines = &b->baselines;
+    for (int i = 0; i < kPoints; ++i) {
+      const std::string id = std::to_string(i);
+      const auto& t = sta.timing_in(b->baselines[0], "g" + id + "_2/A",
+                                    st::RiseFall::kFall);
+      b->spec.scenarios.push_back(st::make_aggressor_scenario(
+          "c" + id + "_1", t.arrival, t.slew, tu::vcl013().nom_voltage,
+          wv::Polarity::kFalling, 0.0, 0.3));
+    }
+    return b;
+  };
+  const auto small = make_bank(1024);
+  const auto large = make_bank(4096);
+  const size_t cone_n = small->f.sta->delta_plan(small->spec.scenarios[0])
+                            .forward.size();
+  const size_t cone_4n = large->f.sta->delta_plan(large->spec.scenarios[0])
+                             .forward.size();
+  EXPECT_LE(cone_4n, 2 * cone_n);
+  EXPECT_LE(cone_n, 2 * cone_4n);
+
+  const auto cpu_per_point = [](const Bank& b) {
+    const std::clock_t t0 = std::clock();
+    const auto r = b.f.sta->sweep(b.spec);
+    return static_cast<double>(std::clock() - t0) / CLOCKS_PER_SEC /
+           static_cast<double>(r.size());
+  };
+  double t_n = std::numeric_limits<double>::infinity();
+  double t_4n = t_n;
+  for (int run = 0; run < 3; ++run) {
+    t_n = std::min(t_n, cpu_per_point(*small));
+    t_4n = std::min(t_4n, cpu_per_point(*large));
+  }
+  EXPECT_LE(t_4n / t_n, 2.5) << "per point: t(N) = " << t_n * 1e6
+                             << " us, t(4N) = " << t_4n * 1e6 << " us";
+}
+
+TEST(Sta, NetLoadsStayCurrentWithoutPrepare) {
+  // The setters that change a load refresh it, so evaluate() needs no
+  // prepare(): an engine edited through set_output_load(),
+  // set_net_parasitics() and copy_config_from() — or forked and then
+  // edited — evaluates bitwise like a fresh engine configured the same
+  // way that ran prepare().
+  const auto netlist = nl::make_random_dag(7, 6, 5, 7);
+  std::vector<std::string> outputs;
+  for (const auto& port : netlist.ports()) {
+    if (port.direction == nl::PortDirection::kOutput) {
+      outputs.push_back(port.name);
+    }
+  }
+  ASSERT_GE(outputs.size(), 2u);
+  using Config = std::function<void(st::StaEngine&)>;
+  const Config constrain = [&](st::StaEngine& s) {
+    tu::constrain_ports(s, netlist);
+  };
+  const Config edit = [&](st::StaEngine& s) {
+    s.set_output_load(outputs[0], 9e-15);
+    s.set_net_parasitics(netlist.nets()[3], 2e-15, 4e-12);
+    s.set_net_parasitics(outputs[1], 3e-15, 1e-12);  // a port's net
+  };
+  const Config more = [&](st::StaEngine& s) {
+    s.set_output_load(outputs[1], 2e-15);
+    s.set_net_parasitics(netlist.nets()[5], 1e-15, 2e-12);
+  };
+  const auto reference = [](const nl::Netlist& n,
+                            std::initializer_list<const Config*> configs) {
+    st::StaEngine fresh(n, tu::vcl013());
+    for (const Config* c : configs) (*c)(fresh);
+    fresh.prepare();
+    return tu::serial_point(fresh, st::Corner{}, nullptr);
+  };
+  const auto evaluated = [](const st::StaEngine& s) {
+    return tu::serial_point(s, st::Corner{}, nullptr);
+  };
+
+  st::StaEngine edited(netlist, tu::vcl013());
+  constrain(edited);
+  (void)evaluated(edited);  // loads in use before the edits
+  edit(edited);
+  const auto want = reference(netlist, {&constrain, &edit});
+  EXPECT_TRUE(tu::states_bitwise_equal(evaluated(edited), want, &edited));
+
+  st::StaEngine copied(netlist, tu::vcl013());
+  copied.copy_config_from(edited);
+  EXPECT_TRUE(tu::states_bitwise_equal(evaluated(copied), want, &copied));
+
+  // Across a rebuild the pin caps come from the new graph: a retyped
+  // gate loads its input net differently.
+  nl::Netlist retyped = netlist;
+  const auto inv = std::find_if(
+      netlist.instances().begin(), netlist.instances().end(),
+      [](const nl::Instance& i) { return i.cell == "INVX1"; });
+  ASSERT_NE(inv, netlist.instances().end());
+  retyped.retype_instance(inv->name, "INVX4");
+  st::StaEngine rebuilt(retyped, tu::vcl013());
+  rebuilt.copy_config_from(edited);
+  const auto rebuilt_state = evaluated(rebuilt);
+  EXPECT_TRUE(tu::states_bitwise_equal(
+      rebuilt_state, reference(retyped, {&constrain, &edit}), &rebuilt));
+  EXPECT_FALSE(tu::states_bitwise_equal(rebuilt_state, want));
+
+  const auto forked = edited.fork();
+  more(*forked);
+  EXPECT_TRUE(tu::states_bitwise_equal(
+      evaluated(*forked), reference(netlist, {&constrain, &edit, &more}),
+      forked.get()));
+  EXPECT_TRUE(tu::states_bitwise_equal(evaluated(edited), want, &edited));
 }

@@ -11,6 +11,9 @@
 // restore to the engine-level annotation), a failing fit leaves the
 // engine reusable, and the output-port invariant that lets those
 // points skip the required-time pass holds on every fixture family.
+// Their summaries read only the cone plus the worst baseline entries
+// outside it: winners from outside the cone, exact ties across the
+// cone boundary and unconstrained outputs agree with full-state sweeps.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "liberty/parser.hpp"
@@ -88,6 +92,27 @@ std::vector<st::NoiseScenario> mixed_scenarios(const tu::EngineFixture& f) {
 }
 
 uint64_t bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// vcl013() with INVX1's fall tables replaced by its rise tables: chains
+/// of this inverter under rise/fall-symmetric input constraints carry
+/// bitwise-equal rise and fall timing, so rise and fall tie at every
+/// endpoint outside a noisy cone.
+const lb::Library& symmetric_inverter_library() {
+  static const lb::Library library = [] {
+    lb::Library l = tu::vcl013();
+    for (auto& cell : l.cells) {
+      if (cell.name != "INVX1") continue;
+      for (auto& pin : cell.pins) {
+        for (auto& arc : pin.arcs) {
+          arc.cell_fall = arc.cell_rise;
+          arc.fall_transition = arc.rise_transition;
+        }
+      }
+    }
+    return l;
+  }();
+  return library;
+}
 
 /// Bitwise equality of every endpoint-level answer of two sweeps of the
 /// same spec, point by point, over the points neither one pruned.
@@ -694,4 +719,151 @@ TEST(StaDelta, OutputPortVerticesAreNeverEdgeSources) {
   const std::string golden = std::string(WAVELETIC_TEST_DIR) + "/golden";
   const auto lib = lb::parse_liberty_file(golden + "/golden.lib");
   check(nl::parse_verilog_file(golden + "/golden.v"), lib, "golden.v");
+}
+
+TEST(StaDelta, EndpointOnlySummariesReadOnlyTheCone) {
+  // An endpoint-only point is summarized from its cone's endpoints plus
+  // the worst corner-baseline entries outside the cone.  Identical
+  // parallel chains tie every output bitwise in the baseline, so the
+  // scenarios below cover: a speed-up inside the baseline's critical
+  // endpoint's cone (the winner must come from outside the cone), exact
+  // ties across the cone boundary, a two-chain cone, and a cone without
+  // endpoints (reused under pruning).  All outputs, half of them and
+  // none are constrained in turn, on vcl013 and on a rise/fall-symmetric
+  // inverter whose endpoints tie rise against fall; at 2 corners, prune
+  // off and safe, and 1/2/4 threads, every summary must equal a
+  // full-state sweep's.
+  constexpr int kChains = 6;
+  for (const auto& [library, constrained] :
+       std::vector<std::pair<const lb::Library*, int>>{
+           {&tu::vcl013(), kChains},
+           {&tu::vcl013(), kChains / 2},
+           {&tu::vcl013(), 0},
+           {&symmetric_inverter_library(), kChains},
+           {&symmetric_inverter_library(), 0}}) {
+    SCOPED_TRACE("constrained outputs: " + std::to_string(constrained) +
+                 (library == &tu::vcl013() ? "" : ", symmetric inverter"));
+    auto f = tu::parallel_chains(kChains, 3, constrained, *library);
+    const auto& sta = *f.sta;
+    const auto base = tu::serial_point(sta, st::Corner{}, nullptr);
+    st::SweepSpec spec;
+    spec.corners = two_corners();
+    for (int i = 0; i < kChains; ++i) {
+      const std::string id = std::to_string(i);
+      for (const auto pol : {wv::Polarity::kFalling, wv::Polarity::kRising}) {
+        const auto rf = pol == wv::Polarity::kFalling ? st::RiseFall::kFall
+                                                      : st::RiseFall::kRise;
+        const auto& t = sta.timing_in(base, "g" + id + "_2/A", rf);
+        ASSERT_TRUE(t.valid);
+        // Aligned slow-down, and a dip just before the 50% crossing
+        // that pulls it earlier.
+        for (const double strength : {0.35, -0.35}) {
+          spec.scenarios.push_back(st::make_aggressor_scenario(
+              "c" + id + "_1", t.arrival, t.slew, tu::vcl013().nom_voltage,
+              pol, strength < 0.0 ? -0.4 * t.slew : 0.0, strength));
+        }
+      }
+    }
+    st::NoiseScenario two_chains;
+    two_chains.name = "two-chains";
+    for (const size_t s : {size_t{2}, size_t{14}}) {
+      const auto& e = spec.scenarios[s].entries[0];
+      two_chains.annotate(e.net, e.annotation.waveform, e.annotation.polarity);
+    }
+    spec.scenarios.push_back(std::move(two_chains));
+    // Both transitions of y<i> sped up: c<i>_1's falling transition
+    // becomes y<i>'s fall, c<i>_2's becomes its rise.  On the symmetric
+    // inverter y0 and y1 then hold the 2k = 4 worst baseline entries of
+    // a 2-endpoint cone, so the winner is the (2k + 1)-th.
+    const auto faster = [&](st::NoiseScenario& sc, int i) {
+      for (const int k : {1, 2}) {
+        const std::string net =
+            "c" + std::to_string(i) + "_" + std::to_string(k);
+        const auto& t = sta.timing_in(
+            base, "g" + std::to_string(i) + "_" + std::to_string(k + 1) + "/A",
+            st::RiseFall::kFall);
+        auto one = st::make_aggressor_scenario(
+            net, t.arrival, t.slew, tu::vcl013().nom_voltage,
+            wv::Polarity::kFalling, -0.4 * t.slew, -0.35);
+        sc.annotate(net, one.entries[0].annotation.waveform,
+                    wv::Polarity::kFalling);
+      }
+    };
+    st::NoiseScenario y0_faster;
+    y0_faster.name = "y0-faster";
+    faster(y0_faster, 0);
+    st::NoiseScenario y01_faster = y0_faster;
+    y01_faster.name = "y0-y1-faster";
+    faster(y01_faster, 1);
+    spec.scenarios.push_back(std::move(y0_faster));
+    spec.scenarios.push_back(std::move(y01_faster));
+    spec.scenarios.push_back(st::make_aggressor_scenario(
+        "dead", 0.1e-9, 80e-12, tu::vcl013().nom_voltage,
+        wv::Polarity::kFalling, 0.0, 0.4));
+    spec.threads = 1;
+    const auto full = f.sta->sweep(spec);
+    ASSERT_TRUE(tu::sweep_matches_serial(sta, spec, full));
+
+    // The fixture exercises what it claims, judged on the full states.
+    const auto metric_bits = [](const st::PinTiming& t) {
+      return bits(std::isfinite(t.required) ? t.slack() : -t.arrival);
+    };
+    size_t outside_winners = 0;
+    size_t boundary_ties = 0;
+    for (size_t c = 0; c < full.num_corners(); ++c) {
+      const auto base_we = sta.worst_endpoint_in(
+          tu::serial_point(sta, full.corner(c), nullptr));
+      for (size_t s = 0; s < full.num_scenarios(); ++s) {
+        const auto cone = sta.delta_plan(spec.scenarios[s]).endpoints;
+        const auto in_cone = [&](int32_t e) {
+          return std::binary_search(cone.begin(), cone.end(), e);
+        };
+        const size_t p = full.point(c, s);
+        const auto ce = full.critical_endpoint(p);
+        ASSERT_GE(ce.endpoint, 0);
+        if (in_cone(base_we.endpoint) && !in_cone(ce.endpoint)) {
+          ++outside_winners;
+        }
+        const auto& state = full.state(p);
+        const auto pin_of = [&](size_t e) {
+          return sta.pin(full.endpoint_name(e));
+        };
+        const auto& winner =
+            sta.timing_in(state, pin_of(static_cast<size_t>(ce.endpoint)),
+                          ce.rf);
+        for (size_t e = 0; e < full.num_endpoints(); ++e) {
+          if (in_cone(static_cast<int32_t>(e)) == in_cone(ce.endpoint)) {
+            continue;
+          }
+          const auto& t = sta.timing_in(state, pin_of(e), ce.rf);
+          if (t.valid &&
+              std::isfinite(t.required) == std::isfinite(winner.required) &&
+              metric_bits(t) == metric_bits(winner)) {
+            ++boundary_ties;
+            break;
+          }
+        }
+      }
+    }
+    EXPECT_GT(outside_winners, 0u);
+    EXPECT_GT(boundary_ties, 0u);
+
+    spec.endpoint_only = true;
+    for (const auto prune : {st::PruneMode::kOff, st::PruneMode::kSafe}) {
+      for (const int threads : {1, 2, 4}) {
+        spec.prune = prune;
+        spec.threads = threads;
+        const auto summary = f.sta->sweep(spec);
+        EXPECT_TRUE(summaries_bitwise_equal(summary, full))
+            << "prune " << st::to_string(prune) << ", " << threads
+            << " threads";
+        const auto wp = summary.worst_point();
+        EXPECT_EQ(wp.point, full.worst_point().point);
+        EXPECT_EQ(bits(wp.slack), bits(full.worst_point().slack));
+        if (prune == st::PruneMode::kSafe) {
+          EXPECT_EQ(summary.prune_stats().reused, 2u);  // "dead", 2 corners
+        }
+      }
+    }
+  }
 }
