@@ -41,6 +41,8 @@ GaussNewtonStats gauss_newton_into(ResidualRef fn, std::span<double> x,
   const MatrixRef normal(normal_buf.data(), m, m);
   const auto rhs = ws.alloc(m);
   const auto dx = ws.alloc(m);
+  const auto perm = ws.alloc_indices(m);
+  const auto cols = ws.alloc_indices(m);
   const auto trial = ws.alloc(m);
   const auto r_trial = ws.alloc(residuals);
   const auto jac_trial_buf = ws.alloc(residuals * m);
@@ -71,7 +73,8 @@ GaussNewtonStats gauss_newton_into(ResidualRef fn, std::span<double> x,
     }
 
     try {
-      lu_solve_in_place(normal, rhs, dx);
+      lu_factor_in_place(normal, perm, cols);
+      lu_solve_factored(normal, perm, rhs, dx);
     } catch (const util::Error&) {
       break;  // singular normal matrix: keep best iterate found so far
     }

@@ -1,53 +1,37 @@
 #pragma once
 
 /// \file lu.hpp
-/// LU factorization with partial pivoting.  This is the linear kernel of
-/// the MNA transient engine: the Jacobian is refactored every Newton
-/// iteration, so the factorization supports in-place reuse of its
-/// storage across solves.
+/// The one LU factorization of the library: partial pivoting, in place,
+/// with caller-owned index buffers.  The MNA transient engine assembles
+/// its Jacobian into one matrix per analysis and factors that same
+/// matrix on every Newton iteration; the least-squares and
+/// Gauss–Newton fits factor their normal matrices the same way.  No
+/// routine here allocates.
 
+#include <cstddef>
 #include <span>
 
 #include "la/matrix.hpp"
 
 namespace waveletic::la {
 
-/// PA = LU factorization with row partial pivoting.
-class LuFactorization {
- public:
-  LuFactorization() = default;
+/// Factors the square matrix `a` IN PLACE into P·A = L·U: on return `a`
+/// holds L (unit diagonal implied) below the diagonal and U on and above
+/// it, and row i of L·U is row `perm[i]` of the original A.  `perm` and
+/// `cols` each need n entries; `cols` is elimination scratch (the
+/// non-zero columns of the current pivot row).  Throws util::Error when
+/// `a` is not square, a buffer is too small, or a pivot falls to
+/// `pivot_tol` or below (the message names the column).
+///
+/// Elimination updates only the columns where the pivot row is
+/// non-zero.  For finite input that is bit for bit the dense update:
+/// subtracting factor·0.0 leaves every entry unchanged.
+void lu_factor_in_place(MatrixRef a, std::span<size_t> perm,
+                        std::span<size_t> cols, double pivot_tol = 1e-14);
 
-  /// Factors `a` (consumed by copy).  Throws util::Error when the matrix
-  /// is not square or is numerically singular (pivot below `pivot_tol`).
-  void factor(const Matrix& a, double pivot_tol = 1e-14);
-
-  /// Solves A x = b into `x` (b untouched).  factor() must have run.
-  void solve(std::span<const double> b, std::span<double> x) const;
-
-  /// Convenience allocating overload.
-  [[nodiscard]] Vector solve(std::span<const double> b) const;
-
-  [[nodiscard]] bool factored() const noexcept { return n_ > 0; }
-  [[nodiscard]] size_t size() const noexcept { return n_; }
-
-  /// |det A|, available after factor().  Used by tests.
-  [[nodiscard]] double abs_determinant() const noexcept;
-
- private:
-  Matrix lu_;
-  std::vector<size_t> perm_;
-  size_t n_ = 0;
-};
-
-/// One-shot convenience: solve A x = b.
-[[nodiscard]] Vector lu_solve(const Matrix& a, std::span<const double> b);
-
-/// Allocation-free one-shot solve for small systems (n ≤ 64): factors
-/// `a` IN PLACE (destroying it) with the same partial-pivot arithmetic
-/// as LuFactorization and writes the solution into `x`.  Bitwise
-/// identical to lu_solve on the same inputs.  Throws util::Error on
-/// singular/oversized systems.
-void lu_solve_in_place(MatrixRef a, std::span<const double> b,
-                       std::span<double> x, double pivot_tol = 1e-14);
+/// Solves A·x = b from lu_factor_in_place()'s output by forward and
+/// back substitution.  `b` and `x` (n entries each) must not overlap.
+void lu_solve_factored(MatrixRef lu, std::span<const size_t> perm,
+                       std::span<const double> b, std::span<double> x);
 
 }  // namespace waveletic::la

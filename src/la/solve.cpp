@@ -1,6 +1,7 @@
 #include "la/solve.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "la/lu.hpp"
 #include "util/error.hpp"
@@ -38,7 +39,12 @@ Vector weighted_least_squares(const Matrix& a, std::span<const double> b,
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < i; ++j) normal(i, j) = normal(j, i);
   }
-  return lu_solve(normal, rhs);
+  std::vector<size_t> perm(m);
+  std::vector<size_t> cols(m);
+  lu_factor_in_place(normal, perm, cols);
+  Vector x(m, 0.0);
+  lu_solve_factored(normal, perm, rhs, x);
+  return x;
 }
 
 LineFit fit_line(std::span<const double> t, std::span<const double> v,

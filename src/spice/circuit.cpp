@@ -75,61 +75,4 @@ std::string Circuit::describe() const {
   return os.str();
 }
 
-Stamper::Stamper(la::Matrix& a, la::Vector& z, size_t n_nodes)
-    : a_(&a), z_(&z) {
-  util::require(a.rows() == a.cols() && a.rows() == z.size(),
-                "Stamper: inconsistent system dimensions");
-  util::require(a.rows() >= n_nodes - 1, "Stamper: matrix smaller than nodes");
-}
-
-void Stamper::add(int r, int c, double v) noexcept {
-  if (r < 0 || c < 0) return;
-  (*a_)(static_cast<size_t>(r), static_cast<size_t>(c)) += v;
-}
-
-void Stamper::add_rhs(int r, double v) noexcept {
-  if (r < 0) return;
-  (*z_)[static_cast<size_t>(r)] += v;
-}
-
-void Stamper::conductance(NodeId a, NodeId b, double g) noexcept {
-  const int ia = idx(a);
-  const int ib = idx(b);
-  add(ia, ia, g);
-  add(ib, ib, g);
-  add(ia, ib, -g);
-  add(ib, ia, -g);
-}
-
-void Stamper::current(NodeId a, NodeId b, double i0) noexcept {
-  // KCL rows are "sum of currents leaving = 0"; a constant current i0
-  // flowing a -> b moves to the RHS with opposite sign at a.
-  add_rhs(idx(a), -i0);
-  add_rhs(idx(b), i0);
-}
-
-void Stamper::vccs(NodeId out_pos, NodeId out_neg, NodeId ctrl_pos,
-                   NodeId ctrl_neg, double g) noexcept {
-  const int op = idx(out_pos);
-  const int on = idx(out_neg);
-  const int cp = idx(ctrl_pos);
-  const int cn = idx(ctrl_neg);
-  add(op, cp, g);
-  add(op, cn, -g);
-  add(on, cp, -g);
-  add(on, cn, g);
-}
-
-void Stamper::branch_voltage(int branch, NodeId pos, NodeId neg,
-                             double voltage) noexcept {
-  const int ip = idx(pos);
-  const int in = idx(neg);
-  // Branch current flows pos -> neg through the source.
-  add(ip, branch, 1.0);
-  add(in, branch, -1.0);
-  add(branch, ip, 1.0);
-  add(branch, in, -1.0);
-  add_rhs(branch, voltage);
-}
-
 }  // namespace waveletic::spice

@@ -143,40 +143,78 @@ class Circuit {
 
 /// MNA assembly helper.  Rows/columns are addressed by NodeId (ground
 /// contributions are discarded) or by absolute unknown index for branch
-/// variables.
+/// variables.  Every method is defined here so that device stamps inline
+/// it: assembly runs once per Newton iteration of every time step.
 class Stamper {
  public:
-  /// `n_nodes` includes ground; unknown vector length is
-  /// (n_nodes - 1) + n_branches.
-  Stamper(la::Matrix& a, la::Vector& z, size_t n_nodes);
+  /// Stamps into the n×n system `a` and its rhs `z` (n entries), n =
+  /// (node count − 1) + branch count.  The engine sizes both from the
+  /// circuit once per analysis; nothing is checked here.
+  Stamper(la::MatrixRef a, std::span<double> z) noexcept
+      : a_(a.data), n_(a.cols), z_(z.data()) {}
 
   /// Conductance g between nodes a and b.
-  void conductance(NodeId a, NodeId b, double g) noexcept;
+  void conductance(NodeId a, NodeId b, double g) noexcept {
+    const int ia = idx(a);
+    const int ib = idx(b);
+    add(ia, ia, g);
+    add(ib, ib, g);
+    add(ia, ib, -g);
+    add(ib, ia, -g);
+  }
 
   /// Constant current i0 flowing from node a to node b.
-  void current(NodeId a, NodeId b, double i0) noexcept;
+  void current(NodeId a, NodeId b, double i0) noexcept {
+    // KCL rows are "sum of currents leaving = 0"; a constant current i0
+    // flowing a -> b moves to the RHS with opposite sign at a.
+    add_rhs(idx(a), -i0);
+    add_rhs(idx(b), i0);
+  }
 
   /// Transconductance: current i = g·(v_c+ − v_c−) flowing out of node
   /// `out_pos` into `out_neg` (VCCS linearization term).
   void vccs(NodeId out_pos, NodeId out_neg, NodeId ctrl_pos, NodeId ctrl_neg,
-            double g) noexcept;
+            double g) noexcept {
+    const int op = idx(out_pos);
+    const int on = idx(out_neg);
+    const int cp = idx(ctrl_pos);
+    const int cn = idx(ctrl_neg);
+    add(op, cp, g);
+    add(op, cn, -g);
+    add(on, cp, -g);
+    add(on, cn, g);
+  }
 
   /// Branch-variable stamps for voltage-defined elements.  `branch` is
   /// the absolute unknown index from Device::assign_branches.
   void branch_voltage(int branch, NodeId pos, NodeId neg,
-                      double voltage) noexcept;
-
-  [[nodiscard]] size_t unknowns() const noexcept { return a_->rows(); }
+                      double voltage) noexcept {
+    const int ip = idx(pos);
+    const int in = idx(neg);
+    // Branch current flows pos -> neg through the source.
+    add(ip, branch, 1.0);
+    add(in, branch, -1.0);
+    add(branch, ip, 1.0);
+    add(branch, in, -1.0);
+    add_rhs(branch, voltage);
+  }
 
  private:
   /// Maps NodeId to matrix row/col; -1 for ground.
-  [[nodiscard]] int idx(NodeId n) const noexcept { return n - 1; }
+  [[nodiscard]] static int idx(NodeId n) noexcept { return n - 1; }
 
-  void add(int r, int c, double v) noexcept;
-  void add_rhs(int r, double v) noexcept;
+  void add(int r, int c, double v) noexcept {
+    if (r < 0 || c < 0) return;
+    a_[static_cast<size_t>(r) * n_ + static_cast<size_t>(c)] += v;
+  }
+  void add_rhs(int r, double v) noexcept {
+    if (r < 0) return;
+    z_[static_cast<size_t>(r)] += v;
+  }
 
-  la::Matrix* a_;
-  la::Vector* z_;
+  double* a_;
+  size_t n_;
+  double* z_;
 };
 
 }  // namespace waveletic::spice

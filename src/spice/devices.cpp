@@ -21,8 +21,9 @@ double node_v(std::span<const double> x, NodeId n) noexcept {
 
 Resistor::Resistor(std::string name, NodeId a, NodeId b, double ohms)
     : Device(std::move(name)), a_(a), b_(b), ohms_(ohms) {
-  util::require(ohms > 0.0, "resistor ", Device::name(),
-                ": non-positive resistance ", ohms);
+  util::require(std::isfinite(ohms) && ohms > 0.0, "resistor ",
+                Device::name(),
+                ": resistance must be positive and finite, got ", ohms);
 }
 
 void Resistor::stamp(Stamper& st, const StampContext&) const {
@@ -35,47 +36,59 @@ void Resistor::stamp(Stamper& st, const StampContext&) const {
 
 Capacitor::Capacitor(std::string name, NodeId a, NodeId b, double farads)
     : Device(std::move(name)), a_(a), b_(b), farads_(farads) {
-  util::require(farads > 0.0, "capacitor ", Device::name(),
-                ": non-positive capacitance ", farads);
+  util::require(std::isfinite(farads) && farads > 0.0, "capacitor ",
+                Device::name(),
+                ": capacitance must be positive and finite, got ", farads);
 }
 
 double Capacitor::voltage_of(std::span<const double> x) const noexcept {
   return node_v(x, a_) - node_v(x, b_);
 }
 
+double Capacitor::companion_g(double dt, Integration method) const noexcept {
+  return method == Integration::kBackwardEuler ? farads_ / dt
+                                               : 2.0 * farads_ / dt;
+}
+
 void Capacitor::stamp(Stamper& st, const StampContext& ctx) const {
   if (ctx.dc || ctx.dt <= 0.0) return;  // open circuit at DC
-  double g = 0.0;
-  double ieq = 0.0;  // constant part of companion current a -> b
-  if (ctx.method == Integration::kBackwardEuler) {
-    g = farads_ / ctx.dt;
-    ieq = -g * v_prev_;
-  } else {
-    g = 2.0 * farads_ / ctx.dt;
-    ieq = -g * v_prev_ - i_prev_;
+  // The companion model depends on the step only: every Newton
+  // iteration of a step stamps the values its first iteration computed.
+  if (ctx.dt != step_dt_ || ctx.method != step_method_) {
+    step_dt_ = ctx.dt;
+    step_method_ = ctx.method;
+    step_g_ = companion_g(ctx.dt, ctx.method);
+    step_ieq_ = ctx.method == Integration::kBackwardEuler
+                    ? -step_g_ * v_prev_
+                    : -step_g_ * v_prev_ - i_prev_;
   }
-  st.conductance(a_, b_, g);
-  st.current(a_, b_, ieq);
+  st.conductance(a_, b_, step_g_);
+  st.current(a_, b_, step_ieq_);
 }
 
 void Capacitor::commit(std::span<const double> x, double dt,
                        Integration method) {
   const double v_now = voltage_of(x);
   if (dt > 0.0) {
+    const double g = dt == step_dt_ && method == step_method_
+                         ? step_g_
+                         : companion_g(dt, method);
     if (method == Integration::kBackwardEuler) {
-      i_prev_ = farads_ / dt * (v_now - v_prev_);
+      i_prev_ = g * (v_now - v_prev_);
     } else {
-      i_prev_ = 2.0 * farads_ / dt * (v_now - v_prev_) - i_prev_;
+      i_prev_ = g * (v_now - v_prev_) - i_prev_;
     }
   } else {
     i_prev_ = 0.0;  // DC: steady state, no displacement current
   }
   v_prev_ = v_now;
+  step_dt_ = 0.0;  // the next step's companion model uses the new history
 }
 
 void Capacitor::reset_state() {
   v_prev_ = 0.0;
   i_prev_ = 0.0;
+  step_dt_ = 0.0;
 }
 
 // ---------------------------------------------------------------------------
@@ -135,8 +148,9 @@ Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
       b_(b),
       model_(std::move(model)),
       width_(width) {
-  util::require(width > 0.0, "mosfet ", Device::name(),
-                ": non-positive width");
+  util::require(std::isfinite(width) && width > 0.0, "mosfet ",
+                Device::name(), ": width must be positive and finite, got ",
+                width);
   (void)b_;  // bulk anchors external junction caps only
 }
 
@@ -149,14 +163,17 @@ struct NmosEval {
 };
 
 NmosEval eval_nmos_frame(const MosfetModel& m, double w, double vgs,
-                         double vds) noexcept {
+                         double vds, Mosfet::PowMemo& memo) noexcept {
   const double vov = vgs - m.vth;
   if (vov <= 0.0) {
     // Sub-threshold: treat as off (leakage folded into engine gmin).
     return {0.0, 0.0, 0.0};
   }
-  const double idsat = m.idsat(vov, w);
-  const double vdsat = m.vdsat(vov);
+  if (vov != memo.vov) {
+    memo = {vov, std::pow(vov, m.alpha), std::pow(vov, 0.5 * m.alpha)};
+  }
+  const double idsat = m.kc * w * memo.pow_alpha;  // m.idsat(vov, w)
+  const double vdsat = m.kv * memo.pow_half_alpha;  // m.vdsat(vov)
   const double clm = 1.0 + m.lambda * vds;
   const double didsat_dvgs = m.alpha * idsat / vov;
   if (vds >= vdsat) {
@@ -188,7 +205,7 @@ Mosfet::Operating Mosfet::evaluate(double vd, double vg,
 
   Operating op;
   if (vds >= 0.0) {
-    const NmosEval e = eval_nmos_frame(model_, width_, vgs, vds);
+    const NmosEval e = eval_nmos_frame(model_, width_, vgs, vds, memo_);
     op.id = e.id;
     op.gm = e.gm;
     op.gds = e.gds;
@@ -198,7 +215,7 @@ Mosfet::Operating Mosfet::evaluate(double vd, double vg,
     // Chain rule back to the (vgs, vds) frame:
     //   ∂id/∂vgs = −gm'
     //   ∂id/∂vds = gm' + gds'
-    const NmosEval e = eval_nmos_frame(model_, width_, vgs - vds, -vds);
+    const NmosEval e = eval_nmos_frame(model_, width_, vgs - vds, -vds, memo_);
     op.id = -e.id;
     op.gm = -e.gm;
     op.gds = e.gm + e.gds;

@@ -38,11 +38,22 @@ class Capacitor final : public Device {
 
  private:
   [[nodiscard]] double voltage_of(std::span<const double> x) const noexcept;
+  /// Companion conductance C/h (backward Euler) or 2C/h (trapezoidal).
+  [[nodiscard]] double companion_g(double dt,
+                                   Integration method) const noexcept;
 
   NodeId a_, b_;
   double farads_;
   double v_prev_ = 0.0;
   double i_prev_ = 0.0;
+  // Companion conductance and current of the step being solved, keyed
+  // by its dt and method (dt varies in its low bits from step to step);
+  // commit() reuses the conductance, then clears the key, as does
+  // reset_state() (step_dt_ = 0 never matches: stamps run with dt > 0).
+  mutable double step_dt_ = 0.0;
+  mutable Integration step_method_ = Integration::kTrapezoidal;
+  mutable double step_g_ = 0.0;
+  mutable double step_ieq_ = 0.0;
 };
 
 /// Independent current source, current flows from `a` to `b` through
@@ -123,13 +134,26 @@ class Mosfet final : public Device {
     double gm = 0.0;   ///< ∂id/∂vgs
     double gds = 0.0;  ///< ∂id/∂vds
   };
+  /// Updates the device's power memo (below), so one device must not
+  /// be evaluated from two threads at once.
   [[nodiscard]] Operating evaluate(double vd, double vg,
                                    double vs) const noexcept;
+
+  /// The overdrive last evaluated and its two powers.  A device at a
+  /// settled bias sees the same overdrive bit for bit on consecutive
+  /// iterations and steps, and std::pow is the costliest part of a
+  /// stamp; a hit returns exactly what pow would.
+  struct PowMemo {
+    double vov = 0.0;  ///< key; 0 never matches (evaluation needs vov > 0)
+    double pow_alpha = 0.0;       ///< vov^alpha
+    double pow_half_alpha = 0.0;  ///< vov^(alpha/2)
+  };
 
  private:
   NodeId d_, g_, s_, b_;
   MosfetModel model_;
   double width_;
+  mutable PowMemo memo_;
 };
 
 }  // namespace waveletic::spice

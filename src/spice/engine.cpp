@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "la/lu.hpp"
 #include "util/error.hpp"
@@ -9,6 +11,11 @@
 
 namespace waveletic::spice {
 namespace {
+
+/// Upper bound on a transient's step count: far above any run here
+/// (a few thousand steps), low enough that a mistyped dt fails by name
+/// before the sample buffers are reserved.
+constexpr double kMaxSteps = 1e7;
 
 /// Unknown-vector layout manager: assigns branch indices and remembers
 /// the split between node and branch unknowns.
@@ -34,12 +41,33 @@ struct SystemLayout {
   }
 };
 
-/// Assembles A·x = z for the given iterate and context.
-void assemble(Circuit& circuit, const StampContext& ctx, la::Matrix& a,
-              la::Vector& z, size_t n_nodes) {
-  a.set_zero();
-  std::fill(z.begin(), z.end(), 0.0);
-  Stamper st(a, z, n_nodes);
+/// One analysis' Newton system, sized from the layout once (so stamping
+/// checks no dimensions) and reused by every iteration of every step:
+/// the matrix is assembled, factored and solved in place.
+struct NewtonSystem {
+  la::Matrix a;
+  la::Vector z;
+  la::Vector x_new;
+  std::vector<size_t> perm;
+  std::vector<size_t> cols;  // LU elimination scratch
+
+  explicit NewtonSystem(const SystemLayout& lay)
+      : a(lay.unknowns, lay.unknowns),
+        z(lay.unknowns, 0.0),
+        x_new(lay.unknowns, 0.0),
+        perm(lay.unknowns),
+        cols(lay.unknowns) {
+    util::require(lay.unknowns > 0,
+                  "analysis: circuit has no unknowns (no non-ground node)");
+  }
+};
+
+/// Assembles A·x = z for the given iterate and context into `sys`.
+void assemble(Circuit& circuit, const StampContext& ctx, size_t n_nodes,
+              NewtonSystem& sys) {
+  sys.a.set_zero();
+  std::fill(sys.z.begin(), sys.z.end(), 0.0);
+  Stamper st(sys.a, sys.z);
   // gmin to ground on every node keeps floating subnets solvable.
   for (NodeId n = 1; n < static_cast<NodeId>(n_nodes); ++n) {
     st.conductance(n, kGround, ctx.gmin);
@@ -52,31 +80,34 @@ void assemble(Circuit& circuit, const StampContext& ctx, la::Matrix& a,
 struct NewtonOutcome {
   bool converged = false;
   int iterations = 0;
+  /// Unknown whose update was NaN or infinite (the iteration stopped
+  /// there).
+  std::optional<size_t> non_finite;
 };
 
 /// Newton-Raphson on the linearized companion system.  `x` holds the
-/// initial guess and receives the solution.
+/// initial guess and receives the solution.  A non-finite update ends
+/// the iteration unconverged and names its unknown in the outcome.
 NewtonOutcome newton_solve(Circuit& circuit, StampContext ctx,
                            const NewtonOptions& opt, const SystemLayout& lay,
-                           la::Vector& x) {
-  la::Matrix a(lay.unknowns, lay.unknowns);
-  la::Vector z(lay.unknowns, 0.0);
-  la::Vector x_new(lay.unknowns, 0.0);
-  la::LuFactorization lu;
-
+                           NewtonSystem& sys, la::Vector& x) {
   NewtonOutcome out;
   for (int it = 0; it < opt.max_iterations; ++it) {
     out.iterations = it + 1;
     ctx.x = x;
-    assemble(circuit, ctx, a, z, lay.n_nodes);
-    lu.factor(a);
-    lu.solve(z, x_new);
+    assemble(circuit, ctx, lay.n_nodes, sys);
+    la::lu_factor_in_place(sys.a, sys.perm, sys.cols);
+    la::lu_solve_factored(sys.a, sys.perm, sys.z, sys.x_new);
 
     // Damped update with per-node clamp.
     double max_dv = 0.0;
     double max_di = 0.0;
     for (size_t i = 0; i < lay.unknowns; ++i) {
-      double delta = x_new[i] - x[i];
+      double delta = sys.x_new[i] - x[i];
+      if (!std::isfinite(delta)) {
+        out.non_finite = i;
+        return out;
+      }
       if (i < lay.n_node_vars) {
         delta = std::clamp(delta, -opt.max_update, opt.max_update);
         max_dv = std::max(max_dv, std::fabs(delta));
@@ -91,6 +122,65 @@ NewtonOutcome newton_solve(Circuit& circuit, StampContext ctx,
     }
   }
   return out;
+}
+
+/// Names unknown `i`: its node, or the device owning the branch current.
+std::string unknown_name(const Circuit& circuit, const SystemLayout& lay,
+                         size_t i) {
+  if (i < lay.n_node_vars) {
+    return "node '" + circuit.node_name(static_cast<NodeId>(i + 1)) + "'";
+  }
+  size_t first = lay.n_node_vars;
+  for (const auto& dev : circuit.devices()) {
+    const auto count = static_cast<size_t>(dev->branch_count());
+    if (i < first + count) return "branch current of '" + dev->name() + "'";
+    first += count;
+  }
+  return "unknown " + std::to_string(i);
+}
+
+/// Throws when `outcome` stopped on a non-finite update.
+void require_finite_update(const NewtonOutcome& outcome,
+                           const Circuit& circuit, const SystemLayout& lay,
+                           const char* analysis, double t) {
+  if (!outcome.non_finite) return;
+  throw util::Error::fmt(
+      analysis, ": non-finite Newton update of ",
+      unknown_name(circuit, lay, *outcome.non_finite),
+      " at t = ", t, " (iteration ", outcome.iterations,
+      "); check the sources and device values");
+}
+
+/// DC operating point on `sys` (see dc_operating_point()).
+la::Vector dc_solve(Circuit& circuit, const NewtonOptions& opt,
+                    const SystemLayout& lay, NewtonSystem& sys) {
+  StampContext ctx;
+  ctx.dc = true;
+  ctx.time = 0.0;
+  ctx.dt = 0.0;
+  ctx.gmin = opt.gmin;
+
+  // Plain Newton from the zero vector first; a non-finite update counts
+  // as divergence.
+  {
+    la::Vector trial(lay.unknowns, 0.0);
+    ctx.source_scale = 1.0;
+    const auto outcome = newton_solve(circuit, ctx, opt, lay, sys, trial);
+    if (outcome.converged) return trial;
+    util::log_debug("dcop: plain newton failed, falling back to stepping");
+  }
+
+  // Source stepping homotopy: ramp all independent sources.
+  la::Vector trial(lay.unknowns, 0.0);
+  for (int step = 1; step <= 10; ++step) {
+    ctx.source_scale = 0.1 * step;
+    const auto outcome = newton_solve(circuit, ctx, opt, lay, sys, trial);
+    require_finite_update(outcome, circuit, lay, "DC operating point", 0.0);
+    util::require(outcome.converged,
+                  "DC operating point: source stepping diverged at scale ",
+                  ctx.source_scale);
+  }
+  return trial;
 }
 
 }  // namespace
@@ -128,44 +218,27 @@ std::vector<std::string> TransientResult::probe_names() const {
 
 la::Vector dc_operating_point(Circuit& circuit, const NewtonOptions& opt) {
   const SystemLayout lay(circuit);
-  la::Vector x(lay.unknowns, 0.0);
-
-  StampContext ctx;
-  ctx.dc = true;
-  ctx.time = 0.0;
-  ctx.dt = 0.0;
-  ctx.gmin = opt.gmin;
-
-  // Plain Newton from the zero vector first.
-  {
-    la::Vector trial = x;
-    ctx.source_scale = 1.0;
-    const auto outcome = newton_solve(circuit, ctx, opt, lay, trial);
-    if (outcome.converged) return trial;
-    util::log_debug("dcop: plain newton failed, falling back to stepping");
-  }
-
-  // Source stepping homotopy: ramp all independent sources.
-  la::Vector trial(lay.unknowns, 0.0);
-  for (int step = 1; step <= 10; ++step) {
-    ctx.source_scale = 0.1 * step;
-    const auto outcome = newton_solve(circuit, ctx, opt, lay, trial);
-    util::require(outcome.converged,
-                  "DC operating point: source stepping diverged at scale ",
-                  ctx.source_scale);
-  }
-  return trial;
+  NewtonSystem sys(lay);
+  return dc_solve(circuit, opt, lay, sys);
 }
 
 TransientResult transient(Circuit& circuit, const TransientSpec& spec) {
-  util::require(spec.dt > 0.0, "transient: non-positive dt");
-  util::require(spec.t_stop > spec.dt, "transient: t_stop <= dt");
+  util::require(std::isfinite(spec.dt) && spec.dt > 0.0,
+                "transient: dt must be positive and finite, got ", spec.dt);
+  util::require(std::isfinite(spec.t_stop) && spec.t_stop > spec.dt,
+                "transient: t_stop must be finite and exceed dt, got t_stop = ",
+                spec.t_stop, ", dt = ", spec.dt);
+  const double step_count = std::ceil(spec.t_stop / spec.dt);
+  util::require(step_count <= kMaxSteps, "transient: t_stop / dt needs ",
+                step_count, " steps, more than the limit of ", kMaxSteps);
+  const auto steps = static_cast<size_t>(step_count);
 
   const SystemLayout lay(circuit);
+  NewtonSystem sys(lay);
 
   // Fresh device state, then DC operating point as the initial condition.
   for (const auto& dev : circuit.devices()) dev->reset_state();
-  la::Vector x = dc_operating_point(circuit, spec.newton);
+  la::Vector x = dc_solve(circuit, spec.newton, lay, sys);
   for (const auto& dev : circuit.devices()) {
     dev->commit(x, 0.0, spec.method);
   }
@@ -185,7 +258,6 @@ TransientResult transient(Circuit& circuit, const TransientSpec& spec) {
     }
   }
 
-  const size_t steps = static_cast<size_t>(std::ceil(spec.t_stop / spec.dt));
   std::vector<double> time;
   time.reserve(steps + 1);
   std::vector<std::vector<double>> samples(ids.size());
@@ -215,7 +287,8 @@ TransientResult transient(Circuit& circuit, const TransientSpec& spec) {
     if (ctx.dt <= 0.0) break;
     ctx.x_prev = x_prev;
 
-    const auto outcome = newton_solve(circuit, ctx, spec.newton, lay, x);
+    const auto outcome = newton_solve(circuit, ctx, spec.newton, lay, sys, x);
+    require_finite_update(outcome, circuit, lay, "transient", t);
     util::require(outcome.converged, "transient: Newton diverged at t = ", t,
                   " (", outcome.iterations, " iterations)");
 

@@ -7,6 +7,12 @@
 /// plays the role Hspice plays in the paper.  Accuracy knobs (step size,
 /// integration method) are explicit so the ablation benches can study
 /// their effect.
+///
+/// Each analysis sizes one Newton system (matrix, rhs, solution,
+/// permutation) from the circuit once.  Every Newton iteration stamps
+/// into that matrix and factors it in place (la::lu_factor_in_place),
+/// so a transient step allocates nothing beyond its recorded samples,
+/// whose buffers are reserved up front.
 
 #include <string>
 #include <unordered_map>
@@ -57,11 +63,16 @@ class TransientResult {
 /// Solves the DC operating point; returns the full unknown vector
 /// (layout: node voltages 1..n-1, then branch currents).  Uses plain
 /// Newton first and falls back to source stepping.  Throws util::Error
-/// on non-convergence.
+/// on non-convergence, naming the unknown when an update is NaN or
+/// infinite.
 [[nodiscard]] la::Vector dc_operating_point(Circuit& circuit,
                                             const NewtonOptions& opt = {});
 
-/// Fixed-step transient from the DC operating point at t = 0.
+/// Fixed-step transient from the DC operating point at t = 0.  Throws
+/// util::Error on a bad spec (non-finite or non-positive dt, non-finite
+/// t_stop or t_stop <= dt, more than 1e7 steps) and when a step's
+/// Newton iteration diverges or updates an unknown to NaN or infinity
+/// (the message names the time and the unknown).
 [[nodiscard]] TransientResult transient(Circuit& circuit,
                                         const TransientSpec& spec);
 

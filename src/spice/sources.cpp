@@ -6,10 +6,26 @@
 #include "util/error.hpp"
 
 namespace waveletic::spice {
+namespace {
+
+void require_finite(const char* source, const char* param, double value) {
+  util::require(std::isfinite(value), source, ": ", param,
+                " must be finite, got ", value);
+}
+
+}  // namespace
+
+DcStimulus::DcStimulus(double value) : value_(value) {
+  require_finite("DC stimulus", "value", value);
+}
 
 PwlStimulus::PwlStimulus(std::vector<Point> points)
     : points_(std::move(points)) {
   util::require(!points_.empty(), "PWL stimulus needs at least one point");
+  for (const Point& p : points_) {
+    require_finite("PWL stimulus", "time", p.t);
+    require_finite("PWL stimulus", "value", p.v);
+  }
   for (size_t i = 1; i < points_.size(); ++i) {
     util::require(points_[i].t > points_[i - 1].t,
                   "PWL stimulus times must be strictly increasing");
@@ -37,6 +53,13 @@ PulseStimulus::PulseStimulus(double v0, double v1, double delay, double rise,
       fall_(fall),
       width_(width),
       period_(period) {
+  require_finite("PULSE", "v0", v0);
+  require_finite("PULSE", "v1", v1);
+  require_finite("PULSE", "delay", delay);
+  require_finite("PULSE", "rise", rise);
+  require_finite("PULSE", "fall", fall);
+  require_finite("PULSE", "width", width);
+  require_finite("PULSE", "period", period);
   util::require(rise > 0 && fall > 0 && width >= 0,
                 "PULSE: rise/fall must be positive");
   util::require(period == 0.0 || period >= rise + width + fall,
@@ -62,6 +85,10 @@ RampStimulus::RampStimulus(double t_mid, double t_transition, double v_lo,
       v_lo_(v_lo),
       v_hi_(v_hi),
       rising_(rising) {
+  require_finite("ramp stimulus", "t_mid", t_mid);
+  require_finite("ramp stimulus", "t_transition", t_transition);
+  require_finite("ramp stimulus", "v_lo", v_lo);
+  require_finite("ramp stimulus", "v_hi", v_hi);
   util::require(t_transition > 0, "ramp stimulus: non-positive transition");
   util::require(v_hi > v_lo, "ramp stimulus: v_hi must exceed v_lo");
 }

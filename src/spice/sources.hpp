@@ -23,7 +23,8 @@ class Stimulus {
 
 class DcStimulus final : public Stimulus {
  public:
-  explicit DcStimulus(double value) noexcept : value_(value) {}
+  /// Throws util::Error on a non-finite value.
+  explicit DcStimulus(double value);
   [[nodiscard]] double at(double) const noexcept override { return value_; }
   [[nodiscard]] std::unique_ptr<Stimulus> clone() const override {
     return std::make_unique<DcStimulus>(value_);
@@ -40,7 +41,7 @@ class PwlStimulus final : public Stimulus {
     double t;
     double v;
   };
-  /// Points must be strictly increasing in time (≥ 1 point).
+  /// Points must be finite and strictly increasing in time (≥ 1 point).
   explicit PwlStimulus(std::vector<Point> points);
   [[nodiscard]] double at(double t) const noexcept override;
   [[nodiscard]] std::unique_ptr<Stimulus> clone() const override {
@@ -51,7 +52,8 @@ class PwlStimulus final : public Stimulus {
   std::vector<Point> points_;
 };
 
-/// SPICE PULSE(v0 v1 td tr tf pw per); period 0 = single pulse.
+/// SPICE PULSE(v0 v1 td tr tf pw per); period 0 = single pulse.  Every
+/// parameter must be finite.
 class PulseStimulus final : public Stimulus {
  public:
   PulseStimulus(double v0, double v1, double delay, double rise, double fall,
@@ -67,7 +69,7 @@ class PulseStimulus final : public Stimulus {
 
 /// Saturated linear ramp from v_lo to v_hi (or the reverse when
 /// `rising` is false) crossing midpoint at t_mid with 0-100% transition
-/// time t_transition.
+/// time t_transition.  Every parameter must be finite.
 class RampStimulus final : public Stimulus {
  public:
   RampStimulus(double t_mid, double t_transition, double v_lo, double v_hi,

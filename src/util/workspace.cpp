@@ -1,6 +1,8 @@
 #include "util/workspace.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <new>
 
 namespace waveletic::util {
 
@@ -26,6 +28,14 @@ std::span<double> Workspace::alloc(size_t n) {
   double* base = slabs_[slab_].data.get() + used_;
   used_ += n;
   return {base, n};
+}
+
+std::span<size_t> Workspace::alloc_indices(size_t n) {
+  static_assert(sizeof(size_t) == sizeof(double) &&
+                alignof(size_t) <= alignof(double));
+  auto* first = reinterpret_cast<size_t*>(alloc(n).data());
+  std::uninitialized_default_construct_n(first, n);  // starts their lifetime
+  return {std::launder(first), n};
 }
 
 Workspace& thread_scratch() noexcept {

@@ -47,6 +47,10 @@ class Workspace {
   /// enclosing Scope is destroyed (or forever when no scope is open).
   [[nodiscard]] std::span<double> alloc(size_t n);
 
+  /// Uninitialized span of `n` indices (e.g. an LU permutation), carved
+  /// from the same slabs as alloc() and reclaimed by the same scopes.
+  [[nodiscard]] std::span<size_t> alloc_indices(size_t n);
+
   /// RAII cursor mark: destruction rewinds the arena to the state at
   /// construction, reclaiming (but not freeing) everything allocated
   /// inside.  Scopes must nest like stack frames.

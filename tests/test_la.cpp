@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "la/gauss_newton.hpp"
 #include "la/lu.hpp"
@@ -57,37 +62,183 @@ TEST(Matrix, TransposeIdentityFrobenius) {
   EXPECT_DOUBLE_EQ(eye(0, 1), 0.0);
 }
 
+namespace {
+
+/// Factors a copy of `a` and solves a·x = b.
+std::vector<double> lu_solve_copy(la::Matrix a, std::span<const double> b) {
+  std::vector<size_t> perm(a.rows());
+  std::vector<size_t> cols(a.rows());
+  la::lu_factor_in_place(a, perm, cols);
+  std::vector<double> x(a.rows());
+  la::lu_solve_factored(a, perm, b, x);
+  return x;
+}
+
+/// The dense partial-pivot factorization and substitution the library
+/// used before its elimination skipped the pivot row's zero columns,
+/// kept verbatim as the bit-for-bit reference.
+void reference_factor(la::MatrixRef lu, size_t* perm, double pivot_tol) {
+  const size_t n = lu.rows;
+  for (size_t i = 0; i < n; ++i) perm[i] = i;
+  for (size_t k = 0; k < n; ++k) {
+    size_t pivot_row = k;
+    double pivot_mag = std::fabs(lu(k, k));
+    for (size_t r = k + 1; r < n; ++r) {
+      const double mag = std::fabs(lu(r, k));
+      if (mag > pivot_mag) {
+        pivot_mag = mag;
+        pivot_row = r;
+      }
+    }
+    wu::require(pivot_mag > pivot_tol, "LU: singular matrix (pivot ",
+                pivot_mag, " at column ", k, ")");
+    if (pivot_row != k) {
+      std::swap(perm[k], perm[pivot_row]);
+      for (size_t c = 0; c < n; ++c) {
+        std::swap(lu(k, c), lu(pivot_row, c));
+      }
+    }
+    const double inv_pivot = 1.0 / lu(k, k);
+    for (size_t r = k + 1; r < n; ++r) {
+      const double factor = lu(r, k) * inv_pivot;
+      lu(r, k) = factor;
+      if (factor == 0.0) continue;
+      for (size_t c = k + 1; c < n; ++c) {
+        lu(r, c) -= factor * lu(k, c);
+      }
+    }
+  }
+}
+
+void reference_solve(const double* lu, size_t n, const size_t* perm,
+                     std::span<const double> b, std::span<double> x) {
+  for (size_t i = 0; i < n; ++i) {
+    double acc = b[perm[i]];
+    for (size_t j = 0; j < i; ++j) acc -= lu[i * n + j] * x[j];
+    x[i] = acc;
+  }
+  for (size_t i = n; i-- > 0;) {
+    double acc = x[i];
+    for (size_t j = i + 1; j < n; ++j) acc -= lu[i * n + j] * x[j];
+    x[i] = acc / lu[i * n + i];
+  }
+}
+
+/// A random system shaped like a modified-nodal-analysis Jacobian: a
+/// sparse symmetric conductance block over the node unknowns (a few
+/// two-terminal stamps per node plus gmin), a few asymmetric
+/// transconductance stamps, and voltage-source branch rows and columns
+/// of ±1 whose zero diagonal forces row swaps.  Entries are assembled
+/// by += from zero, as the engine's stamps are.
+la::Matrix random_mna(wu::Rng& rng, size_t n) {
+  const size_t branches = n / 5;
+  const size_t nodes = n - branches;
+  la::Matrix a(n, n);
+  const auto conductance = [&](size_t i, size_t j, double g) {
+    a(i, i) += g;
+    a(j, j) += g;
+    a(i, j) -= g;
+    a(j, i) -= g;
+  };
+  for (size_t i = 0; i < nodes; ++i) {
+    a(i, i) += 1e-12;  // gmin
+    const size_t stamps = 1 + rng.below(3);
+    for (size_t s = 0; s < stamps; ++s) {
+      const size_t j = rng.below(nodes);
+      const double g = std::exp(rng.uniform(-12.0, -2.0));
+      if (j == i) {
+        a(i, i) += g;  // to ground
+      } else {
+        conductance(i, j, g);
+      }
+    }
+  }
+  for (size_t s = 0; s < nodes / 4; ++s) {  // VCCS: gm·(v_c - v_s)
+    const size_t out = rng.below(nodes);
+    const size_t ctrl = rng.below(nodes);
+    a(out, ctrl) += rng.uniform(1e-5, 1e-3);
+  }
+  // Sources sit on disjoint node pairs (nodes ≥ 4·branches), so no
+  // loop of sources makes the system singular.
+  for (size_t b = 0; b < branches; ++b) {
+    const size_t row = nodes + b;
+    const size_t pos = 4 * b;
+    a(pos, row) += 1.0;
+    a(row, pos) += 1.0;
+    if (rng.below(2) == 1) {  // floating source, else grounded
+      a(pos + 1, row) -= 1.0;
+      a(row, pos + 1) -= 1.0;
+    }
+  }
+  return a;
+}
+
+::testing::AssertionResult same_bits(std::span<const double> got,
+                                     std::span<const double> want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+}  // namespace
+
 TEST(Lu, SolvesDiagonallyDominantSystem) {
   la::Matrix a{{4.0, 1.0, 0.0}, {1.0, 5.0, 2.0}, {0.0, 2.0, 6.0}};
   const std::vector<double> x_true{1.0, -2.0, 3.0};
   const auto b = a.mul(x_true);
-  const auto x = la::lu_solve(a, b);
+  const auto x = lu_solve_copy(a, b);
   for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-12);
 }
 
 TEST(Lu, PivotingHandlesZeroDiagonal) {
   la::Matrix a{{0.0, 1.0}, {1.0, 0.0}};
-  const auto x = la::lu_solve(a, std::vector<double>{2.0, 3.0});
+  const auto x = lu_solve_copy(a, std::vector<double>{2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-14);
   EXPECT_NEAR(x[1], 2.0, 1e-14);
 }
 
 TEST(Lu, SingularMatrixThrows) {
   la::Matrix a{{1.0, 2.0}, {2.0, 4.0}};
-  EXPECT_THROW(la::lu_solve(a, std::vector<double>{1.0, 2.0}), wu::Error);
+  EXPECT_THROW((void)lu_solve_copy(a, std::vector<double>{1.0, 2.0}),
+               wu::Error);
 }
 
 TEST(Lu, NonSquareThrows) {
   la::Matrix a(2, 3);
-  la::LuFactorization lu;
-  EXPECT_THROW(lu.factor(a), wu::Error);
+  std::vector<size_t> perm(3);
+  std::vector<size_t> cols(3);
+  EXPECT_THROW(la::lu_factor_in_place(a, perm, cols), wu::Error);
 }
 
 TEST(Lu, DeterminantOfKnownMatrix) {
-  la::Matrix a{{2.0, 0.0}, {0.0, 3.0}};
-  la::LuFactorization lu;
-  lu.factor(a);
-  EXPECT_NEAR(lu.abs_determinant(), 6.0, 1e-12);
+  // |det A| is the product of U's diagonal (the permutation only flips
+  // the sign); the off-diagonal entry forces one row swap.
+  la::Matrix a{{1.0, 0.0}, {4.0, 3.0}};
+  std::vector<size_t> perm(2);
+  std::vector<size_t> cols(2);
+  la::lu_factor_in_place(a, perm, cols);
+  EXPECT_EQ(perm[0], 1u);
+  EXPECT_NEAR(std::fabs(a(0, 0) * a(1, 1)), 3.0, 1e-12);
+}
+
+TEST(Lu, IndexBuffersMustCoverTheMatrix) {
+  la::Matrix a = la::Matrix::identity(3);
+  std::vector<size_t> perm(3);
+  std::vector<size_t> cols(2);
+  EXPECT_THROW(la::lu_factor_in_place(a, perm, cols), wu::Error);
+  std::vector<double> x(2);
+  std::vector<size_t> ok(3);
+  la::lu_factor_in_place(a, perm, ok);
+  const std::vector<double> b{1.0, 2.0, 3.0};
+  EXPECT_THROW(la::lu_solve_factored(a, perm, b, x), wu::Error);
 }
 
 TEST(Lu, RandomSystemsRoundTrip) {
@@ -102,8 +253,88 @@ TEST(Lu, RandomSystemsRoundTrip) {
     std::vector<double> x_true(n);
     for (auto& v : x_true) v = rng.uniform(-5.0, 5.0);
     const auto b = a.mul(x_true);
-    const auto x = la::lu_solve(a, b);
+    const auto x = lu_solve_copy(a, b);
     for (size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+  }
+}
+
+// The sparse-update elimination must reproduce the dense reference bit
+// for bit: factors, permutation and solution, on MNA-shaped systems
+// from 1 to 80 unknowns (past the 64-unknown stack bound the in-place
+// solver once had).
+TEST(Lu, SparseEliminationMatchesDenseReferenceBitwise) {
+  wu::Rng rng(20260318);
+  size_t swapped = 0;
+  for (size_t n = 1; n <= 80; ++n) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const la::Matrix a = random_mna(rng, n);
+      std::vector<double> b(n);
+      for (auto& v : b) v = rng.uniform(-1e-3, 1e-3);
+
+      la::Matrix ref = a;
+      std::vector<size_t> ref_perm(n);
+      reference_factor(ref, ref_perm.data(), 1e-14);
+      std::vector<double> ref_x(n);
+      reference_solve(&ref(0, 0), n, ref_perm.data(), b, ref_x);
+
+      la::Matrix lu = a;
+      std::vector<size_t> perm(n);
+      std::vector<size_t> cols(n);
+      la::lu_factor_in_place(lu, perm, cols);
+      std::vector<double> x(n);
+      la::lu_solve_factored(lu, perm, b, x);
+
+      SCOPED_TRACE(::testing::Message() << "n = " << n << ", rep " << rep);
+      ASSERT_EQ(perm, ref_perm);
+      ASSERT_TRUE(same_bits(std::span<const double>(&lu(0, 0), n * n),
+                            std::span<const double>(&ref(0, 0), n * n)));
+      ASSERT_TRUE(same_bits(x, ref_x));
+      for (size_t i = 0; i < n; ++i) swapped += perm[i] != i;
+    }
+  }
+  EXPECT_GT(swapped, 0u) << "no system forced a row swap";
+}
+
+TEST(Lu, SingularErrorNamesTheColumn) {
+  wu::Rng rng(7);
+  la::Matrix a = random_mna(rng, 12);
+  for (size_t r = 0; r < 12; ++r) a(r, 5) = 0.0;  // an unknown no row sees
+  la::Matrix ref = a;
+  std::vector<size_t> ref_perm(12);
+  std::string ref_msg;
+  try {
+    reference_factor(ref, ref_perm.data(), 1e-14);
+  } catch (const wu::Error& e) {
+    ref_msg = e.what();
+  }
+  std::vector<size_t> perm(12);
+  std::vector<size_t> cols(12);
+  try {
+    la::lu_factor_in_place(a, perm, cols);
+    FAIL() << "singular matrix factored";
+  } catch (const wu::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at column 5"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(std::string(e.what()), ref_msg);
+  }
+
+  // A NaN diagonal stays the pivot candidate, as in the reference, so
+  // both stop at its column with the same message.
+  la::Matrix b = random_mna(rng, 12);
+  b(4, 4) = std::numeric_limits<double>::quiet_NaN();
+  la::Matrix ref_b = b;
+  ref_msg.clear();
+  try {
+    reference_factor(ref_b, ref_perm.data(), 1e-14);
+  } catch (const wu::Error& e) {
+    ref_msg = e.what();
+  }
+  try {
+    la::lu_factor_in_place(b, perm, cols);
+    FAIL() << "NaN pivot accepted";
+  } catch (const wu::Error& e) {
+    EXPECT_FALSE(ref_msg.empty());
+    EXPECT_EQ(std::string(e.what()), ref_msg);
   }
 }
 

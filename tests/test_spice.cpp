@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <string>
 
 #include "spice/devices.hpp"
 #include "spice/engine.hpp"
@@ -14,6 +21,48 @@
 namespace sp = waveletic::spice;
 namespace wv = waveletic::wave;
 namespace wu = waveletic::util;
+
+// ---------------------------------------------------------------------------
+// Heap-allocation counter for this test binary: every form of operator
+// new counts, every form of delete frees (so sanitizer builds see
+// matching pairs).  Engine.TransientAllocationsDoNotGrowWithSteps reads it.
+// ---------------------------------------------------------------------------
+
+namespace {
+std::atomic<uint64_t> g_heap_allocations{0};
+
+void* counted_alloc(std::size_t n) noexcept {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+
+// Out of line, so the compiler does not pair an inlined free() with the
+// operator new that produced the pointer (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
 
 namespace {
 
@@ -229,6 +278,31 @@ TEST(Mosfet, CutoffBelowThreshold) {
   EXPECT_DOUBLE_EQ(op.gm, 0.0);
 }
 
+// A device remembers the powers of its last overdrive; a hit must return
+// exactly what std::pow would, so a bias sequence with repeats (forward
+// and reverse conduction, cutoff in between) evaluates bit for bit like
+// fresh devices.
+TEST(Mosfet, PowMemoIsBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+  const double biases[][3] = {
+      {1.2, 0.8, 0.0}, {1.2, 0.8, 0.0}, {0.3, 0.8, 0.0},  {0.3, 0.8, 0.0},
+      {1.2, 0.2, 0.0}, {1.2, 0.8, 0.0}, {-0.2, 0.9, 0.0}, {0.5, 0.8, 0.1},
+      {0.5, 0.8, 0.1}, {1.2, 0.8, 0.0}};
+  for (const auto& model : {nmos_model(), pmos_model()}) {
+    const double sign = model.pmos ? -1.0 : 1.0;
+    const sp::Mosfet reused("m", 1, 2, sp::kGround, sp::kGround, model, 1e-6);
+    for (const auto& b : biases) {
+      const sp::Mosfet fresh("m", 1, 2, sp::kGround, sp::kGround, model,
+                             1e-6);
+      const auto got = reused.evaluate(sign * b[0], sign * b[1], sign * b[2]);
+      const auto want = fresh.evaluate(sign * b[0], sign * b[1], sign * b[2]);
+      EXPECT_EQ(bits(got.id), bits(want.id));
+      EXPECT_EQ(bits(got.gm), bits(want.gm));
+      EXPECT_EQ(bits(got.gds), bits(want.gds));
+    }
+  }
+}
+
 TEST(Mosfet, ContinuousAcrossSaturationBoundary) {
   sp::Circuit ckt;
   sp::Mosfet m("m1", ckt.node("d"), ckt.node("g"), sp::kGround, sp::kGround,
@@ -408,12 +482,149 @@ TEST(Inverter, ChainPropagatesBothPolarities) {
   EXPECT_GT(*d, 0.0);
 }
 
+namespace {
+
+/// Message of the util::Error `fn` throws ("" when it does not throw).
+template <typename Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const wu::Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+}  // namespace
+
 TEST(Engine, ThrowsOnBadSpec) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   sp::Circuit ckt;
   ckt.emplace<sp::Resistor>("r", ckt.node("a"), sp::kGround, 1.0);
+  const auto run = [&](double t_stop, double dt) {
+    sp::TransientSpec spec;
+    spec.t_stop = t_stop;
+    spec.dt = dt;
+    return error_of([&] { (void)sp::transient(ckt, spec); });
+  };
+  EXPECT_TRUE(contains(run(1e-9, 0.0), "dt")) << run(1e-9, 0.0);
+  EXPECT_TRUE(contains(run(1e-9, -1e-12), "dt"));
+  EXPECT_TRUE(contains(run(1e-9, kNaN), "dt must be positive and finite"));
+  EXPECT_TRUE(contains(run(1e-9, kInf), "dt must be positive and finite"));
+  EXPECT_TRUE(contains(run(kInf, 1e-12), "t_stop must be finite"));
+  EXPECT_TRUE(contains(run(kNaN, 1e-12), "t_stop must be finite"));
+  EXPECT_TRUE(contains(run(1e-12, 1e-12), "exceed dt"));
+  // A mistyped dt fails by name, before any sample buffer is reserved.
+  EXPECT_TRUE(contains(run(1e-9, 1e-30), "steps")) << run(1e-9, 1e-30);
+  EXPECT_TRUE(contains(run(1.0, 1e-12), "steps"));
+  // An empty circuit has nothing to solve.
+  sp::Circuit empty;
   sp::TransientSpec spec;
-  spec.dt = 0.0;
-  EXPECT_THROW((void)sp::transient(ckt, spec), wu::Error);
+  EXPECT_TRUE(contains(error_of([&] { (void)sp::transient(empty, spec); }),
+                       "no unknowns"));
+}
+
+namespace {
+
+/// 1 V until `t_bad`, then `bad` (NaN or infinity) from there on.
+class TurnsNonFinite final : public sp::Stimulus {
+ public:
+  TurnsNonFinite(double t_bad, double bad) : t_bad_(t_bad), bad_(bad) {}
+  [[nodiscard]] double at(double t) const noexcept override {
+    return t >= t_bad_ ? bad_ : 1.0;
+  }
+  [[nodiscard]] std::unique_ptr<sp::Stimulus> clone() const override {
+    return std::make_unique<TurnsNonFinite>(*this);
+  }
+
+ private:
+  double t_bad_, bad_;
+};
+
+/// Message of a transient of an RC driven by TurnsNonFinite.
+std::string rc_error(double t_bad, double bad) {
+  sp::Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto out = ckt.node("out");
+  ckt.emplace<sp::VoltageSource>("vin", in, sp::kGround,
+                                 std::make_unique<TurnsNonFinite>(t_bad, bad));
+  ckt.emplace<sp::Resistor>("r", in, out, 1000.0);
+  ckt.emplace<sp::Capacitor>("c", out, sp::kGround, 1e-12);
+  sp::TransientSpec spec;
+  spec.t_stop = 2e-10;
+  spec.dt = 1e-12;
+  return error_of([&] { (void)sp::transient(ckt, spec); });
+}
+
+}  // namespace
+
+// A NaN or infinite Newton update is divergence: the run stops at the
+// step where it appears, naming the analysis, the time and the unknown,
+// instead of "converging" on NaN and failing later in Waveform.
+TEST(Engine, NonFiniteNewtonUpdateIsDivergence) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    const std::string tran = rc_error(50e-12, bad);
+    // Caught on the first iteration at the bad step: an infinite update
+    // is not clamped into a finite one.
+    EXPECT_TRUE(contains(tran, "transient: non-finite Newton update of "
+                               "node 'in' at t = 5e-11 (iteration 1)"))
+        << tran;
+    const std::string dc = rc_error(0.0, bad);
+    EXPECT_TRUE(contains(dc, "DC operating point: non-finite Newton update"))
+        << dc;
+    EXPECT_TRUE(contains(dc, "at t = 0")) << dc;
+  }
+
+  // A solution that overflows to infinity (finite sources, no NaN) is
+  // caught too, not clamped into a finite node step.
+  sp::Circuit ckt;
+  const auto n = ckt.node("n");
+  ckt.emplace<sp::CurrentSource>("i", sp::kGround, n,
+                                 std::make_unique<sp::DcStimulus>(1e308));
+  ckt.emplace<sp::Resistor>("r", n, sp::kGround, 1e3);
+  const std::string overflow =
+      error_of([&] { (void)sp::dc_operating_point(ckt); });
+  EXPECT_TRUE(contains(overflow, "DC operating point: non-finite Newton "
+                                 "update of node 'n'"))
+      << overflow;
+}
+
+// The Newton buffers live for the whole analysis and every sample buffer
+// is reserved up front, so a run's heap allocations do not depend on its
+// step count.
+TEST(Engine, TransientAllocationsDoNotGrowWithSteps) {
+  sp::Circuit ckt;
+  add_vdd(ckt, "vdd");
+  add_inverter(ckt, "inv", "in", "out", "vdd", 0.52e-6, 1.04e-6);
+  ckt.emplace<sp::Capacitor>("cl", ckt.find_node("out"), sp::kGround, 4e-15);
+  ckt.emplace<sp::VoltageSource>(
+      "vin", ckt.find_node("in"), sp::kGround,
+      std::make_unique<sp::RampStimulus>(0.3e-9, 100e-12, 0.0, kVdd, true));
+  const auto allocations = [&](double t_stop) {
+    sp::TransientSpec spec;
+    spec.t_stop = t_stop;
+    spec.dt = 1e-12;
+    const uint64_t before = g_heap_allocations.load();
+    size_t steps = 0;
+    {
+      const auto res = sp::transient(ckt, spec);
+      steps = res.steps();
+    }
+    return std::pair{g_heap_allocations.load() - before, steps};
+  };
+  (void)allocations(1e-9);  // warm-up
+  const auto [short_allocs, short_steps] = allocations(1e-9);
+  const auto [long_allocs, long_steps] = allocations(2e-9);
+  EXPECT_EQ(long_steps, 2 * short_steps - 1);
+  EXPECT_GT(short_allocs, 0u);  // the counter is live
+  EXPECT_EQ(long_allocs, short_allocs);
 }
 
 TEST(Engine, ProbeSubsetOnlyRecordsRequested) {
@@ -460,6 +671,73 @@ TEST(Devices, RejectNonPhysicalValues) {
   EXPECT_THROW(ckt.emplace<sp::Capacitor>("c", ckt.node("a"), sp::kGround,
                                           0.0),
                wu::Error);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const auto a = ckt.node("a");
+  for (const double bad : {kInf, kNaN}) {
+    EXPECT_TRUE(contains(error_of([&] {
+                           ckt.emplace<sp::Resistor>("r", a, sp::kGround, bad);
+                         }),
+                         "resistance must be positive and finite"));
+    EXPECT_TRUE(contains(error_of([&] {
+                           ckt.emplace<sp::Capacitor>("c", a, sp::kGround, bad);
+                         }),
+                         "capacitance must be positive and finite"));
+    EXPECT_TRUE(contains(error_of([&] {
+                           ckt.emplace<sp::Mosfet>("m", a, a, sp::kGround,
+                                                   sp::kGround, nmos_model(),
+                                                   bad);
+                         }),
+                         "width must be positive and finite"));
+  }
+
+  // Stimuli: every parameter must be finite; the message names it.
+  const auto stim_error = [](auto make) { return error_of(make); };
+  for (const double bad : {kInf, -kInf, kNaN}) {
+    EXPECT_TRUE(contains(
+        stim_error([&] { sp::DcStimulus s(bad); }), "DC stimulus: value"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::RampStimulus s(bad, 1e-10, 0.0, 1.0, true);
+                         }),
+                         "ramp stimulus: t_mid must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::RampStimulus s(1e-9, 1e-10, 0.0, bad, true);
+                         }),
+                         "v_hi must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::RampStimulus s(1e-9, 1e-10, bad, 1.0, false);
+                         }),
+                         "v_lo must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::PulseStimulus s(bad, 1.0, 0.0, 1e-11, 1e-11,
+                                               1e-10, 0.0);
+                         }),
+                         "PULSE: v0 must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::PulseStimulus s(0.0, bad, 0.0, 1e-11, 1e-11,
+                                               1e-10, 0.0);
+                         }),
+                         "PULSE: v1 must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::PulseStimulus s(0.0, 1.0, bad, 1e-11, 1e-11,
+                                               1e-10, 0.0);
+                         }),
+                         "PULSE: delay must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::PulseStimulus s(0.0, 1.0, 0.0, 1e-11, 1e-11,
+                                               1e-10, bad);
+                         }),
+                         "PULSE: period must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::PwlStimulus s({{0.0, 0.0}, {1e-10, bad}});
+                         }),
+                         "PWL stimulus: value must be finite"));
+    EXPECT_TRUE(contains(stim_error([&] {
+                           sp::PwlStimulus s({{bad, 0.0}});
+                         }),
+                         "PWL stimulus: time must be finite"));
+  }
 }
 
 // Parameterized: inverter delay is finite and positive across drive
