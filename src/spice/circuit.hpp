@@ -82,6 +82,11 @@ class Device {
   /// Resets history state before a new analysis.
   virtual void reset_state() {}
 
+  /// True when the stamp depends on the iterate ctx.x.  A circuit with
+  /// no such device reuses its last LU factorization whenever the
+  /// assembled matrix repeats bit for bit (engine.hpp); the flag only
+  /// decides whether that copy and compare are worth making, so a wrong
+  /// `false` costs time, never a result.
   [[nodiscard]] virtual bool nonlinear() const noexcept { return false; }
 
  protected:

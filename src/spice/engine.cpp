@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "la/lu.hpp"
@@ -24,6 +26,9 @@ struct SystemLayout {
   size_t n_node_vars = 0; // n_nodes - 1
   size_t n_branches = 0;
   size_t unknowns = 0;
+  /// No device reports Device::nonlinear(): the Newton matrix then
+  /// depends on the step, not on the iterate.
+  bool linear = true;
 
   explicit SystemLayout(Circuit& circuit) {
     n_nodes = circuit.node_count();
@@ -35,30 +40,78 @@ struct SystemLayout {
         dev->assign_branches(next);
         next += count;
       }
+      linear = linear && !dev->nonlinear();
     }
     n_branches = static_cast<size_t>(next) - n_node_vars;
     unknowns = n_node_vars + n_branches;
   }
 };
 
+/// Bitwise equality of two equally long arrays (-0.0 != 0.0, equal NaN
+/// payloads match): the memo's key compare.
+bool same_bits(std::span<const double> a, std::span<const double> b) noexcept {
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 /// One analysis' Newton system, sized from the layout once (so stamping
-/// checks no dimensions) and reused by every iteration of every step:
-/// the matrix is assembled, factored and solved in place.
+/// checks no dimensions) and reused by every iteration of every step.
+///
+/// A nonlinear circuit's matrix is factored and solved in place.  A
+/// linear circuit keeps a one-slot memo of its last factorization: the
+/// unfactored matrix beside its LU, and the right-hand side `x_new`
+/// solves.  A fresh assembly bitwise equal to that matrix skips the
+/// factorization, and an equal right-hand side skips the solve too.
+/// The same input bits give the same output bits, so the memo never
+/// changes a result; the linear flag only decides whether the copy and
+/// compare are worth paying.
 struct NewtonSystem {
   la::Matrix a;
   la::Vector z;
   la::Vector x_new;
   std::vector<size_t> perm;
   std::vector<size_t> cols;  // LU elimination scratch
+  const bool memo;  // linear circuit: keep the one-slot memo below
+  la::Matrix a_memo;  // the unfactored matrix `lu` factors
+  la::Matrix lu;
+  la::Vector z_memo;  // the right-hand side `x_new` solves
+  /// `lu` factors `a_memo` and `x_new` solves (a_memo, z_memo).
+  bool memo_valid = false;
 
   explicit NewtonSystem(const SystemLayout& lay)
       : a(lay.unknowns, lay.unknowns),
         z(lay.unknowns, 0.0),
         x_new(lay.unknowns, 0.0),
         perm(lay.unknowns),
-        cols(lay.unknowns) {
+        cols(lay.unknowns),
+        memo(lay.linear) {
     util::require(lay.unknowns > 0,
                   "analysis: circuit has no unknowns (no non-ground node)");
+    if (memo) {
+      a_memo = a;
+      lu = a;
+      z_memo = z;
+    }
+  }
+
+  /// Solves the assembled A·x = z into x_new.
+  void solve() {
+    if (!memo) {
+      la::lu_factor_in_place(a, perm, cols);
+      la::lu_solve_factored(a, perm, z, x_new);
+      return;
+    }
+    if (memo_valid &&
+        same_bits(la::MatrixRef(a).flat(), la::MatrixRef(a_memo).flat())) {
+      if (same_bits(z, z_memo)) return;  // x_new already solves it
+    } else {
+      memo_valid = false;  // and stays so if the matrix is singular
+      lu = a;
+      la::lu_factor_in_place(lu, perm, cols);
+      std::swap(a, a_memo);
+    }
+    la::lu_solve_factored(lu, perm, z, x_new);
+    std::swap(z, z_memo);
+    memo_valid = true;
   }
 };
 
@@ -96,8 +149,7 @@ NewtonOutcome newton_solve(Circuit& circuit, StampContext ctx,
     out.iterations = it + 1;
     ctx.x = x;
     assemble(circuit, ctx, lay.n_nodes, sys);
-    la::lu_factor_in_place(sys.a, sys.perm, sys.cols);
-    la::lu_solve_factored(sys.a, sys.perm, sys.z, sys.x_new);
+    sys.solve();
 
     // Damped update with per-node clamp.
     double max_dv = 0.0;

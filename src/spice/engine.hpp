@@ -13,6 +13,14 @@
 /// into that matrix and factors it in place (la::lu_factor_in_place),
 /// so a transient step allocates nothing beyond its recorded samples,
 /// whose buffers are reserved up front.
+///
+/// When no device reports Device::nonlinear(), the system also keeps
+/// its last factorization beside the unfactored matrix it came from.
+/// An assembly bitwise equal to that matrix reuses the LU (every
+/// iteration after a step's first, and every step whose dt repeats bit
+/// for bit), and a right-hand side equal to the last one reuses the
+/// solution.  Equal input bits give equal output bits, so results do
+/// not depend on it.
 
 #include <string>
 #include <unordered_map>

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "wave/kernels.hpp"
 
 namespace waveletic::spice {
 namespace {
@@ -98,6 +99,23 @@ double RampStimulus::at(double t) const noexcept {
   const double frac = std::clamp((t - start) / t_transition_, 0.0, 1.0);
   const double progress = rising_ ? frac : 1.0 - frac;
   return v_lo_ + progress * (v_hi_ - v_lo_);
+}
+
+double WaveformStimulus::at(double t) const noexcept {
+  const auto time = wave_.times();
+  const auto value = wave_.values();
+  if (t <= time.front()) return value.front();
+  if (t >= time.back()) return value.back();
+  // time[hi_ - 1] <= t makes the forward walk end at upper_bound's
+  // answer; t < time.back() stops it inside the grid.
+  if (t < time[hi_ - 1]) {
+    hi_ = static_cast<size_t>(
+        std::upper_bound(time.begin(), time.end(), t) - time.begin());
+  } else {
+    while (time[hi_] <= t) ++hi_;
+  }
+  return wave::detail::lerp_segment(time.data(), value.data(), hi_ - 1, hi_,
+                                    t);
 }
 
 }  // namespace waveletic::spice

@@ -88,15 +88,19 @@ class RampStimulus final : public Stimulus {
 class WaveformStimulus final : public Stimulus {
  public:
   explicit WaveformStimulus(wave::Waveform w) : wave_(std::move(w)) {}
-  [[nodiscard]] double at(double t) const noexcept override {
-    return wave_.at(t);
-  }
+  /// Bitwise Waveform::at(t).  A transient asks for non-decreasing
+  /// times, so the segment of the last query is kept and walked
+  /// forward; a query before it falls back to the binary search.  The
+  /// cursor makes concurrent calls unsafe, which no analysis makes: a
+  /// circuit is analysed by one thread at a time.
+  [[nodiscard]] double at(double t) const noexcept override;
   [[nodiscard]] std::unique_ptr<Stimulus> clone() const override {
     return std::make_unique<WaveformStimulus>(*this);
   }
 
  private:
   wave::Waveform wave_;
+  mutable size_t hi_ = 1;  ///< upper sample of the last query's segment
 };
 
 }  // namespace waveletic::spice

@@ -1,44 +1,42 @@
 #include "sta/gamma_cache.hpp"
 
-#include <cstring>
+#include <bit>
+#include <span>
 
 namespace waveletic::sta {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+constexpr uint64_t kSeed = 1469598103934665603ull;
+constexpr uint64_t kMultiplier = 0x9e3779b97f4a7c15ull;
 
-uint64_t fnv1a(uint64_t h, const void* data, size_t bytes) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
+/// Folds one 64-bit word into the running hash.  The odd multiply
+/// carries low bits up and the shift folds high bits back down, so every
+/// input bit reaches the low bits the shard index reads.  Both are
+/// bijections of h, so inputs of one length that differ in a single
+/// word never collide.
+uint64_t mix(uint64_t h, uint64_t w) noexcept {
+  h = (h ^ w) * kMultiplier;
+  return h ^ (h >> 32);
 }
 
-uint64_t mix(uint64_t h, uint64_t v) noexcept {
-  return fnv1a(h, &v, sizeof(v));
+uint64_t mix_doubles(uint64_t h, std::span<const double> xs) noexcept {
+  for (const double x : xs) h = mix(h, std::bit_cast<uint64_t>(x));
+  return h;
 }
 
 }  // namespace
 
 uint64_t noise_waveform_key(const wave::Waveform& w,
                             wave::Polarity polarity) noexcept {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kSeed;
   h = mix(h, static_cast<uint64_t>(polarity));
   h = mix(h, static_cast<uint64_t>(w.size()));
-  const auto t = w.times();
-  const auto v = w.values();
-  if (!t.empty()) {
-    h = fnv1a(h, t.data(), t.size() * sizeof(double));
-    h = fnv1a(h, v.data(), v.size() * sizeof(double));
-  }
-  return h;
+  h = mix_doubles(h, w.times());
+  return mix_doubles(h, w.values());
 }
 
 size_t GammaCache::KeyHash::operator()(const Key& k) const noexcept {
-  uint64_t h = kFnvOffset;
+  uint64_t h = kSeed;
   h = mix(h, k.noise_key);
   h = mix(h, k.method_id);
   h = mix(h, k.arc_id);

@@ -10,15 +10,17 @@
 /// an aggressor configuration, repeated runs — so the engine memoizes
 /// the fitted (arrival, slew) per key.
 ///
-/// The key is exact: raw IEEE-754 bit patterns of the input arrival,
+/// The key holds the raw IEEE-754 bit patterns of the input arrival,
 /// slew and sink load, the receiving arc's identity (a pointer into
 /// the liberty library, stable for the library's lifetime), the
-/// net-edge index, and the annotation's content hash.  A hit therefore
-/// returns bitwise-exactly what the fit would have produced, keeping
-/// cached and uncached runs identical.  Because arc identity and load
-/// bits are in the key (not just the edge index), one cache may be
-/// shared across prepared engine states whose loads or graphs differ —
-/// entries simply never collide across them.
+/// net-edge index, and the annotation's 64-bit content hash
+/// (noise_waveform_key()).  Every field but the last is exact; two
+/// different annotations whose hashes collide would share a fit, so a
+/// hit is bitwise what the fit would have produced unless two
+/// annotations collide (an exact key is still to be built).  Because arc identity
+/// and load bits are in the key (not just the edge index), one cache
+/// may be shared across prepared engine states whose loads or graphs
+/// differ — entries simply never collide across them.
 ///
 /// Sharded: 16 buckets, each an unordered_map under its own mutex, so
 /// concurrent lookups from the propagation pool rarely contend.
@@ -34,8 +36,9 @@
 
 namespace waveletic::sta {
 
-/// Content hash of a noisy-net annotation (waveform samples + polarity);
-/// annotations that hash equal are assumed identical.
+/// 64-bit content hash of a noisy-net annotation (polarity, sample
+/// count, then every time and value bit pattern, one word per mixing
+/// step); annotations that hash equal are assumed identical.
 [[nodiscard]] uint64_t noise_waveform_key(const wave::Waveform& w,
                                           wave::Polarity polarity) noexcept;
 

@@ -12,6 +12,8 @@
 #include "netlist/netlist.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
+#include "util/workspace.hpp"
+#include "wave/kernels.hpp"
 #include "wave/ramp.hpp"
 
 namespace waveletic::sta {
@@ -608,10 +610,16 @@ NoiseScenario ScenarioGenerator::materialize(const Candidate& c) const {
                   std::exp(-std::pow((t[n] - center) / sigma, 2.0));
         }
       } else {
+        // The shifted grid is monotone, so one merge scan samples it
+        // bitwise as bump.at() would point by point.
         const auto& bump = scaled_bump(members[j], c.strength);
-        for (size_t n = 0; n < t.size(); ++n) {
-          v[n] += bump.at(t[n] - center);
-        }
+        auto& ws = util::thread_scratch();
+        const auto scope = ws.scope();
+        const std::span<double> shifted = ws.alloc(t.size());
+        const std::span<double> sampled = ws.alloc(t.size());
+        for (size_t n = 0; n < t.size(); ++n) shifted[n] = t[n] - center;
+        wave::sample_into(bump, shifted, sampled);
+        for (size_t n = 0; n < t.size(); ++n) v[n] += sampled[n];
       }
     }
     s.annotate(anchor.victim_name, wave::Waveform(std::move(t), std::move(v)),

@@ -12,7 +12,10 @@
 #include <limits>
 #include <new>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "interconnect/coupled.hpp"
 #include "spice/devices.hpp"
 #include "spice/engine.hpp"
 #include "util/error.hpp"
@@ -642,6 +645,205 @@ TEST(Engine, ProbeSubsetOnlyRecordsRequested) {
   EXPECT_TRUE(res.has("b"));
   EXPECT_FALSE(res.has("a"));
   EXPECT_THROW((void)res.waveform("a"), wu::Error);
+}
+
+// ---------------------------------------------------------------------------
+// The linear-circuit factorization memo
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Stamps nothing and reports itself nonlinear: added to a linear
+/// circuit, it turns the engine's factorization memo off and changes
+/// nothing else.
+class InertNonlinear final : public sp::Device {
+ public:
+  InertNonlinear() : sp::Device("inert") {}
+  void stamp(sp::Stamper&, const sp::StampContext&) const override {}
+  [[nodiscard]] bool nonlinear() const noexcept override { return true; }
+};
+
+/// A two-line coupled bus under a ramp aggressor: the bump-shape
+/// testbench, with capacitors in most rows of the matrix.
+sp::Circuit coupled_bus_circuit(bool inert) {
+  sp::Circuit ckt;
+  waveletic::interconnect::CoupledBusSpec bus;
+  bus.lines = {{"a", 4, 51.0, 28.8e-15}, {"v", 4, 51.0, 28.8e-15}};
+  bus.couplings = {{0, 1, 60e-15}};
+  const auto nodes = waveletic::interconnect::build_coupled_bus(ckt, bus);
+  const auto drv = ckt.node("drv");
+  ckt.emplace<sp::VoltageSource>(
+      "vsrc", drv, sp::kGround,
+      std::make_unique<sp::RampStimulus>(45e-12, 30e-12, 0.0, 1.0, true));
+  ckt.emplace<sp::Resistor>("rdrv", drv, ckt.find_node(nodes.near_end(0)),
+                            120.0);
+  ckt.emplace<sp::Resistor>("rhold", ckt.find_node(nodes.near_end(1)),
+                            sp::kGround, 120.0);
+  ckt.emplace<sp::Capacitor>("cl", ckt.find_node(nodes.far_end(1)),
+                             sp::kGround, 2e-15);
+  if (inert) ckt.emplace<InertNonlinear>();
+  return ckt;
+}
+
+/// A resistor ladder driven by a current pulse that returns to zero.
+/// With `far_cap`, one capacitor sits on the last node, so a change of
+/// step size changes only the matrix's last row; without it, the
+/// right-hand side is all zero again after the pulse.
+sp::Circuit norton_ladder(bool far_cap, bool inert) {
+  sp::Circuit ckt;
+  const sp::NodeId n[] = {ckt.node("n0"), ckt.node("n1"), ckt.node("n2"),
+                          ckt.node("n3")};
+  ckt.emplace<sp::CurrentSource>(
+      "isrc", sp::kGround, n[0],
+      std::make_unique<sp::PulseStimulus>(0.0, 1e-3, 20e-12, 10e-12, 10e-12,
+                                          30e-12, 0.0));
+  ckt.emplace<sp::Resistor>("rsrc", n[0], sp::kGround, 500.0);
+  ckt.emplace<sp::Resistor>("r1", n[0], n[1], 200.0);
+  ckt.emplace<sp::Resistor>("r2", n[1], n[2], 200.0);
+  ckt.emplace<sp::Resistor>("r3", n[2], n[3], 200.0);
+  if (far_cap) ckt.emplace<sp::Capacitor>("c", n[3], sp::kGround, 5e-15);
+  if (inert) ckt.emplace<InertNonlinear>();
+  return ckt;
+}
+
+/// Asserts that every probe sample of `a` equals `b`'s bit for bit.
+void expect_same_bits(const sp::TransientResult& a,
+                      const sp::TransientResult& b) {
+  ASSERT_EQ(a.probe_names(), b.probe_names());
+  ASSERT_EQ(a.steps(), b.steps());
+  for (const auto& name : a.probe_names()) {
+    const auto& wa = a.waveform(name);
+    const auto& wb = b.waveform(name);
+    for (size_t i = 0; i < wa.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(wa.time(i)),
+                std::bit_cast<uint64_t>(wb.time(i)))
+          << name << " sample " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(wa.value(i)),
+                std::bit_cast<uint64_t>(wb.value(i)))
+          << name << " sample " << i;
+    }
+  }
+}
+
+}  // namespace
+
+// A linear circuit reuses its last factorization (and its last solution)
+// when the assembled system repeats bit for bit.  Every probe sample must
+// equal the twin circuit whose inert nonlinear device turns that reuse
+// off.  t_stop is not a multiple of dt, so the last step is shorter.
+TEST(Engine, LinearFactorReuseIsBitwise) {
+  using Build = sp::Circuit (*)(bool);
+  const std::pair<const char*, Build> circuits[] = {
+      {"coupled bus", coupled_bus_circuit},
+      {"ladder, far-end cap",
+       [](bool inert) { return norton_ladder(true, inert); }},
+      {"ladder, resistive",
+       [](bool inert) { return norton_ladder(false, inert); }},
+  };
+  for (const auto& [label, build] : circuits) {
+    for (const auto method :
+         {sp::Integration::kBackwardEuler, sp::Integration::kTrapezoidal}) {
+      SCOPED_TRACE(std::string(label) + ", " + sp::to_string(method));
+      sp::TransientSpec spec;
+      spec.t_stop = 180.5e-12;
+      spec.dt = 0.7e-12;
+      spec.method = method;
+      sp::Circuit linear = build(false);
+      sp::Circuit reference = build(true);
+      const auto got = sp::transient(linear, spec);
+      const auto want = sp::transient(reference, spec);
+      EXPECT_GT(got.steps(), 250u);
+      expect_same_bits(got, want);
+      // A second run of the same circuit starts from a fresh memo.
+      expect_same_bits(sp::transient(linear, spec), want);
+    }
+  }
+}
+
+namespace {
+
+/// A 1 V source from `node` to ground that opens (stamps nothing, so its
+/// branch row and column are zero) from `t_open` on: a linear device
+/// that makes the matrix singular mid-transient.
+class OpensAt final : public sp::Device {
+ public:
+  OpensAt(sp::NodeId node, double t_open)
+      : sp::Device("opens"), node_(node), t_open_(t_open) {}
+  [[nodiscard]] int branch_count() const noexcept override { return 1; }
+  void stamp(sp::Stamper& st, const sp::StampContext& ctx) const override {
+    if (ctx.time < t_open_) {
+      st.branch_voltage(branch_index(), node_, sp::kGround, 1.0);
+    }
+  }
+
+ private:
+  sp::NodeId node_;
+  double t_open_;
+};
+
+sp::Circuit opening_rc() {
+  sp::Circuit ckt;
+  const auto s = ckt.node("s");
+  const auto out = ckt.node("out");
+  ckt.emplace<OpensAt>(s, 100e-12);
+  ckt.emplace<sp::Resistor>("r", s, out, 1000.0);
+  ckt.emplace<sp::Capacitor>("c", out, sp::kGround, 1e-13);
+  return ckt;
+}
+
+}  // namespace
+
+// A singular step throws the LU error naming the column (the source's
+// branch, unknown 2) after many memo hits, and the same Circuit runs
+// cleanly afterwards, bitwise equal to a fresh copy.
+TEST(Engine, SingularLinearCircuitThrowsAndRerunSucceeds) {
+  sp::Circuit ckt = opening_rc();
+  sp::TransientSpec spec;
+  spec.dt = 1e-12;
+  spec.t_stop = 200e-12;
+  const std::string err = error_of([&] { (void)sp::transient(ckt, spec); });
+  EXPECT_TRUE(contains(err, "singular matrix")) << err;
+  EXPECT_TRUE(contains(err, "at column 2")) << err;
+
+  spec.t_stop = 90e-12;
+  const auto rerun = sp::transient(ckt, spec);
+  EXPECT_EQ(rerun.steps(), 91u);
+  sp::Circuit fresh = opening_rc();
+  expect_same_bits(rerun, sp::transient(fresh, spec));
+}
+
+// The receiver replica's source walks a cursor forward over its
+// waveform; every query must still equal Waveform::at bit for bit,
+// whichever way the queries move.
+TEST(WaveformStimulus, CursorMatchesWaveformAt) {
+  std::vector<double> t;
+  std::vector<double> v;
+  for (int k = 0; k < 40; ++k) {
+    t.push_back(1e-12 * (k * k + 3 * k));  // non-uniform grid
+    v.push_back(std::sin(0.37 * k));
+  }
+  const wv::Waveform w(t, v);
+  const sp::WaveformStimulus stim(w);
+  std::vector<double> queries;
+  for (double q = -50e-12; q < 1700e-12; q += 0.37e-12) {
+    queries.push_back(q);
+    if (queries.size() % 7 == 0) queries.push_back(q);  // repeated
+  }
+  queries.insert(queries.end(), t.begin(), t.end());  // exact sample times
+  for (const double q : {900e-12, 12e-12, -1e-9, 1e-6, 5e-12, 4e-12,
+                         t[20], t[19], t[19], 1.5e-9, 0.0}) {
+    queries.push_back(q);  // backward jumps and out-of-range queries
+  }
+  for (double q = 0.0; q < 200e-12; q += 1.1e-12) queries.push_back(q);
+  for (const double q : queries) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(stim.at(q)),
+              std::bit_cast<uint64_t>(w.at(q)))
+        << "t = " << q;
+  }
+  // A clone carries the cursor along and stays exact.
+  const auto copy = stim.clone();
+  EXPECT_EQ(std::bit_cast<uint64_t>(copy->at(3e-12)),
+            std::bit_cast<uint64_t>(w.at(3e-12)));
 }
 
 TEST(Circuit, NodeRegistryAliasesGround) {

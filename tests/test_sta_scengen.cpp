@@ -4,8 +4,9 @@
 /// correctness against hand-computed overlaps, correlation-predicate
 /// rejection (pluggable + built-in structural rule), bitwise identity
 /// of the generated sweep against eager enumeration through sweep(),
-/// prune-seed exactness, the million-point bounded-memory funnel, and
-/// rejection of malformed space knobs.
+/// prune-seed exactness, the million-point bounded-memory funnel,
+/// coupled-line bump sampling against Waveform::at, and rejection of
+/// malformed space knobs.
 
 #include <bit>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "interconnect/coupled.hpp"
 #include "sta/scengen.hpp"
 #include "sta_test_util.hpp"
+#include "wave/ramp.hpp"
 
 namespace waveletic {
 namespace {
@@ -468,6 +470,58 @@ TEST(ScenGen, CoupledBumpCachePersistsAcrossSweepsBitwiseIdentical) {
   EXPECT_EQ(g.generated, g.window_killed + g.correlation_killed +
                              g.set_killed + g.prune_killed + g.reused +
                              g.evaluated);
+}
+
+// A coupled-line bump is sampled on the victim ramp's shifted grid by
+// one merge scan; every sample must equal the point-by-point
+// Waveform::at reference bit for bit, including the grid times that
+// fall outside the bump's span and clamp flat.
+TEST(ScenGen, CoupledBumpMaterializeMatchesPointwiseAt) {
+  ScenarioSpace space = tiny_space();
+  space.bump_shape = sta::BumpShape::kCoupledLine;
+  space.alignments = {-150e-12, 0.0, 35e-12};
+  space.pairs[1].coupling_scale = 0.6;
+  ScenarioGenerator gen(space);
+  size_t checked = 0;
+  size_t clamped = 0;
+  while (const auto c = gen.next()) {
+    const auto members = space.event_members(c->pair);
+    ASSERT_EQ(members.size(), 1u);
+    const auto& pair = space.pairs[members[0]];
+    interconnect::CoupledLinePair bench = space.coupled_pair;
+    bench.cm_total *= pair.coupling_scale;
+    interconnect::CoupledBumpOptions opts = space.coupled_bump;
+    opts.transition = pair.victim_slew;
+    const wave::Waveform unit = interconnect::coupled_bump_shape(bench, opts);
+    const double amp =
+        space.strengths[c->strength] * pair.coupling_scale;  // falling: +
+    std::vector<double> scaled(unit.values().begin(), unit.values().end());
+    for (auto& x : scaled) x *= amp;
+    const wave::Waveform bump(
+        std::vector<double>(unit.times().begin(), unit.times().end()),
+        std::move(scaled));
+    const auto clean = wave::Ramp::from_arrival_slew(
+                           pair.victim_arrival, pair.victim_slew, space.vdd)
+                           .denormalized(space.polarity,
+                                         space.waveform_samples);
+    const double center =
+        pair.victim_arrival + space.alignments[c->alignment];
+
+    const auto s = gen.materialize(*c);
+    const auto* got = s.find(pair.victim_name);
+    ASSERT_NE(got, nullptr);
+    ASSERT_EQ(got->waveform.size(), clean.size());
+    for (size_t n = 0; n < clean.size(); ++n) {
+      const double x = clean.time(n) - center;
+      if (x <= bump.t_begin() || x >= bump.t_end()) ++clamped;
+      ASSERT_EQ(bits(got->waveform.value(n)),
+                bits(clean.value(n) + bump.at(x)))
+          << s.name << " sample " << n;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2u * 3u * 4u);
+  EXPECT_GT(clamped, 0u);
 }
 
 TEST(ScenGen, EmptyFunnelThrowsOnWorstPoint) {
