@@ -775,9 +775,8 @@ void StaEngine::propagate_cell_edge(const CellArcEdge& e, TimingState& state,
   }
 }
 
-void StaEngine::noisy_fit(const NetEdge& e, size_t edge_index,
-                          const NoiseAnnotation* noisy, int rf_i,
-                          const EvalContext& ctx, double& arrival,
+void StaEngine::noisy_fit(const NetEdge& e, const NoiseAnnotation* noisy,
+                          int rf_i, const EvalContext& ctx, double& arrival,
                           double& slew) const {
   // The full noisy-sink gate: annotation present, sink is a gate input
   // whose transition matches the annotated polarity, and the sink gate
@@ -798,12 +797,12 @@ void StaEngine::noisy_fit(const NetEdge& e, size_t edge_index,
   // load, corner); memoize it per exact key when a cache is
   // supplied.  Arc identity and load bits are part of the key so
   // one cache stays exact across copy-on-write snapshots whose
-  // loads or graphs differ.
+  // loads or graphs differ, and the edge is not: two sinks that
+  // present the same inputs share one fit.
   GammaCache::Key key;
   key.noise_key = noisy->key;
   key.method_id = reinterpret_cast<uintptr_t>(ctx.method);
   key.arc_id = reinterpret_cast<uintptr_t>(arc);
-  key.edge = static_cast<uint32_t>(edge_index);
   key.rf = static_cast<uint32_t>(rf_i);
   key.arrival_bits = std::bit_cast<uint64_t>(arrival);
   key.slew_bits = std::bit_cast<uint64_t>(slew);
@@ -876,7 +875,7 @@ void StaEngine::propagate_net_edge(size_t edge_index, TimingState& state,
     const auto rf = static_cast<RiseFall>(rf_i);
     double arrival = drv.arrival + wire_delay * wire_scale;
     double slew = drv.slew;
-    noisy_fit(e, edge_index, noisy, rf_i, ctx, arrival, slew);
+    noisy_fit(e, noisy, rf_i, ctx, arrival, slew);
     relax(state, e.to, rf, arrival, slew, e.from, rf);
   }
 }

@@ -253,6 +253,7 @@ class StaEngine {
   /// the sweep pipeline in bounded chunks — endpoint-only storage, one
   /// chunk of scenarios resident at a time (defined in scengen.cpp;
   /// include scengen.hpp for GeneratedSweepSpec/GeneratedSweepResult).
+  /// All chunks of one call share one Γeff memo.
   [[nodiscard]] GeneratedSweepResult sweep(const GeneratedSweepSpec& spec);
 
   /// Timing of a pin/port.  Handle overload is the primary; the string
@@ -647,6 +648,11 @@ class StaEngine {
   /// hardware concurrency).  run(), sweep() and the generated sweep
   /// share it.
   util::ThreadPool& worker_pool(int threads);
+  /// sweep(SweepSpec) with a caller-owned Γeff memo: the generated
+  /// sweep hands every chunk the same one.  The result's cache_stats()
+  /// reads empty; the public overload calls this with a fresh memo and
+  /// hands it to the result.
+  [[nodiscard]] SweepResult sweep(const SweepSpec& spec, GammaCache& memo);
   /// Shared closure step of both delta_plan overloads: `seeds` are the
   /// forward (arrival-dirty) seed vertices, `back_seeds` extra
   /// backward-only seeds; both may repeat.  The fanout closure of
@@ -682,8 +688,7 @@ class StaEngine {
   /// The Γeff replacement step at a noisy net sink: gates on
   /// (annotation, sink pin, polarity, arc), then rewrites (arrival,
   /// slew) via cache or fit.
-  void noisy_fit(const NetEdge& e, size_t edge_index,
-                 const NoiseAnnotation* noisy, int rf_i,
+  void noisy_fit(const NetEdge& e, const NoiseAnnotation* noisy, int rf_i,
                  const EvalContext& ctx, double& arrival, double& slew) const;
   static void relax(TimingState& state, int to, RiseFall to_rf, double arrival,
                     double slew, int from, RiseFall from_rf);

@@ -40,7 +40,7 @@ size_t GammaCache::KeyHash::operator()(const Key& k) const noexcept {
   h = mix(h, k.noise_key);
   h = mix(h, k.method_id);
   h = mix(h, k.arc_id);
-  h = mix(h, (static_cast<uint64_t>(k.edge) << 32) | k.rf);
+  h = mix(h, k.rf);
   h = mix(h, k.arrival_bits);
   h = mix(h, k.slew_bits);
   h = mix(h, k.load_bits);

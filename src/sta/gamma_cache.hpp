@@ -12,15 +12,25 @@
 ///
 /// The key holds the raw IEEE-754 bit patterns of the input arrival,
 /// slew and sink load, the receiving arc's identity (a pointer into
-/// the liberty library, stable for the library's lifetime), the
-/// net-edge index, and the annotation's 64-bit content hash
-/// (noise_waveform_key()).  Every field but the last is exact; two
-/// different annotations whose hashes collide would share a fit, so a
-/// hit is bitwise what the fit would have produced unless two
-/// annotations collide (an exact key is still to be built).  Because arc identity
-/// and load bits are in the key (not just the edge index), one cache
-/// may be shared across prepared engine states whose loads or graphs
-/// differ — entries simply never collide across them.
+/// the liberty library, stable for the library's lifetime), the sink
+/// transition, and the annotation's 64-bit content hash
+/// (noise_waveform_key()).  Every field but that hash (and the corner
+/// key, also a hash) is exact; two different annotations whose hashes
+/// collide would share a fit, so a hit is bitwise what the fit would
+/// have produced unless two annotations collide (an exact key is still
+/// to be built).  The net-edge index is not in the key: the fit reads
+/// nothing of the edge beyond its arc and load, so two sinks that
+/// present the same inputs share one fit.  Because arc identity and
+/// load bits are in the key, one cache may be shared across prepared
+/// engine states whose loads or graphs differ — entries simply never
+/// collide across them.
+///
+/// Lifetime: a memo lives for one call.  sweep(SweepSpec) makes a fresh
+/// one and hands it to its SweepResult (cache_stats()); one
+/// sweep(GeneratedSweepSpec) shares one across its baselines and every
+/// chunk and corner pass, and drops it on return.  No memo outlives its
+/// call: a long-lived engine that sweeps fresh scenarios on every call
+/// would otherwise grow it without bound.
 ///
 /// Sharded: 16 buckets, each an unordered_map under its own mutex, so
 /// concurrent lookups from the propagation pool rarely contend.
@@ -48,7 +58,6 @@ class GammaCache {
     uint64_t noise_key = 0;   ///< annotation content hash
     uint64_t method_id = 0;   ///< technique identity (object address)
     uint64_t arc_id = 0;      ///< receiving arc identity (library address)
-    uint32_t edge = 0;        ///< net-edge index in the prepared engine
     uint32_t rf = 0;          ///< transition index at the sink
     uint64_t arrival_bits = 0;  ///< IEEE-754 bits of the clean arrival
     uint64_t slew_bits = 0;     ///< IEEE-754 bits of the clean slew
@@ -57,7 +66,7 @@ class GammaCache {
 
     [[nodiscard]] bool operator==(const Key& o) const noexcept {
       return noise_key == o.noise_key && method_id == o.method_id &&
-             arc_id == o.arc_id && edge == o.edge && rf == o.rf &&
+             arc_id == o.arc_id && rf == o.rf &&
              arrival_bits == o.arrival_bits && slew_bits == o.slew_bits &&
              load_bits == o.load_bits && corner_key == o.corner_key;
     }

@@ -34,20 +34,12 @@ uint64_t choose(uint64_t n, uint64_t k) {
   return r;
 }
 
-// FNV-1a-style content mixing, the Corner::key() idiom: doubles are
-// folded in by bit pattern, so a key change means a genuinely different
-// physical testbench.
+// FNV-1a-style mixing of the bump-store hash, which only picks a
+// bucket: a hit compares the whole CoupledBumpKey.
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 uint64_t mix(uint64_t h, uint64_t v) noexcept { return (h ^ v) * kFnvPrime; }
-uint64_t mix(uint64_t h, double v) noexcept {
-  return mix(h, std::bit_cast<uint64_t>(v));
-}
-
-/// Tag separating scaled-bump entries from unit-shape entries that
-/// would otherwise share a content key.
-constexpr uint64_t kScaledBumpTag = 0x7363616c65644257ull;  // "scaledBW"
 
 /// Sigma of the Gaussian bump as a fraction of the victim slew (the
 /// make_aggressor_scenario shape).  The window filter and materialize()
@@ -258,7 +250,23 @@ bool GenStats::check() const noexcept {
 // CoupledBumpCache
 // ---------------------------------------------------------------------------
 
-const wave::Waveform* CoupledBumpCache::find(uint64_t key) noexcept {
+CoupledBumpKey CoupledBumpKey::scaled_by(double amplitude) const noexcept {
+  CoupledBumpKey k = *this;
+  k.scaled = true;
+  k.amplitude_bits = std::bit_cast<uint64_t>(amplitude);
+  return k;
+}
+
+size_t CoupledBumpCache::KeyHash::operator()(
+    const CoupledBumpKey& k) const noexcept {
+  uint64_t h = kFnvOffset;
+  for (const uint64_t w : k.testbench) h = mix(h, w);
+  h = mix(h, static_cast<uint64_t>(k.scaled));
+  return static_cast<size_t>(mix(h, k.amplitude_bits));
+}
+
+const wave::Waveform* CoupledBumpCache::find(
+    const CoupledBumpKey& key) noexcept {
   const auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -268,32 +276,33 @@ const wave::Waveform* CoupledBumpCache::find(uint64_t key) noexcept {
   return &it->second;
 }
 
-const wave::Waveform& CoupledBumpCache::insert(uint64_t key,
+const wave::Waveform& CoupledBumpCache::insert(const CoupledBumpKey& key,
                                                wave::Waveform waveform) {
   return entries_.insert_or_assign(key, std::move(waveform)).first->second;
 }
 
-uint64_t coupled_bump_key(
+CoupledBumpKey coupled_bump_key(
     const interconnect::CoupledLinePair& pair,
     const interconnect::CoupledBumpOptions& options) noexcept {
   // Exactly the numbers coupled_bump_shape() consumes; line names are
   // display-only and excluded.
-  uint64_t h = kFnvOffset;
-  h = mix(h, static_cast<uint64_t>(pair.aggressor.segments));
-  h = mix(h, pair.aggressor.r_total);
-  h = mix(h, pair.aggressor.c_total);
-  h = mix(h, static_cast<uint64_t>(pair.victim.segments));
-  h = mix(h, pair.victim.r_total);
-  h = mix(h, pair.victim.c_total);
-  h = mix(h, pair.cm_total);
-  h = mix(h, pair.drive_resistance);
-  h = mix(h, pair.hold_resistance);
-  h = mix(h, pair.load_cap);
-  h = mix(h, options.transition);
-  h = mix(h, static_cast<uint64_t>(options.steps));
-  h = mix(h, static_cast<uint64_t>(options.samples));
-  h = mix(h, options.span_factor);
-  return h;
+  const auto b = [](double v) { return std::bit_cast<uint64_t>(v); };
+  CoupledBumpKey k;
+  k.testbench = {static_cast<uint64_t>(pair.aggressor.segments),
+                 b(pair.aggressor.r_total),
+                 b(pair.aggressor.c_total),
+                 static_cast<uint64_t>(pair.victim.segments),
+                 b(pair.victim.r_total),
+                 b(pair.victim.c_total),
+                 b(pair.cm_total),
+                 b(pair.drive_resistance),
+                 b(pair.hold_resistance),
+                 b(pair.load_cap),
+                 b(options.transition),
+                 static_cast<uint64_t>(options.steps),
+                 static_cast<uint64_t>(options.samples),
+                 b(options.span_factor)};
+  return k;
 }
 
 // ---------------------------------------------------------------------------
@@ -362,17 +371,15 @@ ScenarioGenerator::ScenarioGenerator(const ScenarioSpace& space,
     // physical testbench share one cache entry — within this generator
     // and across any generators sharing the external cache.
     pair_bump_key_.reserve(space.pairs.size());
-    for (const auto& p : space.pairs) {
-      interconnect::CoupledLinePair bench = space.coupled_pair;
-      bench.cm_total *= p.coupling_scale;
-      interconnect::CoupledBumpOptions opts = space.coupled_bump;
-      if (p.victim_slew > 0.0) opts.transition = p.victim_slew;
+    for (uint32_t p = 0; p < space.pairs.size(); ++p) {
+      const auto [bench, opts] = testbench(p);
       pair_bump_key_.push_back(coupled_bump_key(bench, opts));
     }
   }
   // Per-member correlation depends only on the pair, so it is resolved
   // once here; the per-candidate accounting still happens in next() so
   // the funnel counts every skipped candidate.
+  clean_victim_.resize(space.pairs.size());
   pair_feasible_.assign(space.pairs.size(), 1);
   if (correlation != nullptr) {
     for (size_t p = 0; p < space.pairs.size(); ++p) {
@@ -516,11 +523,21 @@ std::optional<ScenarioGenerator::Candidate> ScenarioGenerator::next() {
   return std::nullopt;
 }
 
+std::pair<interconnect::CoupledLinePair, interconnect::CoupledBumpOptions>
+ScenarioGenerator::testbench(uint32_t pair) const {
+  const auto& p = space_->pairs[pair];
+  interconnect::CoupledLinePair bench = space_->coupled_pair;
+  bench.cm_total *= p.coupling_scale;
+  interconnect::CoupledBumpOptions opts = space_->coupled_bump;
+  if (p.victim_slew > 0.0) opts.transition = p.victim_slew;
+  return {bench, opts};
+}
+
 const wave::Waveform& ScenarioGenerator::scaled_bump(uint32_t pair,
                                                      uint32_t strength) const {
   CoupledBumpCache& cache =
       bump_cache_ != nullptr ? *bump_cache_ : owned_bump_cache_;
-  const auto probe = [&](uint64_t key) -> const wave::Waveform* {
+  const auto probe = [&](const CoupledBumpKey& key) -> const wave::Waveform* {
     const wave::Waveform* w = cache.find(key);
     if (w != nullptr) {
       ++stats_.bump_cache_hits;
@@ -537,16 +554,12 @@ const wave::Waveform& ScenarioGenerator::scaled_bump(uint32_t pair,
   // content ⇒ bitwise-identical waveform (coupled_bump_shape and the
   // scaling below are deterministic functions of exactly those
   // numbers), so sharing across generators and corners is safe.
-  const uint64_t unit_key = pair_bump_key_[pair];
-  const uint64_t scaled_key = mix(mix(unit_key, kScaledBumpTag), amp);
+  const CoupledBumpKey& unit_key = pair_bump_key_[pair];
+  const CoupledBumpKey scaled_key = unit_key.scaled_by(amp);
   if (const wave::Waveform* hit = probe(scaled_key)) return *hit;
   const wave::Waveform* unit = probe(unit_key);
   if (unit == nullptr) {
-    const auto& p = space_->pairs[pair];
-    interconnect::CoupledLinePair bench = space_->coupled_pair;
-    bench.cm_total *= p.coupling_scale;
-    interconnect::CoupledBumpOptions opts = space_->coupled_bump;
-    if (p.victim_slew > 0.0) opts.transition = p.victim_slew;
+    const auto [bench, opts] = testbench(pair);
     unit = &cache.insert(unit_key,
                          interconnect::coupled_bump_shape(bench, opts));
   }
@@ -554,6 +567,17 @@ const wave::Waveform& ScenarioGenerator::scaled_bump(uint32_t pair,
   std::vector<double> v(unit->values().begin(), unit->values().end());
   for (auto& x : v) x *= amp;
   return cache.insert(scaled_key, wave::Waveform(std::move(t), std::move(v)));
+}
+
+const wave::Waveform& ScenarioGenerator::clean_victim(uint32_t pair) const {
+  auto& slot = clean_victim_[pair];
+  if (!slot.has_value()) {
+    const auto& p = space_->pairs[pair];
+    slot = wave::Ramp::from_arrival_slew(p.victim_arrival, p.victim_slew,
+                                         space_->vdd)
+               .denormalized(space_->polarity, space_->waveform_samples);
+  }
+  return *slot;
 }
 
 NoiseScenario ScenarioGenerator::materialize(const Candidate& c) const {
@@ -589,10 +613,7 @@ NoiseScenario ScenarioGenerator::materialize(const Candidate& c) const {
   for (size_t i = 0; i < members.size(); ++i) {
     if (done[i] != 0) continue;
     const auto& anchor = space_->pairs[members[i]];
-    const auto ramp = wave::Ramp::from_arrival_slew(
-        anchor.victim_arrival, anchor.victim_slew, space_->vdd);
-    const auto clean =
-        ramp.denormalized(space_->polarity, space_->waveform_samples);
+    const auto& clean = clean_victim(members[i]);
     std::vector<double> t(clean.times().begin(), clean.times().end());
     std::vector<double> v(clean.values().begin(), clean.values().end());
     for (size_t j = i; j < members.size(); ++j) {
@@ -786,6 +807,12 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
   CoupledBumpCache owned_bump_cache;
   CoupledBumpCache* bump_cache =
       gspec.bump_cache != nullptr ? gspec.bump_cache : &owned_bump_cache;
+  // One Γeff memo for the whole call: the baselines and every chunk of
+  // every corner group.  A compound event's victim waveform is bitwise
+  // a singleton's from an earlier chunk, so it is fitted once.  The
+  // memo's keys hold exact inputs plus the corner key, so sharing it
+  // across chunks and corners changes no bit.
+  GammaCache memo;
 
   // Every chunk's delta sweep needs one clean baseline per corner.
   // They are computed ONCE per corner group here — re-windowing reads
@@ -858,6 +885,7 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
       ctx.corner = &group_corners[c];
       ctx.corner_key = group_corners[c].key();
       ctx.method = method;
+      ctx.cache = &memo;
       evaluate(baselines[c], ctx, &pool);
     }
     group_proto.corner_baselines = &baselines;
@@ -885,7 +913,7 @@ GeneratedSweepResult StaEngine::sweep(const GeneratedSweepSpec& gspec) {
       // The seed carries across corner groups too: an exact worst from
       // one corner bounds the others just as well.
       spec.prune_seed_slack = worst_seen;
-      const SweepResult sr = sweep(spec);
+      const SweepResult sr = sweep(spec, memo);
 
       ++r.gen_stats_.chunks;
       r.gen_stats_.peak_resident_scenarios = std::max<uint64_t>(

@@ -19,7 +19,11 @@
 /// `StaEngine::sweep(const GeneratedSweepSpec&)` streams the survivors
 /// through the existing baseline + delta + prune pipeline in bounded
 /// chunks, so peak memory is one chunk of scenarios plus 40 B/point of
-/// endpoint summaries, never the full cross product.
+/// endpoint summaries plus the call's Γeff memo, about 120 B per
+/// distinct fit (only evaluated points fit; filtered and pruned
+/// candidates add nothing) — never the full cross product.  The
+/// million-point test funnel evaluates 4.7k points and ends with about
+/// 6.8k memo entries (~0.8 MB).
 ///
 /// In front of propagation sit the *feasibility filters* in the spirit
 /// of FRAME (PAPERS.md, arxiv 1502.02236 — screen infeasible aggressor
@@ -62,6 +66,7 @@
 /// path *is* that sweep, fed in chunks, with the running worst slack
 /// carried across chunks through `SweepSpec::prune_seed_slack`.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -69,6 +74,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "interconnect/coupled.hpp"
@@ -162,8 +168,9 @@ enum class BumpShape : uint8_t {
   kGaussian = 0,
   /// Physically derived shape from a coupled-line transient
   /// (interconnect::coupled_bump_shape over the space's coupled_pair,
-  /// Cm scaled per pair by coupling_scale); cached per (pair, strength)
-  /// inside the generator so repeated alignments reuse one waveform.
+  /// Cm scaled per pair by coupling_scale); cached per (testbench,
+  /// amplitude) in a CoupledBumpCache, so repeated alignments and
+  /// corner passes of one sweep reuse one waveform.
   kCoupledLine = 1,
 };
 
@@ -371,17 +378,41 @@ struct GenStats {
   [[nodiscard]] bool check() const noexcept;
 };
 
+/// Exact content key of one coupled-line bump: the bit patterns of
+/// every number coupled_bump_shape() consumes, plus the applied
+/// amplitude for a scaled entry.  Equal keys mean the same physical
+/// testbench (and amplitude), so equal waveforms.
+struct CoupledBumpKey {
+  /// Segment counts, RC totals, coupling, drive/hold resistances, load
+  /// cap, then the transient options (see coupled_bump_key()).
+  std::array<uint64_t, 14> testbench{};
+  /// True for a scaled entry (unit shape × amplitude).
+  bool scaled = false;
+  /// IEEE-754 bits of the applied amplitude (scaled entries only).
+  uint64_t amplitude_bits = 0;
+
+  [[nodiscard]] bool operator==(const CoupledBumpKey&) const = default;
+  /// The key of this unit shape scaled by `amplitude`.
+  [[nodiscard]] CoupledBumpKey scaled_by(double amplitude) const noexcept;
+};
+
 /// Persistent coupled-line bump-shape store, shared across generator
 /// instances, sweeps and corners — the kCoupledLine counterpart of the
-/// Γeff memo.  Entries are keyed on *content* (coupled_bump_key(): the
-/// post-scaling CoupledLinePair/CoupledBumpOptions numbers, plus the
-/// amplitude for scaled entries), so two generators whose pairs resolve
-/// to the same physical testbench share one simulated shape even across
-/// different spaces or corners — bitwise-safe, because
+/// Γeff memo.  Each sweep(GeneratedSweepSpec) owns one for its corner
+/// passes unless the caller passes its own (GeneratedSweepSpec::
+/// bump_cache), which keeps shapes across calls.  Entries are keyed on
+/// exact *content* (CoupledBumpKey: the post-scaling
+/// CoupledLinePair/CoupledBumpOptions numbers, plus the amplitude for
+/// scaled entries), so two generators whose pairs resolve to the same
+/// physical testbench share one simulated shape even across different
+/// spaces or corners — bitwise-safe, because
 /// interconnect::coupled_bump_shape is a deterministic function of
-/// exactly those numbers.  References returned by find()/insert() stay
-/// valid for the cache's lifetime (node-based storage).  NOT
-/// thread-safe: share it across sequential sweeps, not across threads.
+/// exactly those numbers.  The hash only picks the bucket; a hit
+/// compares the whole key.  The store grows by one entry per distinct
+/// (testbench, amplitude) shape, about 1 KB each.  References returned
+/// by find()/insert() stay valid for the cache's lifetime (node-based
+/// storage).  NOT thread-safe: share it across sequential sweeps, not
+/// across threads.
 class CoupledBumpCache {
  public:
   /// Hit/miss counters since construction (or reset_stats()).
@@ -391,10 +422,11 @@ class CoupledBumpCache {
   };
 
   /// The waveform stored under `key`, or null; counts one hit or miss.
-  [[nodiscard]] const wave::Waveform* find(uint64_t key) noexcept;
+  [[nodiscard]] const wave::Waveform* find(const CoupledBumpKey& key) noexcept;
   /// Stores `waveform` under `key` (overwriting any previous entry) and
   /// returns the stored copy.
-  const wave::Waveform& insert(uint64_t key, wave::Waveform waveform);
+  const wave::Waveform& insert(const CoupledBumpKey& key,
+                               wave::Waveform waveform);
   /// The hit/miss counters.
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   /// Zeroes the counters; cached waveforms stay.
@@ -403,19 +435,21 @@ class CoupledBumpCache {
   [[nodiscard]] size_t size() const noexcept { return entries_.size(); }
 
  private:
-  std::unordered_map<uint64_t, wave::Waveform> entries_;
+  struct KeyHash {
+    [[nodiscard]] size_t operator()(const CoupledBumpKey& k) const noexcept;
+  };
+  std::unordered_map<CoupledBumpKey, wave::Waveform, KeyHash> entries_;
   Stats stats_;
 };
 
-/// Content key of one coupled-line unit bump: an FNV-style mix over the
-/// numeric fields of `pair` and `options` exactly as
-/// coupled_bump_shape() consumes them (line names are excluded — they
-/// do not affect the shape).  Callers pass the pair/options AFTER
-/// per-ScenarioPair scaling (cm_total × coupling_scale, transition =
-/// victim slew), so the key identifies the physical testbench, not the
-/// ScenarioPair index — the property that lets the cache persist across
-/// generators and corners.
-[[nodiscard]] uint64_t coupled_bump_key(
+/// Content key of one coupled-line unit bump: the numeric fields of
+/// `pair` and `options` exactly as coupled_bump_shape() consumes them
+/// (line names are excluded — they do not affect the shape).  Callers
+/// pass the pair/options AFTER per-ScenarioPair scaling (cm_total ×
+/// coupling_scale, transition = victim slew), so the key identifies the
+/// physical testbench, not the ScenarioPair index — the property that
+/// lets the cache persist across generators, sweeps and corners.
+[[nodiscard]] CoupledBumpKey coupled_bump_key(
     const interconnect::CoupledLinePair& pair,
     const interconnect::CoupledBumpOptions& options) noexcept;
 
@@ -431,7 +465,8 @@ class CoupledBumpCache {
 /// per event (member-pair verdicts memoized across events).  The space
 /// (and rule, when given) must outlive the generator.  NOT thread-safe:
 /// one thread pulls and materializes (the streaming sweep's pattern) —
-/// materialize() fills the mutable coupled-bump caches.
+/// materialize() fills the mutable coupled-bump caches and the per-pair
+/// clean victim waveforms.
 class ScenarioGenerator {
  public:
   /// `correlation == nullptr` disables the correlation stages (every
@@ -501,11 +536,19 @@ class ScenarioGenerator {
   /// Pairwise lift between two member pairs (memoized): structural
   /// independence plus the rule's cross can_switch_together queries.
   [[nodiscard]] bool members_compatible(uint32_t a, uint32_t b) const;
+  /// The coupled-line testbench of a member pair: the space's pair
+  /// with Cm scaled by its coupling_scale, transition = victim slew.
+  [[nodiscard]] std::pair<interconnect::CoupledLinePair,
+                          interconnect::CoupledBumpOptions>
+  testbench(uint32_t pair) const;
   /// The scaled coupled-line bump of (member pair, strength index):
   /// unit shape × (sign × strength × coupling_scale), built and cached
-  /// on first use.
+  /// in the bump store on first use.
   [[nodiscard]] const wave::Waveform& scaled_bump(uint32_t pair,
                                                   uint32_t strength) const;
+  /// The clean victim ramp of a member pair (its anchor timing, the
+  /// space's polarity and sample count), built on first use.
+  [[nodiscard]] const wave::Waveform& clean_victim(uint32_t pair) const;
 
   const ScenarioSpace* space_;
   const CorrelationRule* correlation_;
@@ -524,9 +567,13 @@ class ScenarioGenerator {
   CoupledBumpCache* bump_cache_;
   /// Per-generator fallback store (the historical behavior).
   mutable CoupledBumpCache owned_bump_cache_;
-  /// Content key of each pair's unit bump (kCoupledLine only; 0 when
-  /// the space uses Gaussian shapes), precomputed at construction.
-  std::vector<uint64_t> pair_bump_key_;
+  /// Content key of each pair's unit bump (kCoupledLine only; empty
+  /// when the space uses Gaussian shapes), precomputed at construction.
+  std::vector<CoupledBumpKey> pair_bump_key_;
+  /// Per pair, its clean victim waveform once materialize() needed it:
+  /// every candidate of the pair copies this template instead of
+  /// rebuilding the ramp.
+  mutable std::vector<std::optional<wave::Waveform>> clean_victim_;
 };
 
 /// A generated sweep: the streaming counterpart of SweepSpec, with the
@@ -534,7 +581,8 @@ class ScenarioGenerator {
 /// an eager std::vector<NoiseScenario>.  Evaluation is forced
 /// endpoint-only (full TimingStates cannot be kept for a million
 /// points); every other knob mirrors SweepSpec and feeds the per-chunk
-/// sweeps unchanged.
+/// sweeps unchanged.  Every chunk and corner pass of one call shares
+/// one Γeff memo, dropped when the call returns (no knob).
 struct GeneratedSweepSpec {
   /// The candidate cross product (see make_scenario_space()).
   ScenarioSpace space;
@@ -554,7 +602,8 @@ struct GeneratedSweepSpec {
   /// SweepSpec::prune_seed_slack, so later chunks prune harder.
   PruneMode prune = PruneMode::kSafe;
   /// Feasible scenarios materialized per streamed chunk — the peak
-  /// resident-scenario bound; 0 selects 512.
+  /// resident-scenario bound; 0 selects 512.  The call's Γeff memo is
+  /// not bounded by it: it keeps every distinct fit of the call.
   size_t gen_chunk = 0;
   /// Record a {candidate, corner, worst_slack} tuple per surviving
   /// point (see GeneratedSweepResult::points()).  Memory is bounded by

@@ -349,6 +349,13 @@ std::vector<PathStep> TimingView::critical_path() const {
 // ---------------------------------------------------------------------------
 
 SweepResult StaEngine::sweep(const SweepSpec& spec) {
+  auto memo = std::make_unique<GammaCache>();
+  SweepResult r = sweep(spec, *memo);
+  r.cache_ = std::move(memo);
+  return r;
+}
+
+SweepResult StaEngine::sweep(const SweepSpec& spec, GammaCache& memo) {
   SweepResult r;
   r.engine_ = this;
   r.engine_liveness_ = liveness();
@@ -386,7 +393,6 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     }
   }
 
-  r.cache_ = std::make_unique<GammaCache>();
   const core::EquivalentWaveformMethod* method =
       spec.method != nullptr ? spec.method : noise_method_.get();
   // The engine-level annotations compiled once into a dense per-net-edge
@@ -446,7 +452,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
       ctx.corner = &r.corners_[c];
       ctx.corner_key = r.corners_[c].key();
       ctx.method = method;
-      ctx.cache = r.cache_.get();
+      ctx.cache = &memo;
       evaluate(owned_baselines[c], ctx, &pool);
     }
   }
@@ -766,7 +772,7 @@ SweepResult StaEngine::sweep(const SweepSpec& spec) {
     ctx.corner = &r.corners_[c];
     ctx.corner_key = r.corners_[c].key();
     ctx.method = method;
-    ctx.cache = r.cache_.get();
+    ctx.cache = &memo;
     const DeltaPlan& plan = plans[plan_of[s]];
     if (spec.endpoint_only) {
       TimingState& state = w.states[c];

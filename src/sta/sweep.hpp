@@ -27,14 +27,16 @@
 ///     evaluate_delta() into its own TimingState, an endpoint-only
 ///     point in place (see below).
 ///
-/// All points share a thread-safe Γeff memo (GammaCache) keyed on exact
-/// inputs + the corner key, so fits recur at most once per distinct
-/// (net edge, ramp, annotation, corner).  On top of the delta path,
-/// SweepSpec::prune == PruneMode::kSafe orders points most-critical-
-/// first by a conservative slack lower bound (worst baseline slack
-/// inside the cone minus a push-out bound from the annotation
-/// magnitudes) and early-outs points that provably cannot set the
-/// sweep's worst slack — FRAME-style screening before exact analysis.
+/// All points of one call share a thread-safe Γeff memo (GammaCache)
+/// keyed on exact inputs + the corner key, so fits recur at most once
+/// per distinct (arc, load, ramp, annotation, corner); a generated
+/// sweep (scengen.hpp) shares one memo across all of its chunks.  On
+/// top of the delta path, SweepSpec::prune == PruneMode::kSafe orders
+/// points most-critical-first by a conservative slack lower bound
+/// (worst baseline slack inside the cone minus a push-out bound from
+/// the annotation magnitudes) and early-outs points that provably
+/// cannot set the sweep's worst slack — FRAME-style screening before
+/// exact analysis.
 ///
 /// Determinism: points write disjoint results, each vertex folds
 /// its in-edges in a fixed order after all of its predecessors, and

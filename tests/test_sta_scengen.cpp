@@ -4,18 +4,23 @@
 /// correctness against hand-computed overlaps, correlation-predicate
 /// rejection (pluggable + built-in structural rule), bitwise identity
 /// of the generated sweep against eager enumeration through sweep(),
-/// prune-seed exactness, the million-point bounded-memory funnel,
-/// coupled-line bump sampling against Waveform::at, and rejection of
-/// malformed space knobs.
+/// prune-seed exactness, the million-point bounded-memory funnel, the
+/// coupled-bump store and its exact keys, one fit per
+/// input within a generated sweep, coupled-line bump sampling against
+/// Waveform::at, and rejection of malformed space knobs.
 
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/sgdp.hpp"
 #include "interconnect/coupled.hpp"
 #include "sta/scengen.hpp"
 #include "sta_test_util.hpp"
@@ -427,6 +432,21 @@ TEST(ScenGen, MillionPointFunnelStreamsInBoundedMemory) {
   EXPECT_EQ(gr.worst_point().scenario_name, er.scenario_name(ewp.scenario));
 }
 
+/// The records of two generated sweeps agree bit for bit.
+void expect_same_points(const sta::GeneratedSweepResult& a,
+                        const sta::GeneratedSweepResult& b) {
+  EXPECT_EQ(bits(a.worst_slack()), bits(b.worst_slack()));
+  EXPECT_EQ(a.worst_point().candidate, b.worst_point().candidate);
+  EXPECT_EQ(a.worst_point().scenario_name, b.worst_point().scenario_name);
+  ASSERT_EQ(a.points().size(), b.points().size());
+  for (size_t i = 0; i < a.points().size(); ++i) {
+    EXPECT_EQ(a.points()[i].candidate, b.points()[i].candidate);
+    EXPECT_EQ(a.points()[i].corner, b.points()[i].corner);
+    EXPECT_EQ(bits(a.points()[i].worst_slack),
+              bits(b.points()[i].worst_slack));
+  }
+}
+
 TEST(ScenGen, CoupledBumpCachePersistsAcrossSweepsBitwiseIdentical) {
   GeneratedVsEager h(37, 40, {-20e-12, 0.0, 30e-12}, {0.2, 0.35});
   h.space.bump_shape = sta::BumpShape::kCoupledLine;
@@ -439,9 +459,10 @@ TEST(ScenGen, CoupledBumpCachePersistsAcrossSweepsBitwiseIdentical) {
 
   // First sweep on a fresh external cache: every synthesized bump shape
   // is a miss; within-sweep reuse may already produce hits.
+  sta::StaEngine& engine = *h.fixture.sta;
   sta::CoupledBumpCache cache;
   gspec.bump_cache = &cache;
-  const auto r1 = h.fixture.sta->sweep(gspec);
+  const auto r1 = engine.sweep(gspec);
   ASSERT_GT(r1.gen_stats().evaluated, 0u);
   EXPECT_GT(r1.gen_stats().bump_cache_misses, 0u);
   EXPECT_EQ(cache.stats().misses, r1.gen_stats().bump_cache_misses);
@@ -450,26 +471,155 @@ TEST(ScenGen, CoupledBumpCachePersistsAcrossSweepsBitwiseIdentical) {
 
   // Second sweep over the SAME cache: every shape is already resident —
   // zero misses, hits only, and the results stay bitwise identical.
-  const auto r2 = h.fixture.sta->sweep(gspec);
+  const auto r2 = engine.sweep(gspec);
   EXPECT_EQ(r2.gen_stats().bump_cache_misses, 0u);
   EXPECT_GT(r2.gen_stats().bump_cache_hits, 0u);
   EXPECT_EQ(cache.size(), warm);
-  EXPECT_EQ(bits(r1.worst_slack()), bits(r2.worst_slack()));
-  EXPECT_EQ(r1.worst_point().candidate, r2.worst_point().candidate);
-  EXPECT_EQ(r1.worst_point().scenario_name, r2.worst_point().scenario_name);
+  expect_same_points(r1, r2);
 
-  // And a sweep with NO external cache (generator-owned store) is
-  // bitwise identical too — the cache is a pure memoization.
+  // A sweep with NO external cache owns one for the call: it simulates
+  // every shape again and lands on the same bits — the cache is a pure
+  // memoization.
   gspec.bump_cache = nullptr;
-  const auto r3 = h.fixture.sta->sweep(gspec);
-  EXPECT_EQ(bits(r1.worst_slack()), bits(r3.worst_slack()));
-  EXPECT_EQ(r1.worst_point().candidate, r3.worst_point().candidate);
+  const auto r3 = engine.sweep(gspec);
+  EXPECT_EQ(r3.gen_stats().bump_cache_misses,
+            r1.gen_stats().bump_cache_misses);
+  expect_same_points(r1, r3);
+
+  // The corner passes of one call share its store: a corner that
+  // derates only wire delay keeps every victim slew, so its re-windowed
+  // pass needs the shapes the nominal pass already simulated.
+  const std::vector<sta::Corner> corners = {
+      sta::Corner{}, sta::Corner{"wire", 1.0, 1.0, 1.3}};
+  gspec.corners = corners;
+  gspec.per_corner_windows = true;
+  const auto both = engine.sweep(gspec);
+  uint64_t misses_alone = 0;
+  for (const auto& corner : corners) {
+    gspec.corners = {corner};
+    misses_alone += engine.sweep(gspec).gen_stats().bump_cache_misses;
+  }
+  EXPECT_GT(both.gen_stats().bump_cache_misses, 0u);
+  EXPECT_LT(both.gen_stats().bump_cache_misses, misses_alone);
 
   // Funnel identity never counts cache traffic.
   const auto& g = r2.gen_stats();
   EXPECT_EQ(g.generated, g.window_killed + g.correlation_killed +
                              g.set_killed + g.prune_killed + g.reused +
                              g.evaluated);
+}
+
+// The bump store compares the whole testbench, not its hash: two
+// testbenches differing in one field are two entries, and the same
+// testbench again is a hit.
+TEST(ScenGen, CoupledBumpStoreKeysOnTheExactTestbench) {
+  ScenarioSpace a = tiny_space();
+  a.bump_shape = sta::BumpShape::kCoupledLine;
+  a.pairs.resize(1);
+  a.alignments = {0.0};
+  a.strengths = {0.2};
+  ScenarioSpace b = a;
+  b.coupled_pair.hold_resistance *= 2.0;
+  interconnect::CoupledBumpOptions opts = a.coupled_bump;
+  opts.transition = a.pairs[0].victim_slew;
+  const auto key_a = sta::coupled_bump_key(a.coupled_pair, opts);
+  const auto key_b = sta::coupled_bump_key(b.coupled_pair, opts);
+  EXPECT_FALSE(key_a == key_b);
+  EXPECT_FALSE(key_a == key_a.scaled_by(1.0));
+  EXPECT_TRUE(key_a.scaled_by(0.2) == key_a.scaled_by(0.2));
+
+  sta::CoupledBumpCache cache;
+  const auto first = [&](const ScenarioSpace& space) {
+    ScenarioGenerator gen(space, nullptr, &cache);
+    const auto c = gen.next();
+    EXPECT_TRUE(c.has_value());
+    return gen.materialize(*c);
+  };
+  const auto sa = first(a);
+  EXPECT_EQ(cache.size(), 2u);  // unit shape + scaled shape
+  const auto sb = first(b);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  const auto& wa = sa.entries.front().annotation.waveform;
+  const auto& wb = sb.entries.front().annotation.waveform;
+  bool differ = false;
+  for (size_t n = 0; n < wa.size(); ++n) {
+    differ = differ || bits(wa.value(n)) != bits(wb.value(n));
+  }
+  EXPECT_TRUE(differ);
+
+  const auto again = first(a);
+  EXPECT_EQ(cache.size(), 4u);
+  EXPECT_EQ(cache.stats().hits, 1u);  // the scaled shape, found whole
+  EXPECT_EQ(again.entries.front().annotation.key,
+            sa.entries.front().annotation.key);
+}
+
+/// SGDP behind a recorder: every fit's whole input — noisy, clean-in
+/// and clean-out waveform bits and both polarities, so the arc, load,
+/// arrival and slew too — is recorded, and a second fit of the same
+/// input counted.
+class CountingMethod final : public core::EquivalentWaveformMethod {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "counting";
+  }
+  [[nodiscard]] core::Fit fit(const core::MethodInput& in) const override {
+    std::vector<uint64_t> input;
+    for (const wave::WaveView w :
+         {in.noisy_wave(), in.noiseless_in_wave(), in.noiseless_out_wave()}) {
+      input.push_back(w.size());
+      for (const double t : w.time) input.push_back(bits(t));
+      for (const double v : w.value) input.push_back(bits(v));
+    }
+    input.push_back(static_cast<uint64_t>(in.in_polarity));
+    input.push_back(static_cast<uint64_t>(in.out_polarity));
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++fits_;
+      if (!seen_.insert(std::move(input)).second) ++repeats_;
+    }
+    return inner_.fit(in);
+  }
+  [[nodiscard]] bool needs_noiseless() const noexcept override {
+    return inner_.needs_noiseless();
+  }
+  [[nodiscard]] std::unique_ptr<core::EquivalentWaveformMethod> clone()
+      const override {
+    return std::make_unique<CountingMethod>();
+  }
+  [[nodiscard]] size_t fits() const { return fits_; }
+  [[nodiscard]] size_t repeats() const { return repeats_; }
+
+ private:
+  core::SgdpMethod inner_;
+  mutable std::mutex mutex_;
+  mutable std::set<std::vector<uint64_t>> seen_;
+  mutable size_t fits_ = 0;
+  mutable size_t repeats_ = 0;
+};
+
+// A compound event's victim waveform is bitwise a singleton's from an
+// earlier chunk; one generated sweep fits it once.  Serial, so no two
+// workers can race to fit the same input.
+TEST(ScenGen, GeneratedSweepFitsEachInputOnce) {
+  GeneratedVsEager h(37, 40, {-20e-12, 0.0, 30e-12}, {0.2, 0.35});
+  h.space.bump_shape = sta::BumpShape::kCoupledLine;
+  h.space.max_aggressors = 2;
+  const CountingMethod counting;
+
+  GeneratedSweepSpec gspec;
+  gspec.space = h.space;
+  gspec.correlation = h.rule.get();
+  gspec.threads = 1;
+  gspec.gen_chunk = 7;
+  gspec.prune = PruneMode::kOff;
+  gspec.method = &counting;
+  const auto gr = h.fixture.sta->sweep(gspec);
+  ASSERT_GT(gr.gen_stats().chunks, 2u);
+  ASSERT_GT(gr.gen_stats().evaluated, 0u);
+  EXPECT_GT(counting.fits(), 0u);
+  EXPECT_EQ(counting.repeats(), 0u) << "of " << counting.fits() << " fits";
 }
 
 // A coupled-line bump is sampled on the victim ramp's shifted grid by
