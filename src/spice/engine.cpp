@@ -55,6 +55,10 @@ bool same_bits(std::span<const double> a, std::span<const double> b) noexcept {
 
 /// One analysis' Newton system, sized from the layout once (so stamping
 /// checks no dimensions) and reused by every iteration of every step.
+/// Every factorization and solve runs along the analysis' one LU
+/// pattern: the matrix structure and pivot order change only when a
+/// device starts stamping a new entry (the first transient step adds
+/// the capacitors DC leaves out) or the pivot order moves.
 ///
 /// A nonlinear circuit's matrix is factored and solved in place.  A
 /// linear circuit keeps a one-slot memo of its last factorization: the
@@ -69,7 +73,7 @@ struct NewtonSystem {
   la::Vector z;
   la::Vector x_new;
   std::vector<size_t> perm;
-  std::vector<size_t> cols;  // LU elimination scratch
+  la::LuPattern pattern;
   const bool memo;  // linear circuit: keep the one-slot memo below
   la::Matrix a_memo;  // the unfactored matrix `lu` factors
   la::Matrix lu;
@@ -82,7 +86,7 @@ struct NewtonSystem {
         z(lay.unknowns, 0.0),
         x_new(lay.unknowns, 0.0),
         perm(lay.unknowns),
-        cols(lay.unknowns),
+        pattern(lay.unknowns),
         memo(lay.linear) {
     util::require(lay.unknowns > 0,
                   "analysis: circuit has no unknowns (no non-ground node)");
@@ -96,8 +100,8 @@ struct NewtonSystem {
   /// Solves the assembled A·x = z into x_new.
   void solve() {
     if (!memo) {
-      la::lu_factor_in_place(a, perm, cols);
-      la::lu_solve_factored(a, perm, z, x_new);
+      la::lu_factor_in_place(a, perm, pattern);
+      la::lu_solve_factored(a, perm, pattern, z, x_new);
       return;
     }
     if (memo_valid &&
@@ -106,10 +110,10 @@ struct NewtonSystem {
     } else {
       memo_valid = false;  // and stays so if the matrix is singular
       lu = a;
-      la::lu_factor_in_place(lu, perm, cols);
+      la::lu_factor_in_place(lu, perm, pattern);
       std::swap(a, a_memo);
     }
-    la::lu_solve_factored(lu, perm, z, x_new);
+    la::lu_solve_factored(lu, perm, pattern, z, x_new);
     std::swap(z, z_memo);
     memo_valid = true;
   }
@@ -350,6 +354,10 @@ TransientResult transient(Circuit& circuit, const TransientSpec& spec) {
     x_prev = x;
     record(t);
   }
+  util::log_debug("transient: ", sys.pattern.warm_factors(),
+                  " LU factorizations along the pattern, ",
+                  sys.pattern.rebuilds(), " rebuilt it (n = ", lay.unknowns,
+                  ")");
 
   return TransientResult(std::move(names), std::move(time),
                          std::move(samples));

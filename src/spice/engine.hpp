@@ -9,10 +9,15 @@
 /// their effect.
 ///
 /// Each analysis sizes one Newton system (matrix, rhs, solution,
-/// permutation) from the circuit once.  Every Newton iteration stamps
-/// into that matrix and factors it in place (la::lu_factor_in_place),
-/// so a transient step allocates nothing beyond its recorded samples,
-/// whose buffers are reserved up front.
+/// permutation, LU pattern) from the circuit once.  Every Newton
+/// iteration stamps into that matrix and factors it in place along the
+/// analysis' la::LuPattern, which skips the structural zeros of factor
+/// and solve and is rebuilt only when a device stamps a new entry or
+/// the pivot order moves (bitwise equal to the dense LU; see lu.hpp).
+/// A transient step allocates nothing beyond its recorded samples,
+/// whose buffers are reserved up front.  A debug-level log line at the
+/// end of a transient counts its factorizations along the pattern and
+/// its rebuilds.
 ///
 /// When no device reports Device::nonlinear(), the system also keeps
 /// its last factorization beside the unfactored matrix it came from.

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -129,8 +131,10 @@ void reference_solve(const double* lu, size_t n, const size_t* perm,
 /// two-terminal stamps per node plus gmin), a few asymmetric
 /// transconductance stamps, and voltage-source branch rows and columns
 /// of ±1 whose zero diagonal forces row swaps.  Entries are assembled
-/// by += from zero, as the engine's stamps are.
-la::Matrix random_mna(wu::Rng& rng, size_t n) {
+/// by += from zero, as the engine's stamps are.  `pick` draws the
+/// structure and `value` the stamp values, so two calls with equally
+/// seeded `pick` stamp the same structure.
+la::Matrix random_mna(wu::Rng& pick, wu::Rng& value, size_t n) {
   const size_t branches = n / 5;
   const size_t nodes = n - branches;
   la::Matrix a(n, n);
@@ -142,10 +146,10 @@ la::Matrix random_mna(wu::Rng& rng, size_t n) {
   };
   for (size_t i = 0; i < nodes; ++i) {
     a(i, i) += 1e-12;  // gmin
-    const size_t stamps = 1 + rng.below(3);
+    const size_t stamps = 1 + pick.below(3);
     for (size_t s = 0; s < stamps; ++s) {
-      const size_t j = rng.below(nodes);
-      const double g = std::exp(rng.uniform(-12.0, -2.0));
+      const size_t j = pick.below(nodes);
+      const double g = std::exp(value.uniform(-12.0, -2.0));
       if (j == i) {
         a(i, i) += g;  // to ground
       } else {
@@ -154,9 +158,9 @@ la::Matrix random_mna(wu::Rng& rng, size_t n) {
     }
   }
   for (size_t s = 0; s < nodes / 4; ++s) {  // VCCS: gm·(v_c - v_s)
-    const size_t out = rng.below(nodes);
-    const size_t ctrl = rng.below(nodes);
-    a(out, ctrl) += rng.uniform(1e-5, 1e-3);
+    const size_t out = pick.below(nodes);
+    const size_t ctrl = pick.below(nodes);
+    a(out, ctrl) += value.uniform(1e-5, 1e-3);
   }
   // Sources sit on disjoint node pairs (nodes ≥ 4·branches), so no
   // loop of sources makes the system singular.
@@ -165,12 +169,16 @@ la::Matrix random_mna(wu::Rng& rng, size_t n) {
     const size_t pos = 4 * b;
     a(pos, row) += 1.0;
     a(row, pos) += 1.0;
-    if (rng.below(2) == 1) {  // floating source, else grounded
+    if (pick.below(2) == 1) {  // floating source, else grounded
       a(pos + 1, row) -= 1.0;
       a(row, pos + 1) -= 1.0;
     }
   }
   return a;
+}
+
+la::Matrix random_mna(wu::Rng& rng, size_t n) {
+  return random_mna(rng, rng, n);
 }
 
 ::testing::AssertionResult same_bits(std::span<const double> got,
@@ -336,6 +344,195 @@ TEST(Lu, SingularErrorNamesTheColumn) {
     EXPECT_FALSE(ref_msg.empty());
     EXPECT_EQ(std::string(e.what()), ref_msg);
   }
+}
+
+namespace {
+
+/// Factors a copy of `a` along `pattern`, solves for `b`, and compares
+/// with the dense reference: the same permutation, U and solution bits,
+/// and the same L bits except where the reference stored -0.0 and the
+/// pattern left +0.0 (counted into `signed_zeros`).
+::testing::AssertionResult matches_reference(const la::Matrix& a,
+                                             la::LuPattern& pattern,
+                                             std::span<const double> b,
+                                             size_t& signed_zeros) {
+  const size_t n = a.rows();
+  la::Matrix ref = a;
+  std::vector<size_t> ref_perm(n);
+  reference_factor(ref, ref_perm.data(), 1e-14);
+  std::vector<double> ref_x(n);
+  reference_solve(&ref(0, 0), n, ref_perm.data(), b, ref_x);
+
+  la::Matrix lu = a;
+  std::vector<size_t> perm(n);
+  la::lu_factor_in_place(lu, perm, pattern);
+  std::vector<double> x(n);
+  la::lu_solve_factored(lu, perm, pattern, b, x);
+
+  if (perm != ref_perm) return ::testing::AssertionFailure() << "perm";
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < n; ++c) {
+      const auto got = std::bit_cast<uint64_t>(lu(r, c));
+      const auto want = std::bit_cast<uint64_t>(ref(r, c));
+      if (got == want) continue;
+      if (c < r && got == std::bit_cast<uint64_t>(0.0) &&
+          want == std::bit_cast<uint64_t>(-0.0)) {
+        ++signed_zeros;
+        continue;
+      }
+      return ::testing::AssertionFailure()
+             << "entry (" << r << ", " << c << "): " << lu(r, c) << " vs "
+             << ref(r, c);
+    }
+  }
+  return same_bits(x, ref_x);
+}
+
+}  // namespace
+
+// One pattern per structure, reused across value sets, reproduces the
+// dense reference on MNA-shaped systems from 1 to 80 unknowns.  Each
+// set stamps the same structure with fresh values; some move the pivot
+// order (a rebuild), the rest run warm.
+TEST(LuPattern, ReusedAcrossValueSetsMatchesDenseReference) {
+  wu::Rng value(20261021);
+  size_t signed_zeros = 0;
+  uint64_t warm = 0;
+  uint64_t rebuilds = 0;
+  for (size_t n = 1; n <= 80; ++n) {
+    la::LuPattern pattern(n);
+    for (int set = 0; set < 6; ++set) {
+      wu::Rng pick(n);
+      // Set 1 repeats set 0's values, so it must run warm.
+      wu::Rng repeat(n + 1000);
+      const la::Matrix a = random_mna(pick, set < 2 ? repeat : value, n);
+      std::vector<double> b(n);
+      for (auto& v : b) v = value.uniform(-1e-3, 1e-3);
+      SCOPED_TRACE(::testing::Message() << "n = " << n << ", set " << set);
+      const uint64_t warm_before = pattern.warm_factors();
+      ASSERT_TRUE(matches_reference(a, pattern, b, signed_zeros));
+      if (set == 1) {
+        EXPECT_EQ(pattern.warm_factors(), warm_before + 1);
+      }
+    }
+    EXPECT_EQ(pattern.warm_factors() + pattern.rebuilds(), 6u);
+    warm += pattern.warm_factors();
+    rebuilds += pattern.rebuilds();
+  }
+  EXPECT_GT(signed_zeros, 0u) << "no reference L entry was -0.0";
+  // Beyond each n's first factorization and its repeat: fresh values
+  // ran warm, and fresh values moved the pivot order.
+  EXPECT_GT(warm, 80u);
+  EXPECT_GT(rebuilds, 80u);
+}
+
+// A value set that moves the pivot of column 2 (rows 0 and 1 keep their
+// pivots) finishes densely from that step, rebuilds the pattern, and
+// the next factorization of it runs warm again.
+TEST(LuPattern, PivotFlipMidFactorizationRebuilds) {
+  const auto tridiagonal = [](double a42) {
+    la::Matrix a(6, 6);
+    for (size_t i = 0; i < 6; ++i) {
+      a(i, i) = 4.0;
+      if (i + 1 < 6) a(i, i + 1) = a(i + 1, i) = 1.0;
+    }
+    a(4, 2) = a42;
+    a(2, 4) = 0.5;
+    return a;
+  };
+  const std::vector<double> b{1.0, -2.0, 3.0, -4.0, 5.0, -6.0};
+  la::LuPattern pattern(6);
+  size_t signed_zeros = 0;
+  const la::Matrix keeps = tridiagonal(0.5);
+  const la::Matrix flips = tridiagonal(10.0);
+  ASSERT_TRUE(matches_reference(keeps, pattern, b, signed_zeros));
+  ASSERT_TRUE(matches_reference(keeps, pattern, b, signed_zeros));
+  EXPECT_EQ(pattern.warm_factors(), 1u);
+  EXPECT_EQ(pattern.rebuilds(), 1u);
+
+  la::Matrix lu = flips;
+  std::vector<size_t> perm(6);
+  la::lu_factor_in_place(lu, perm, pattern);
+  EXPECT_EQ(perm[0], 0u);
+  EXPECT_EQ(perm[1], 1u);
+  EXPECT_EQ(perm[2], 4u);  // row 4 now wins column 2
+  EXPECT_EQ(pattern.rebuilds(), 2u);
+  ASSERT_TRUE(matches_reference(flips, pattern, b, signed_zeros));
+  EXPECT_EQ(pattern.warm_factors(), 2u);
+  // The union holds both value sets, so the old pivot order misses once
+  // more and then both run warm.
+  ASSERT_TRUE(matches_reference(keeps, pattern, b, signed_zeros));
+  ASSERT_TRUE(matches_reference(keeps, pattern, b, signed_zeros));
+  EXPECT_EQ(pattern.rebuilds(), 3u);
+  EXPECT_EQ(pattern.warm_factors(), 3u);
+}
+
+// An input non-zero outside the pattern widens it; the old structure,
+// a subset of the union, then runs warm on the widened pattern.
+TEST(LuPattern, NonZeroOutsideThePatternWidensIt) {
+  wu::Rng rng(31);
+  const size_t n = 20;
+  const la::Matrix base = random_mna(rng, n);
+  la::Matrix wider = base;
+  size_t added = 0;
+  for (size_t r = 0; r < n && added < 3; ++r) {
+    for (size_t c = 0; c < n && added < 3; ++c) {
+      if (r != c && wider(r, c) == 0.0 && (r * 7 + c) % 11 == 0) {
+        wider(r, c) = 1e-4;
+        ++added;
+      }
+    }
+  }
+  ASSERT_EQ(added, 3u);
+  std::vector<double> b(n);
+  for (auto& v : b) v = rng.uniform(-1e-3, 1e-3);
+  la::LuPattern pattern(n);
+  size_t signed_zeros = 0;
+  ASSERT_TRUE(matches_reference(base, pattern, b, signed_zeros));
+  ASSERT_TRUE(matches_reference(base, pattern, b, signed_zeros));
+  EXPECT_EQ(pattern.rebuilds(), 1u);
+  ASSERT_TRUE(matches_reference(wider, pattern, b, signed_zeros));
+  EXPECT_EQ(pattern.rebuilds(), 2u);
+  ASSERT_TRUE(matches_reference(wider, pattern, b, signed_zeros));
+  ASSERT_TRUE(matches_reference(base, pattern, b, signed_zeros));
+  EXPECT_EQ(pattern.rebuilds(), 2u);
+  EXPECT_EQ(pattern.warm_factors(), 3u);
+}
+
+// A singular matrix inside a warm pattern throws the reference's error
+// from the warm path; the pattern stays valid for the next factorization.
+TEST(LuPattern, WarmSingularMatrixThrowsTheReferenceError) {
+  wu::Rng rng(7);
+  const la::Matrix good = random_mna(rng, 12);
+  la::Matrix singular = good;
+  for (size_t r = 0; r < 12; ++r) singular(r, 5) = 0.0;
+  std::vector<double> b(12, 1e-3);
+  la::LuPattern pattern(12);
+  size_t signed_zeros = 0;
+  ASSERT_TRUE(matches_reference(good, pattern, b, signed_zeros));
+  ASSERT_TRUE(matches_reference(good, pattern, b, signed_zeros));
+
+  la::Matrix ref = singular;
+  std::vector<size_t> ref_perm(12);
+  std::string ref_msg;
+  try {
+    reference_factor(ref, ref_perm.data(), 1e-14);
+  } catch (const wu::Error& e) {
+    ref_msg = e.what();
+  }
+  ASSERT_FALSE(ref_msg.empty());
+  la::Matrix lu = singular;
+  std::vector<size_t> perm(12);
+  try {
+    la::lu_factor_in_place(lu, perm, pattern);
+    FAIL() << "singular matrix factored";
+  } catch (const wu::Error& e) {
+    EXPECT_EQ(std::string(e.what()), ref_msg);
+  }
+  EXPECT_EQ(pattern.rebuilds(), 1u);  // thrown on the warm path
+  EXPECT_EQ(pattern.warm_factors(), 1u);
+  ASSERT_TRUE(matches_reference(good, pattern, b, signed_zeros));
+  EXPECT_EQ(pattern.warm_factors(), 2u);
 }
 
 TEST(LeastSquares, RecoversExactLine) {

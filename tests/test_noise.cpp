@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "noise/receiver_eval.hpp"
 #include "noise/scenario.hpp"
@@ -190,6 +192,54 @@ TEST(ReceiverEval, RampArrivalTracksRampTiming) {
       eval.ramp_arrival(ramp.shifted(100e-12), wv::Polarity::kFalling);
   EXPECT_GT(a1, 1e-9);             // receiver adds positive delay
   EXPECT_NEAR(a2 - a1, 100e-12, 2e-12);  // time-invariance
+}
+
+// The nonlinear SPICE path pinned bit for bit: golden receiver-output
+// arrivals of full Cfg I and Cfg II testbenches (Cfg I at 0 ps and on
+// both sides of the 158–163 ps cliff, Cfg II the 29-unknown system
+// whose pivot order moves during the transient) and receiver-replica
+// arrivals of two fixed ramps, all at dt = 2 ps.  The values were
+// generated with the dense LU factorization and solve, before the
+// engine factored along an LU pattern; any change of a golden bit
+// fails here.
+TEST(NoiseRunner, GoldenArrivalsArePinnedBitForBit) {
+  const cl::Pdk pdk;
+  struct Pin {
+    double offset;
+    double arrival;
+  };
+  const Pin cfg1[] = {{0.0, 0x1.4d589d236c4a9p-29},
+                      {158.3e-12, 0x1.48ce38b4c79ep-29},
+                      {163e-12, 0x1.2ab0bb3161c3ep-29}};
+  const Pin cfg2[] = {{-200e-12, 0x1.566661f8d1082p-29},
+                      {0.0, 0x1.74ba45871ba7bp-29}};
+  const std::pair<no::TestbenchSpec, std::span<const Pin>> benches[] = {
+      {no::TestbenchSpec::config1(), cfg1},
+      {no::TestbenchSpec::config2(), cfg2}};
+  for (const auto& [spec, pins] : benches) {
+    no::NoiseRunner runner(pdk, spec, fast_runner());
+    for (const Pin& pin : pins) {
+      const double got = runner.run_case(pin.offset).golden_output_arrival;
+      EXPECT_EQ(got, pin.arrival)
+          << spec.aggressors << " aggressor(s), offset " << pin.offset
+          << ": " << std::hexfloat << got;
+    }
+  }
+}
+
+TEST(ReceiverEval, RampArrivalsArePinnedBitForBit) {
+  const cl::Pdk pdk;
+  no::ReceiverEval::Options eopt;
+  eopt.dt = 2e-12;
+  no::ReceiverEval eval(pdk, eopt);
+  const double falling = eval.ramp_arrival(
+      wv::Ramp::from_arrival_slew(1e-9, 150e-12, pdk.vdd),
+      wv::Polarity::kFalling);
+  const double rising = eval.ramp_arrival(
+      wv::Ramp::from_arrival_slew(1.2e-9, 60e-12, pdk.vdd),
+      wv::Polarity::kRising);
+  EXPECT_EQ(falling, 0x1.17961124ec1bep-30) << std::hexfloat << falling;
+  EXPECT_EQ(rising, 0x1.505034ba30edfp-30) << std::hexfloat << rising;
 }
 
 TEST(Offsets, UniformCoverage) {

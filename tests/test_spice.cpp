@@ -812,6 +812,100 @@ TEST(Engine, SingularLinearCircuitThrowsAndRerunSucceeds) {
   expect_same_bits(rerun, sp::transient(fresh, spec));
 }
 
+namespace {
+
+/// A 1 mS conductance between `a` and `b` that closes (starts stamping,
+/// so the matrix gains two off-diagonal entries) at `t_close`: a linear
+/// device that grows the matrix structure mid-transient.
+class ClosesAt final : public sp::Device {
+ public:
+  ClosesAt(sp::NodeId a, sp::NodeId b, double t_close)
+      : sp::Device("closes"), a_(a), b_(b), t_close_(t_close) {}
+  void stamp(sp::Stamper& st, const sp::StampContext& ctx) const override {
+    if (ctx.time >= t_close_) st.conductance(a_, b_, 1e-3);
+  }
+
+ private:
+  sp::NodeId a_, b_;
+  double t_close_;
+};
+
+/// A ramp-driven RC whose node `mid` joins a second RC node `side` at
+/// 60 ps.
+sp::Circuit closing_rc(bool inert) {
+  sp::Circuit ckt;
+  const auto s = ckt.node("s");
+  const auto mid = ckt.node("mid");
+  const auto side = ckt.node("side");
+  ckt.emplace<sp::VoltageSource>(
+      "vs", s, sp::kGround,
+      std::make_unique<sp::RampStimulus>(20e-12, 40e-12, 0.0, 1.0, true));
+  ckt.emplace<sp::Resistor>("r1", s, mid, 1000.0);
+  ckt.emplace<sp::Capacitor>("c1", mid, sp::kGround, 1e-13);
+  ckt.emplace<ClosesAt>(mid, side, 60e-12);
+  ckt.emplace<sp::Capacitor>("c2", side, sp::kGround, 2e-13);
+  ckt.emplace<sp::Resistor>("r2", side, sp::kGround, 5000.0);
+  if (inert) ckt.emplace<InertNonlinear>();
+  return ckt;
+}
+
+/// FNV-1a over the bits of every time and value of every probe.
+uint64_t sample_hash(const sp::TransientResult& res) {
+  uint64_t h = 1469598103934665603ull;
+  for (const auto& name : res.probe_names()) {
+    const auto& w = res.waveform(name);
+    for (size_t i = 0; i < w.size(); ++i) {
+      for (const double v : {w.time(i), w.value(i)}) {
+        h ^= std::bit_cast<uint64_t>(v);
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+// A matrix whose structure grows mid-transient (the DC system lacks the
+// capacitors, the conductance joins at 60 ps) keeps its output bits.
+// The pinned values were generated before the engine factored along an
+// LU pattern, with the dense factorization and solve; the linear path
+// (factorization memo) and the nonlinear one must both reproduce them.
+// The pattern is sized with the analysis, so the rebuild at 60 ps
+// allocates nothing: a run that passes it allocates as often as one
+// that stops before it.
+TEST(Engine, GrowingMatrixStructureKeepsPinnedBits) {
+  for (const bool inert : {false, true}) {
+    SCOPED_TRACE(inert ? "nonlinear path" : "linear path");
+    sp::Circuit ckt = closing_rc(inert);
+    sp::TransientSpec spec;
+    spec.t_stop = 150e-12;
+    spec.dt = 1e-12;
+    const auto res = sp::transient(ckt, spec);
+    ASSERT_EQ(res.steps(), 151u);
+    EXPECT_EQ(sample_hash(res), 0x894c46460312d649ull);
+    const auto& side = res.waveform("side");
+    const auto& mid = res.waveform("mid");
+    EXPECT_EQ(side.value(59), 0.0);
+    EXPECT_EQ(side.value(61), 0x1.3daad4bce7899p-9);
+    EXPECT_EQ(side.value(80), 0x1.18e48cd73d81ap-5);
+    EXPECT_EQ(side.value(150), 0x1.3bbb0380a25d4p-3);
+    EXPECT_EQ(mid.value(59), 0x1.460f102fa5766p-2);
+    EXPECT_EQ(mid.value(61), 0x1.4ef3d78d5cc64p-2);
+    EXPECT_EQ(mid.value(150), 0x1.065aedd6a53d4p-1);
+
+    const auto allocations = [&](double t_stop) {
+      spec.t_stop = t_stop;
+      const uint64_t before = g_heap_allocations.load();
+      { (void)sp::transient(ckt, spec); }
+      return g_heap_allocations.load() - before;
+    };
+    const uint64_t before_close = allocations(50e-12);
+    EXPECT_GT(before_close, 0u);  // the counter is live
+    EXPECT_EQ(allocations(150e-12), before_close);
+  }
+}
+
 // The receiver replica's source walks a cursor forward over its
 // waveform; every query must still equal Waveform::at bit for bit,
 // whichever way the queries move.
